@@ -37,22 +37,18 @@ def geomean(values) -> float:
 def _run_cell(args) -> "RunResult":
     """Module-level worker for parallel prefetching (must be picklable).
 
-    ``args`` is ``(workload, config, base, scale, max_cycles)`` plus
-    optional trailing audit flag and scheduler name (older 5-/6-tuples
-    still work).  With audit on, the invariant audit runs in the worker
-    -- the ``System`` cannot cross the pool boundary -- and its failures
-    ride back on ``result.extra["audit"]``.
+    ``args`` is ``(workload, config, base, scale, max_cycles, audit)``.
+    With audit on, the invariant audit runs in the worker -- the
+    ``System`` cannot cross the pool boundary -- and its failures ride
+    back on ``result.extra["audit"]``.
     """
-    workload, config, base, scale, max_cycles, *rest = args
-    audit = bool(rest[0]) if rest else False
-    sched = rest[1] if len(rest) > 1 else "active"
+    workload, config, base, scale, max_cycles, audit = args
     if not audit:
         return run_workload(workload, config, base=base, scale=scale,
-                            max_cycles=max_cycles, sched=sched)
+                            max_cycles=max_cycles)
     from repro.sim.runner import build_system
     from repro.sim.validate import audit_system
-    system = build_system(workload, config, base=base, scale=scale,
-                          sched=sched)
+    system = build_system(workload, config, base=base, scale=scale)
     result = system.run(max_cycles=max_cycles)
     result.extra["audit"] = {"failures": audit_system(system, result)}
     return result
@@ -64,17 +60,15 @@ def _run_chaos_cell(args) -> tuple[str, "RunResult | None"]:
     Builds, runs and audits in one process (a ``System`` cannot cross the
     pool boundary) and returns ``(outcome, result)`` with the chaos
     outcome vocabulary: ``clean`` / ``recovered`` / ``audit-fail`` /
-    ``fatal`` (result is None for fatal -- the run deadlocked).  An
-    optional trailing scheduler name follows the plan (older 6-tuples
-    still work).
+    ``fatal`` (result is None for fatal -- the run deadlocked).  ``args``
+    is ``(workload, config, base, scale, max_cycles, plan)``.
     """
-    workload, config, base, scale, max_cycles, plan, *rest = args
-    sched = rest[0] if rest else "active"
+    workload, config, base, scale, max_cycles, plan = args
     from repro.sim.runner import build_system
     from repro.sim.system import SimulationTimeout
     from repro.sim.validate import audit_system
     system = build_system(workload, config, base=base, scale=scale,
-                          faults=plan, sched=sched)
+                          faults=plan)
     try:
         result = system.run(max_cycles=max_cycles)
     except SimulationTimeout:
@@ -123,7 +117,7 @@ class ExperimentRunner:
                  max_cycles: int = 20_000_000, verbose: bool = False,
                  parallel: int = 1, store=None,
                  worker_timeout: float = 900.0,
-                 audit: bool = False, sched: str = "active") -> None:
+                 audit: bool = False) -> None:
         self.base = base or paper_config()
         self.scale = scale
         self.workloads = list(workloads or workload_names())
@@ -135,11 +129,6 @@ class ExperimentRunner:
         # never persisted.  Store/memory hits are served as-is: anything
         # already persisted passed its audit (or predates auditing).
         self.audit = audit
-        # Main-loop scheduler for simulated cells ("active"/"legacy").
-        # Deliberately NOT part of the store key: both schedulers are
-        # bit-identical (docs/performance.md), so cached results are
-        # valid for either.
-        self.sched = sched
         self.store = (store if (store is None
                                 or isinstance(store, ResultStore))
                       else ResultStore(store))
@@ -181,7 +170,7 @@ class ExperimentRunner:
     def _cell_args(self, workload: str, config: str) -> tuple:
         """The ``_run_cell`` argument tuple for one grid cell."""
         return (workload, config, self.base, self.scale, self.max_cycles,
-                self.audit, self.sched)
+                self.audit)
 
     def result(self, workload: str, config: str) -> RunResult:
         key = (workload, config)
@@ -278,7 +267,7 @@ class ExperimentRunner:
         def make_arg(item):
             workload, config, base = by_key[item[2]]
             return (workload, config, base, self.scale, self.max_cycles,
-                    self.audit, self.sched)
+                    self.audit)
 
         def record(item, res):
             self.stats.sim_runs += 1
@@ -416,7 +405,7 @@ class ExperimentRunner:
         def make_arg(key):
             w, c, pkey = key
             return (w, c, self.base, self.scale, self.max_cycles,
-                    plans[pkey], self.sched)
+                    plans[pkey])
 
         def record(key, value):
             outcome, res = value

@@ -141,9 +141,6 @@ class RunRequest:
     metrics: object = None          # a MetricsRegistry, if any
     trace: bool = False             # arm a MessageTrace on the NDP
     audit: bool = False             # always audit (faulted runs always are)
-    #: Main-loop scheduler ("active"/"legacy"); bit-identical results, so
-    #: store keys ignore it (see docs/performance.md).
-    sched: str = "active"
 
     def resolved_config(self) -> SystemConfig:
         return base_config(base=self.base, sms=self.sms,
@@ -201,9 +198,6 @@ def _validate_request(req: RunRequest, cfg: SystemConfig) -> None:
     if req.config not in variants:
         raise KeyError(f"unknown config {req.config!r}; choose from "
                        f"{', '.join(sorted(variants))}")
-    if req.sched not in ("active", "legacy"):
-        raise ValueError(f"unknown scheduler {req.sched!r}: expected "
-                         "'active' or 'legacy'")
     if isinstance(req.scale, str) and req.scale not in SCALES:
         raise ValueError(f"unknown scale {req.scale!r}; choose from "
                          f"{', '.join(SCALES)}")
@@ -234,8 +228,7 @@ def run(request: RunRequest | None = None, **kwargs) -> RunOutcome:
                               store_key=key, store_root=root)
 
     system = build_system(req.workload, req.config, base=cfg,
-                          scale=req.scale, metrics=req.metrics, faults=plan,
-                          sched=req.sched)
+                          scale=req.scale, metrics=req.metrics, faults=plan)
     trace = None
     if req.trace and system.ndp is not None:
         from repro.sim.tracing import MessageTrace
@@ -272,8 +265,8 @@ def make_runner(*, base: SystemConfig | None = None, sms: int | None = None,
                 workloads=None, parallel: int = 1,
                 store: ResultStore | str | None = None,
                 use_store: bool = True, max_cycles: int = 20_000_000,
-                verbose: bool = False, audit: bool = False,
-                sched: str = "active") -> ExperimentRunner:
+                verbose: bool = False,
+                audit: bool = False) -> ExperimentRunner:
     """The canonical :class:`ExperimentRunner` factory (figure/report
     grids, benchmarks, and the building block under :func:`sweep` and
     :func:`chaos`).  ``audit=True`` runs the invariant audit on every
@@ -285,8 +278,7 @@ def make_runner(*, base: SystemConfig | None = None, sms: int | None = None,
                          backend=backend),
         scale=scale, workloads=workloads, max_cycles=max_cycles,
         verbose=verbose, parallel=max(1, parallel or 1),
-        store=resolve_store(store, use_store=use_store), audit=audit,
-        sched=sched)
+        store=resolve_store(store, use_store=use_store), audit=audit)
 
 
 @dataclass
@@ -474,7 +466,7 @@ class BenchOutcome:
         return self.comparison["geomean"] if self.comparison else None
 
 
-def bench(*, sched: str = "active", suites=("sparse",), quick: bool = False,
+def bench(*, suites=("sparse",), quick: bool = False,
           repeats: int = 2, max_cycles: int = 20_000_000,
           backend: str | None = None,
           out: str | None = None, compare: str | None = None,
@@ -496,7 +488,7 @@ def bench(*, sched: str = "active", suites=("sparse",), quick: bool = False,
     docs/performance.md.
     """
     from repro.perf import bench as perf
-    report = perf.run_bench(sched=sched, suites=suites, quick=quick,
+    report = perf.run_bench(suites=suites, quick=quick,
                             repeats=repeats, max_cycles=max_cycles,
                             backend=backend,
                             explore_best=explore_best,
@@ -517,7 +509,7 @@ def explore(*, workload: str = "VADD", space=None, agent: str = "hillclimb",
             base: SystemConfig | None = None, scale: str = "bench",
             store: ResultStore | str | None = None, use_store: bool = True,
             parallel: int = 1, max_cycles: int = 20_000_000,
-            sched: str = "active", metrics=None, progress=None):
+            metrics=None, progress=None):
     """Search the NDP design space and return an
     :class:`~repro.explore.driver.ExploreOutcome`.
 
@@ -539,7 +531,7 @@ def explore(*, workload: str = "VADD", space=None, agent: str = "hillclimb",
         generations=generations, population=population, seed=seed,
         fitness=fitness, top_k=top_k, out=out, resume=resume, base=base,
         scale=scale, store=store, use_store=use_store, parallel=parallel,
-        max_cycles=max_cycles, sched=sched, metrics=metrics,
+        max_cycles=max_cycles, metrics=metrics,
         progress=progress)
 
 

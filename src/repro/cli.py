@@ -30,8 +30,7 @@ Common flags: ``--scale ci|bench|paper``, ``--workloads A,B,...``,
 ``$REPRO_STORE``), ``--parallel N`` (process-pool sweeps), ``--sms N``,
 ``--nsu-mhz F``, ``--ro-cache BYTES``,
 ``--target-policy first|optimal|coda``, ``--backend hmc|cxl`` (memory
-substrate, see docs/backends.md), ``--sched active|legacy`` (main-loop
-scheduler; bit-identical results, see docs/performance.md).
+substrate, see docs/backends.md).
 ``run`` additionally accepts ``--stats``, ``--trace``,
 ``--metrics OUT.jsonl`` (see docs/observability.md) and
 ``--faults SCENARIO --fault-rate R --fault-seed S`` (deterministic fault
@@ -103,8 +102,7 @@ def _runner(args, **overrides) -> F.ExperimentRunner:
                  else workload_names())
     kwargs = dict(scale=args.scale, workloads=workloads, verbose=True,
                   parallel=args.parallel or 1, store=args.store,
-                  use_store=not args.no_store, sched=args.sched,
-                  **_config_kwargs(args))
+                  use_store=not args.no_store, **_config_kwargs(args))
     kwargs.update(overrides)
     return api.make_runner(**kwargs)
 
@@ -139,7 +137,7 @@ def cmd_run(args) -> int:
             # --stats needs a live system; force a fresh simulation.
             use_store=not (args.no_store or args.stats),
             metrics=registry, trace=args.trace, audit=args.audit,
-            sched=args.sched, **_config_kwargs(args))
+            **_config_kwargs(args))
         out = api.run(req)
     except (KeyError, ValueError, OSError) as e:
         print(str(e.args[0]) if e.args else str(e), file=sys.stderr)
@@ -397,7 +395,7 @@ def cmd_bench(args) -> int:
 
     suites = tuple(s.strip() for s in args.suites.split(",") if s.strip())
     try:
-        out = api.bench(sched=args.sched, suites=suites, quick=args.quick,
+        out = api.bench(suites=suites, quick=args.quick,
                         repeats=args.repeats, max_cycles=args.max_cycles,
                         backend=args.backend,
                         out=args.out, compare=args.compare,
@@ -422,19 +420,6 @@ def cmd_bench(args) -> int:
     if out.comparison is not None:
         for line in format_compare(out.comparison):
             print(line)
-        if args.min_speedup:
-            # A digest mismatch makes the speedup meaningless, so the
-            # gate fails on it even when the number clears the bar.
-            if not out.comparison["digests_match"]:
-                print("FAIL: result digests differ from the baseline -- "
-                      "the speedup gate requires bit-identical results",
-                      file=sys.stderr)
-                return 1
-            if out.comparison["geomean"] < args.min_speedup:
-                print(f"FAIL: geomean speedup "
-                      f"x{out.comparison['geomean']:.2f} is below the "
-                      f"required x{args.min_speedup:.2f}", file=sys.stderr)
-                return 1
     return 0
 
 
@@ -461,8 +446,7 @@ def cmd_explore(args) -> int:
             out=args.out, resume=args.resume, base=_base_config(args),
             scale=args.scale, store=args.store,
             use_store=not args.no_store, parallel=args.parallel or 1,
-            max_cycles=args.max_cycles, sched=args.sched,
-            metrics=registry, progress=print)
+            max_cycles=args.max_cycles, metrics=registry, progress=print)
     except (KeyError, ValueError, OSError) as e:
         print(str(e.args[0]) if e.args else str(e), file=sys.stderr)
         return 2
@@ -607,11 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="memory substrate (default hmc -- the paper's "
                         "stacks; 'cxl' models memory expanders, see "
                         "docs/backends.md)")
-    p.add_argument("--sched", choices=["active", "legacy"],
-                   default="active",
-                   help="main-loop scheduler (bit-identical results; "
-                        "'active' parks idle SMs, 'legacy' ticks "
-                        "everything -- see docs/performance.md)")
     sub = p.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list").set_defaults(fn=cmd_list)
@@ -714,9 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="directory for BENCH_<rev>.json (default: cwd)")
     pb.add_argument("--compare", metavar="FILE",
                     help="baseline BENCH_*.json to compute speedups against")
-    pb.add_argument("--min-speedup", type=float, metavar="X",
-                    help="with --compare: exit 1 if the geomean speedup "
-                         "is below X")
     pb.add_argument("--explore-best", metavar="FILE",
                     help="best_configs.json from 'repro explore': time its "
                          "rank-1 configuration as one extra cell")

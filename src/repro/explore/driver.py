@@ -207,8 +207,8 @@ def explore(*, workload: str = "VADD", space=None, agent: str = "hillclimb",
             out: str = "explore-out", resume: str | None = None,
             base=None, scale: str = "bench", store=None,
             use_store: bool = True, parallel: int = 1,
-            max_cycles: int = 20_000_000, sched: str = "active",
-            metrics=None, progress=None) -> ExploreOutcome:
+            max_cycles: int = 20_000_000, metrics=None,
+            progress=None) -> ExploreOutcome:
     """Run ``agent`` over ``space`` for ``generations`` and return an
     :class:`ExploreOutcome`.  See :func:`repro.api.explore` for the
     parameter catalogue and ``docs/design-space.md`` for the contract."""
@@ -242,7 +242,7 @@ def explore(*, workload: str = "VADD", space=None, agent: str = "hillclimb",
     runner = ExperimentRunner(
         base=sp.base, scale=scale, workloads=[workload],
         max_cycles=max_cycles, parallel=max(1, parallel or 1),
-        store=resolve_store(store, use_store=use_store), sched=sched)
+        store=resolve_store(store, use_store=use_store))
 
     stats = ExploreStats()
     history = History()

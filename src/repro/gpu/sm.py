@@ -56,12 +56,12 @@ class SM:
             raise ValueError(f"unknown scheduler {scheduler!r}")
         self.scheduler = scheduler
 
-        # Active-set scheduling hook: the system's active scheduler installs
-        # a callback here and every external wake path (fill, timed dep
-        # release, offload ACK, recovery fallback) reports through it BEFORE
+        # Active-set scheduling hook: ``System.run`` installs a callback
+        # here and every external wake path (fill, timed dep release,
+        # offload ACK, recovery fallback) reports through it BEFORE
         # mutating warp state, so lazily-deferred idle accounting is settled
         # against the still-frozen pre-wake state (invariant I1 in
-        # docs/performance.md).  ``None`` under the legacy scheduler.
+        # docs/performance.md).  ``None`` outside a run.
         self.waker = None
 
         self.pending_traces: deque = deque()
@@ -249,8 +249,8 @@ class SM:
 
         Mirrors :meth:`_issue` exactly -- GTO current-warp-first, ready
         insertion order, the ``MAX_ISSUE_ATTEMPTS`` cap -- because the
-        elided cycles must be bit-identical to the legacy scheduler's
-        real retry cycles (docs/performance.md).
+        elided cycles must be bit-identical to the real retry cycles
+        they replace (docs/performance.md).
         """
         if self.pending_traces and len(self.warps) < self.warps_per_sm:
             return None                    # _launch would make progress
@@ -280,14 +280,6 @@ class SM:
             cost += c
             attempts += 1
         return cost
-
-    def next_wake(self) -> int | None:
-        """Earliest cycle this SM can make progress on its own: ``now + 1``
-        while it holds issuable (or structurally-rejected, hence retrying)
-        work, else ``None`` -- only an external event (fill, ACK, timed
-        dependency release, recovery fallback) can change that, and every
-        such path reports through :attr:`waker`."""
-        return self.engine.now + 1 if self.can_issue_now else None
 
     def metrics_snapshot(self) -> dict:
         """Counters/gauges published into the metrics registry."""

@@ -35,8 +35,6 @@ class FacadeDriftRule(Rule):
     #: deliberately never reach a simulation.
     PRESENTATION_ONLY = frozenset({
         "command", "stats", "output", "number", "action", "format",
-        # bench: exit-code threshold on the printed comparison only.
-        "min_speedup",
         # explore: render the already-written trajectory.jsonl.
         "plot",
         # loadtest: exit-code shaping when probing rate limits.

@@ -11,16 +11,15 @@ changes the digest is a bug, not an optimization.
 Suites
 ------
 
-* ``sparse`` (default) -- wide-GPU (128 SM) bench-scale cells in the
-  active scheduler's target regime: long idle/drain phases where most
-  SMs have nothing to issue.  This is where active-set scheduling pays.
+* ``sparse`` (default) -- wide-GPU (128 SM) bench-scale cells with long
+  idle/drain phases where most SMs have nothing to issue.  This is
+  where parking idle SMs pays.
 * ``dense`` -- cells that keep most SMs issuing every cycle; the hot
   loop is event- and issue-bound, so these track the simulator's
-  absolute floor rather than scheduler wins.
+  absolute floor rather than parking wins.
 
 The grid is deliberately small and fixed so numbers are comparable
-across revisions; see docs/performance.md for methodology and the
-measured legacy-vs-active speedups.
+across revisions; see docs/performance.md for methodology.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from repro.sim.serialize import result_digest
 
 REPORT_VERSION = 1
 
-#: The wide-GPU regime the active scheduler targets (the paper's 64-SM
+#: The wide-GPU regime where parking idle SMs pays (the paper's 64-SM
 #: GPU scaled 2x, matching the ``bigger_gpu`` sensitivity experiment).
 SPARSE_NUM_SMS = 128
 
@@ -82,7 +81,6 @@ class BenchCell:
     config: str
     scale: str
     num_sms: int
-    sched: str
     wall_s: float                    # best of ``repeats`` runs
     wall_all: list[float] = field(default_factory=list)
     cycles: int = 0
@@ -96,8 +94,7 @@ class BenchCell:
     profile_path: str = ""                              # pstats artifact
 
     def key(self) -> tuple:
-        """Identity for cross-revision comparison (sched-independent:
-        the whole point is comparing schedulers/revisions on one cell)."""
+        """Identity for cross-revision comparison."""
         return (self.workload, self.config, self.scale, self.num_sms)
 
 
@@ -114,7 +111,7 @@ def git_rev() -> str:
         return "local"
 
 
-def _profile_cell(workload: str, config: str, base, *, sched: str,
+def _profile_cell(workload: str, config: str, base, *,
                   max_cycles: int, label: str, profile_dir: str,
                   top: int) -> tuple[list[dict], str]:
     """Run one *extra* instrumented repeat of a cell under cProfile.
@@ -125,15 +122,14 @@ def _profile_cell(workload: str, config: str, base, *, sched: str,
     cumulative time plus the path of the dumped pstats artifact, which
     holds the full call graph for ``python -m pstats`` / snakeviz.
     """
-    system = build_system(workload, config, base=base,
-                          scale=BENCH_SCALE, sched=sched)
+    system = build_system(workload, config, base=base, scale=BENCH_SCALE)
     prof = cProfile.Profile()
     prof.enable()
     system.run(max_cycles=max_cycles)
     prof.disable()
     stats = pstats.Stats(prof)
     slug = re.sub(r"[^A-Za-z0-9]+", "_",
-                  f"{workload}_{label}_{base.gpu.num_sms}_{sched}").strip("_")
+                  f"{workload}_{label}_{base.gpu.num_sms}").strip("_")
     os.makedirs(profile_dir, exist_ok=True)
     path = os.path.join(profile_dir, f"PROF_{git_rev()}_{slug}.pstats")
     stats.dump_stats(path)
@@ -151,7 +147,7 @@ def _profile_cell(workload: str, config: str, base, *, sched: str,
 
 
 def _run_cell(workload: str, config: str, num_sms: int | None, *,
-              sched: str, repeats: int, max_cycles: int,
+              repeats: int, max_cycles: int,
               base=None, label: str | None = None,
               profile_dir: str | None = None,
               profile_top: int = 15) -> BenchCell:
@@ -172,7 +168,7 @@ def _run_cell(workload: str, config: str, num_sms: int | None, *,
         # Fresh build every repeat: the run mutates the system, and build
         # cost (trace generation) must stay outside the timed region.
         system = build_system(workload, config, base=base,
-                              scale=BENCH_SCALE, sched=sched)
+                              scale=BENCH_SCALE)
         t0 = time.perf_counter()
         result = system.run(max_cycles=max_cycles)
         walls.append(time.perf_counter() - t0)
@@ -185,12 +181,12 @@ def _run_cell(workload: str, config: str, num_sms: int | None, *,
     prof_path = ""
     if profile_dir is not None:
         prof_rows, prof_path = _profile_cell(
-            workload, config, base, sched=sched, max_cycles=max_cycles,
+            workload, config, base, max_cycles=max_cycles,
             label=label or config, profile_dir=profile_dir,
             top=profile_top)
     return BenchCell(
         workload=workload, config=label or config, scale=BENCH_SCALE,
-        num_sms=base.gpu.num_sms, sched=sched,
+        num_sms=base.gpu.num_sms,
         wall_s=round(wall, 6), wall_all=[round(w, 6) for w in walls],
         cycles=total_cycles,
         cycles_per_sec=round(total_cycles / wall, 1) if wall > 0 else 0.0,
@@ -204,7 +200,7 @@ def _run_cell(workload: str, config: str, num_sms: int | None, *,
         profile_path=prof_path)
 
 
-def run_bench(*, sched: str = "active", suites=("sparse",),
+def run_bench(*, suites=("sparse",),
               quick: bool = False, repeats: int = 2,
               max_cycles: int = 20_000_000, backend: str | None = None,
               explore_best: str | None = None,
@@ -240,7 +236,7 @@ def run_bench(*, sched: str = "active", suites=("sparse",),
     suffix = "" if backend == "hmc" else f"@{backend}"
     cells: list[BenchCell] = []
     for workload, config, num_sms in cells_spec:
-        cell = _run_cell(workload, config, num_sms, sched=sched,
+        cell = _run_cell(workload, config, num_sms,
                          repeats=repeats, max_cycles=max_cycles,
                          base=base,
                          label=(config + suffix) if suffix else None,
@@ -251,7 +247,7 @@ def run_bench(*, sched: str = "active", suites=("sparse",),
     if explore_best:
         from repro.explore.report import best_bench_cell
         workload, config, base, label = best_bench_cell(explore_best)
-        cell = _run_cell(workload, config, None, sched=sched,
+        cell = _run_cell(workload, config, None,
                          repeats=repeats, max_cycles=max_cycles,
                          base=base, label=label,
                          profile_dir=profile_dir, profile_top=profile_top)
@@ -262,7 +258,6 @@ def run_bench(*, sched: str = "active", suites=("sparse",),
         "kind": "repro-bench",
         "version": REPORT_VERSION,
         "rev": git_rev(),
-        "sched": sched,
         "backend": backend,
         "suites": list(suites),
         "explore_best": os.path.basename(explore_best) if explore_best
@@ -343,16 +338,14 @@ def compare(new: dict, baseline: dict) -> dict:
                if speedups else 0.0)
     return {
         "baseline_rev": baseline.get("rev"), "new_rev": new.get("rev"),
-        "baseline_sched": baseline.get("sched"), "new_sched": new.get("sched"),
         "rows": rows, "geomean": geomean, "digests_match": digests_match,
         "unmatched": max(0, len(new["cells"]) - len(rows)),
     }
 
 
 def format_compare(cmp: dict) -> list[str]:
-    lines = [f"baseline: rev {cmp['baseline_rev']} "
-             f"(sched={cmp['baseline_sched']})  vs  "
-             f"new: rev {cmp['new_rev']} (sched={cmp['new_sched']})"]
+    lines = [f"baseline: rev {cmp['baseline_rev']}  vs  "
+             f"new: rev {cmp['new_rev']}"]
     for r in cmp["rows"]:
         digest = {True: "digest ok", False: "DIGEST MISMATCH",
                   None: "digest n/a"}[r["digests_match"]]

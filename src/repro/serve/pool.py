@@ -41,7 +41,7 @@ JOB_KINDS = ("run", "sweep", "chaos", "bench", "explore")
 #: pickle boundary).
 RUN_FIELDS = ("workload", "config", "scale", "sms", "nsu_mhz", "ro_cache",
               "target_policy", "backend", "faults", "fault_rate",
-              "fault_seed", "max_cycles", "audit", "sched")
+              "fault_seed", "max_cycles", "audit")
 
 
 class ShardPool:
@@ -297,8 +297,7 @@ def _exec_run(payload: dict) -> dict:
 def _grid_kwargs(payload: dict) -> dict:
     out = {"scale": payload.get("scale", "bench"),
            "store": payload.get("store"),
-           "use_store": bool(payload.get("use_store", True)),
-           "sched": payload.get("sched", "active")}
+           "use_store": bool(payload.get("use_store", True))}
     if payload.get("max_cycles") is not None:
         out["max_cycles"] = int(payload["max_cycles"])
     return out
@@ -345,8 +344,7 @@ def _exec_chaos(payload: dict) -> dict:
 def _exec_bench(payload: dict) -> dict:
     from repro import api
 
-    out = api.bench(sched=payload.get("sched", "active"),
-                    suites=tuple(payload.get("suites", ("sparse",))),
+    out = api.bench(suites=tuple(payload.get("suites", ("sparse",))),
                     quick=bool(payload.get("quick", True)),
                     repeats=int(payload.get("repeats", 1)),
                     max_cycles=int(payload.get("max_cycles", 20_000_000)),
@@ -370,8 +368,7 @@ def _exec_explore(payload: dict) -> dict:
         scale=payload.get("scale", "bench"),
         store=payload.get("store"),
         use_store=bool(payload.get("use_store", True)),
-        max_cycles=int(payload.get("max_cycles", 20_000_000)),
-        sched=payload.get("sched", "active"))
+        max_cycles=int(payload.get("max_cycles", 20_000_000)))
     return {
         "kind": "explore", "workload": out.workload, "agent": out.agent,
         "seed": out.seed, "fitness": out.fitness,

@@ -16,7 +16,6 @@ the paper's deadlock-avoidance protocol manages -- are modelled explicitly in
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 from typing import Callable
@@ -300,90 +299,6 @@ class Engine:
                 break
             self.now = max(self.now, t)
             self.process_due()
-
-
-class WakeQueue:
-    """Active-set membership for per-component sleep, alongside the event heap.
-
-    The active scheduler (``System._run_active``) keeps each SM either
-    *active* (ticked every stepped cycle) or *parked* (asleep until an
-    external event wakes it).  The queue tracks membership plus, per parked
-    member, the first simulated cycle whose idle accounting has not been
-    settled yet -- the scheduler uses that stamp to classify the slept
-    cycles in bulk when the member wakes (see docs/performance.md).
-
-    A timed lane lets callers pre-book a future wake (``wake_at``); the
-    driver folds :meth:`next_time` into its fast-forward target and pops
-    due entries each cycle.  Entries for members that woke early are
-    invalidated lazily -- a spurious wake is harmless by design, because a
-    woken component that cannot make progress simply re-parks after one
-    ordinary (fully accounted) tick.
-    """
-
-    def __init__(self, size: int) -> None:
-        if size < 0:
-            raise ValueError("size must be non-negative")
-        self._size = size
-        self._active: list[int] = list(range(size))   # sorted member ids
-        self._since: dict[int, int] = {}   # parked id -> first unsettled cycle
-        self._timed: list[tuple[int, int]] = []       # (cycle, id) min-heap
-
-    @property
-    def active(self) -> list[int]:
-        """Sorted ids of active members (treat as read-only)."""
-        return self._active
-
-    def is_active(self, idx: int) -> bool:
-        return idx not in self._since
-
-    def park(self, idx: int, since: int) -> None:
-        """Move ``idx`` to the parked set; idle cycles accrue from ``since``."""
-        if idx in self._since:
-            raise ValueError(f"member {idx} is already parked")
-        self._active.remove(idx)
-        self._since[idx] = since
-
-    def wake(self, idx: int) -> int | None:
-        """Activate ``idx``.  Returns the first unsettled cycle if it was
-        parked (the caller owes idle accounting for ``[since, now-1]``), or
-        ``None`` if it was already active (spurious wake, no-op)."""
-        since = self._since.pop(idx, None)
-        if since is None:
-            return None
-        bisect.insort(self._active, idx)
-        return since
-
-    def asleep_items(self) -> list[tuple[int, int]]:
-        """``(idx, since)`` for every parked member, sorted by id."""
-        return sorted(self._since.items())
-
-    def set_since(self, idx: int, since: int) -> None:
-        """Restamp a parked member after settling its idle cycles in place."""
-        if idx not in self._since:
-            raise KeyError(f"member {idx} is not parked")
-        self._since[idx] = since
-
-    # -- timed lane ----------------------------------------------------------
-
-    def wake_at(self, idx: int, cycle: int) -> None:
-        """Book a future wake for ``idx`` at ``cycle`` (lazy-invalidated)."""
-        heapq.heappush(self._timed, (int(cycle), idx))
-
-    def pop_due(self, now: int) -> list[int]:
-        """Parked members whose booked wake time has arrived (deduplicated,
-        pop order).  Stale entries (member already active) are discarded."""
-        due: list[int] = []
-        while self._timed and self._timed[0][0] <= now:
-            _, idx = heapq.heappop(self._timed)
-            if idx in self._since and idx not in due:
-                due.append(idx)
-        return due
-
-    def next_time(self) -> int | None:
-        """Earliest booked wake of a still-parked member, or ``None``."""
-        while self._timed and self._timed[0][1] not in self._since:
-            heapq.heappop(self._timed)
-        return self._timed[0][0] if self._timed else None
 
 
 class RateAccumulator:

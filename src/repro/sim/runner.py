@@ -68,21 +68,19 @@ def scaled_config(config_name: str, base: SystemConfig | None,
 
 def build_system(workload: str | WorkloadModel, config_name: str,
                  *, base: SystemConfig | None = None, scale="ci",
-                 metrics=None, faults=None, sched: str = "active") -> System:
+                 metrics=None, faults=None) -> System:
     """Assemble a ready-to-run system with its workload loaded.
 
     ``metrics`` is an optional :class:`~repro.sim.metrics.MetricsRegistry`
     the system will publish heartbeats and a summary into.  ``faults`` is
     an optional :class:`~repro.faults.FaultPlan`; passing one arms the
     fault injector and (unless the plan disables it) protocol recovery.
-    ``sched`` picks the main-loop scheduler ("active" or "legacy"; both
-    are bit-identical -- see docs/performance.md).
     """
     model = (get_workload(workload) if isinstance(workload, str)
              else workload)
     cfg = scaled_config(config_name, base, scale)
     system = System(cfg, config_name=config_name, metrics=metrics,
-                    faults=faults, sched=sched)
+                    faults=faults)
     instance = model.build(cfg, scale)
     system.set_code_layout(instance.blocks)
     system.load_workload(instance.name, instance.traces)
@@ -97,13 +95,12 @@ def run_workload(workload: str | WorkloadModel, config_name: str,
                  *, base: SystemConfig | None = None,
                  scale="ci",
                  max_cycles: int = 20_000_000,
-                 metrics=None, faults=None,
-                 sched: str = "active") -> RunResult:
+                 metrics=None, faults=None) -> RunResult:
     """Build the system + workload and simulate to completion.
 
     ``scale`` is a preset name ("ci"/"bench"/"paper") or a custom
     :class:`~repro.workloads.Scale`.
     """
     system = build_system(workload, config_name, base=base, scale=scale,
-                          metrics=metrics, faults=faults, sched=sched)
+                          metrics=metrics, faults=faults)
     return system.run(max_cycles=max_cycles)

@@ -9,6 +9,7 @@ updates (Algorithm 1).
 
 from __future__ import annotations
 
+import bisect
 
 from repro.config import OffloadMode, SystemConfig
 from repro.core.decision import DynamicDecider, make_decider
@@ -34,29 +35,25 @@ class System:
     """
 
     def __init__(self, cfg: SystemConfig, *, config_name: str = "",
-                 metrics=None, faults=None, sched: str = "active") -> None:
-        if sched not in ("legacy", "active"):
-            raise ValueError(f"unknown scheduler {sched!r}; "
-                             "choose 'legacy' or 'active'")
+                 metrics=None, faults=None) -> None:
         self.cfg = cfg
         self.config_name = config_name or cfg.ndp.mode
         self.metrics = metrics
-        # Main-loop scheduling strategy.  "active" ticks only SMs that can
-        # make progress (per-component sleep, lazily settled idle
-        # accounting); "legacy" ticks every SM every stepped cycle.  Both
-        # produce bit-identical results -- the switch is a run-time knob,
-        # deliberately NOT part of SystemConfig, so store keys and result
-        # digests are scheduler-independent.
-        self.sched = sched
+        # Scheduling counters of the last run; they never enter RunResult,
+        # so result digests do not depend on them.
         self.sched_stats: dict = {}
-        self._wq = None              # WakeQueue while _run_active is live
+        # The main loop's active set: sorted ids of the SMs ticked every
+        # stepped cycle, and for each parked SM the first cycle whose idle
+        # accounting is still unsettled.
+        self._active: list[int] = []
+        self._asleep: dict[int, int] = {}
         self._deferred_integral = 0  # active-warp-cycles owed by sleepers
         self._sm_wakes = 0
         # Structural-reject parking: sm_id -> per-cycle counter cost for
         # SMs parked mid-retry-loop (MSHR-full / inflight-cap spin).  The
         # elided cycles' L1 miss + MSHR reject counters are replayed at
         # wake/settle time; membership also vetoes fast-forward, because
-        # the legacy loop steps cycle-by-cycle while any SM can issue.
+        # time must step cycle-by-cycle while any SM can issue.
         self._struct_cost: dict[int, int] = {}
         self._struct_parks = 0
         self._struct_replayed = 0
@@ -105,9 +102,11 @@ class System:
                scheduler=g.scheduler)
             for i in range(g.num_sms)
         ]
-        self._nsu_rate = cfg.nsu.cycles_per_sm_cycle(g.sm_clock_mhz)
-        self._nsu_accs = [RateAccumulator(self._nsu_rate)
-                          for _ in self.nsus]
+        # Every NSU runs at one clock ratio, so one accumulator decides
+        # how many NSU cycles elapse for all of them.
+        self._nsu_acc = (RateAccumulator(
+            cfg.nsu.cycles_per_sm_cycle(g.sm_clock_mhz))
+            if self.nsus else None)
         self.workload_name = ""
         self._epoch_log: list[tuple[int, float]] = []
         from repro.sim.metrics import PhaseCycles
@@ -158,128 +157,6 @@ class System:
         if self.ndp is not None:
             self.ndp.set_code_layout(blocks)
 
-    # -- main loop -------------------------------------------------------------------
-
-    def run(self, max_cycles: int = 20_000_000) -> RunResult:
-        """Simulate to completion and collect the result.
-
-        Dispatches on ``self.sched``.  Both schedulers walk the exact same
-        sequence of stepped and fast-forwarded cycles and produce
-        bit-identical :class:`RunResult`\\ s (pinned by the cross-scheduler
-        digest tests); ``active`` merely avoids calling ``tick()`` on
-        components that provably cannot make progress.
-        """
-        if self.sched == "active":
-            return self._run_active(max_cycles)
-        return self._run_legacy(max_cycles)
-
-    def _run_legacy(self, max_cycles: int) -> RunResult:
-        engine = self.engine
-        sms = self.sms
-        nsus = self.nsus
-        accs = self._nsu_accs
-        epoch = self.cfg.ndp.epoch_cycles
-        dyn = isinstance(self.decider, DynamicDecider)
-        next_epoch = engine.now + epoch if dyn else None
-        last_epoch_at = engine.now
-        prev_block_instrs = 0
-        # Algorithm 1 compares per-epoch throughput of offload-block
-        # instructions.  At our scaled run lengths the warp population
-        # ramps down within the run, which would superimpose a monotonic
-        # decline on the signal; normalizing by active-warp-cycles makes
-        # epochs comparable (the paper's multi-million-cycle runs are in
-        # steady state and don't need this).
-        active_integral = 0
-        prev_active_integral = 0
-        metrics = self.metrics
-        next_heartbeat = (engine.now + metrics.heartbeat_cycles
-                          if metrics is not None else None)
-        ndp = self.ndp
-        rec = ndp is not None and ndp.recovery is not None
-        memsys = self.memsys
-        mem_rec = memsys.recovery is not None
-
-        while True:
-            engine.process_due()
-            if rec:
-                ndp.poll_watchdogs(engine.now)
-            if mem_rec:
-                memsys.poll_watchdogs(engine.now)
-            live = 0
-            for sm in sms:
-                sm.tick()
-                live += sm.live_warps
-            active_integral += live
-            self.phases.stepped += 1
-            for nsu, acc in zip(nsus, accs):
-                for _ in range(acc.step()):
-                    nsu.tick()
-
-            if dyn and engine.now >= next_epoch:
-                total = sum(sm.block_instrs_retired for sm in sms)
-                d_active = max(1, active_integral - prev_active_integral)
-                ipc = (total - prev_block_instrs) / d_active
-                prev_block_instrs = total
-                prev_active_integral = active_integral
-                last_epoch_at = engine.now
-                self.decider.end_epoch(ipc)
-                self._epoch_log.append((engine.now, self.decider.ratio))
-                self.phases.epochs += 1
-                next_epoch = engine.now + epoch
-
-            if next_heartbeat is not None and engine.now >= next_heartbeat:
-                self._publish_heartbeat()
-                next_heartbeat = engine.now + metrics.heartbeat_cycles
-
-            if self._finished():
-                break
-            if engine.now >= max_cycles:
-                raise SimulationTimeout(
-                    f"{self.workload_name}/{self.config_name}: exceeded "
-                    f"{max_cycles} cycles; "
-                    f"{sum(sm.live_warps for sm in sms)} warps live")
-
-            # Fast-forward across quiet regions: nothing can issue until
-            # the next event, so jump there and account the idle cycles.
-            if (not any(sm.can_issue_now for sm in sms)
-                    and not any(n.has_ready for n in nsus)):
-                nt = engine.next_event_time()
-                if rec:
-                    wd = ndp.next_watchdog_deadline()
-                    if wd is not None and (nt is None or wd < nt):
-                        nt = wd
-                if mem_rec:
-                    wd = memsys.next_watchdog_deadline()
-                    if wd is not None and (nt is None or wd < nt):
-                        nt = wd
-                if nt is None:
-                    # Quiet, no pending events, no watchdog armed, yet not
-                    # finished: nothing can ever change.  Without recovery a
-                    # lost packet lands here (detect it immediately instead
-                    # of crawling to max_cycles one cycle at a time).
-                    raise SimulationTimeout(
-                        f"{self.workload_name}/{self.config_name}: deadlock "
-                        f"at cycle {engine.now}; "
-                        f"{sum(sm.live_warps for sm in sms)} warps live")
-                if nt > engine.now + 1:
-                    skip = nt - engine.now - 1
-                    active_integral += skip * sum(
-                        sm.live_warps for sm in sms)
-                    for sm in sms:
-                        sm.classify_idle_bulk(skip)
-                    for nsu, acc in zip(nsus, accs):
-                        idle_cycles = acc.step_many(skip)
-                        if idle_cycles:
-                            nsu.account_idle(idle_cycles)
-                    engine.now = nt - 1
-                    self.phases.fast_forwarded += skip
-            engine.now += 1
-
-        self.sched_stats = {"sm_ticks": self.phases.stepped * len(sms),
-                            "sm_wakes": 0, "struct_parks": 0,
-                            "struct_replayed": 0}
-        return self._collect()
-
     # -- active-set scheduling (see docs/performance.md) ---------------------
 
     def _wake_sm(self, sm) -> None:
@@ -288,13 +165,14 @@ class System:
         Called (via ``sm.waker``) at the TOP of every external wake path,
         before the wake mutates warp state: the slept cycles
         ``[since, now - 1]`` are classified against the frozen pre-wake
-        state, exactly as the legacy loop would have classified them one
-        cycle at a time.  A wake of an already-active SM is a no-op.
+        state, exactly as ticking the SM every cycle would have classified
+        them one at a time.  A wake of an already-active SM is a no-op.
         """
         idx = sm.sm_id
-        since = self._wq.wake(idx)
+        since = self._asleep.pop(idx, None)
         if since is None:
             return
+        bisect.insort(self._active, idx)
         self._sm_wakes += 1
         owed = self.engine.now - since
         cost = self._struct_cost.pop(idx, None)
@@ -316,13 +194,14 @@ class System:
         Run at every point that observes cross-SM aggregate state --
         Algorithm-1 epoch boundaries (``active_integral`` feeds the IPC
         normalization), heartbeats (stall counters are sampled), and both
-        timeout raises (post-mortem state must match legacy) -- so those
-        observers see exactly what the legacy loop would have accumulated.
+        timeout raises (post-mortem state must match ticking everything)
+        -- so those observers see exactly what ticking every SM every
+        cycle would have accumulated.
         """
-        wq = self._wq
+        asleep = self._asleep
         sms = self.sms
         struct_cost = self._struct_cost
-        for idx, since in wq.asleep_items():
+        for idx, since in sorted(asleep.items()):
             owed = now - since + 1
             if owed > 0:
                 sm = sms[idx]
@@ -332,18 +211,23 @@ class System:
                     self._struct_replayed += owed * cost
                 sm.classify_idle_bulk(owed)
                 self._deferred_integral += owed * sm.live_warps
-                wq.set_since(idx, now + 1)
+                asleep[idx] = now + 1
 
-    def _run_active(self, max_cycles: int) -> RunResult:
-        """Active-set main loop: tick only components that can progress.
+    # -- main loop -------------------------------------------------------------------
 
-        Equivalence with :meth:`_run_legacy` by construction:
+    def run(self, max_cycles: int = 20_000_000) -> RunResult:
+        """Simulate to completion and collect the result.
+
+        Only SMs that can make progress are ticked; the others are parked
+        until an external event wakes them.  The result is bit-identical
+        to ticking every SM on every stepped cycle (the reference stepper
+        the tests compare against), by construction:
 
         * The stepped/fast-forwarded cycle sets are identical -- the
-          fast-forward predicate ``not wq.active`` equals legacy's
-          ``not any(sm.can_issue_now)`` because active membership tracks
-          ``can_issue_now`` exactly (parked on False after a tick, woken
-          by the same external events that make it True).
+          fast-forward predicate ``not act`` equals "no SM can issue"
+          because active membership tracks ``can_issue_now`` exactly
+          (parked on False after a tick, woken by the same external
+          events that make it True).
         * A parked SM's would-be ticks are pure no-ops except for stall
           classification, and its classification inputs (``ready``,
           ``dep_count``, ``warps``, ``pending_traces``, ``live_warps``)
@@ -361,6 +245,12 @@ class System:
         dyn = isinstance(self.decider, DynamicDecider)
         next_epoch = engine.now + epoch if dyn else None
         prev_block_instrs = 0
+        # Algorithm 1 compares per-epoch throughput of offload-block
+        # instructions.  At our scaled run lengths the warp population
+        # ramps down within the run, which would superimpose a monotonic
+        # decline on the signal; normalizing by active-warp-cycles makes
+        # epochs comparable (the paper's multi-million-cycle runs are in
+        # steady state and don't need this).
         active_integral = 0
         prev_active_integral = 0
         metrics = self.metrics
@@ -375,9 +265,10 @@ class System:
         finished = self._finished
         settle = self._settle_asleep
 
-        from repro.sim.engine import WakeQueue
-        wq = WakeQueue(len(sms))
-        self._wq = wq
+        # Every SM starts active.  Parking and waking mutate these two in
+        # place, so the hot loop's locals stay bound to them.
+        act = self._active = list(range(len(sms)))
+        asleep = self._asleep = {}
         self._deferred_integral = 0
         self._sm_wakes = 0
         wake_sm = self._wake_sm
@@ -390,17 +281,10 @@ class System:
         struct_cost = self._struct_cost
         self._struct_parks = 0
         self._struct_replayed = 0
-        # Every NSU shares one clock ratio, every accumulator sees the same
-        # step/step_many sequence, so their fractional states are always
-        # equal: one accumulator decides how many NSU cycles elapse for all
-        # of them (the legacy loop advances each separately -- same result).
-        acc = self._nsu_accs[0] if nsus else None
-        # The hot loop mirrors ``engine.now`` in a local and reads WakeQueue
-        # internals directly: both are per-cycle costs on the path this
-        # whole subsystem exists to shrink.
+        acc = self._nsu_acc
+        # The hot loop mirrors ``engine.now`` in a local: a per-cycle cost
+        # on the path this whole loop exists to shrink.
         now = engine.now
-        act = wq._active       # mutated in place by park/wake; identity stable
-        timed = wq._timed
         sm_ticks = 0
         stepped = 0
         fast_forwarded = 0
@@ -412,9 +296,6 @@ class System:
                     ndp.poll_watchdogs(now)
                 if mem_rec:
                     memsys.poll_watchdogs(now)
-                if timed:
-                    for idx in wq.pop_due(now):
-                        wake_sm(sms[idx])
 
                 n_act = len(act)
                 if n_act:
@@ -450,10 +331,12 @@ class System:
                             "phase; route it through an engine event")
                     if parks is not None:
                         for idx in parks:
-                            wq.park(idx, since)
+                            act.remove(idx)
+                            asleep[idx] = since
                     if struct_parks is not None:
                         for idx, cost in struct_parks:
-                            wq.park(idx, since)
+                            act.remove(idx)
+                            asleep[idx] = since
                             struct_cost[idx] = cost
                         self._struct_parks += len(struct_parks)
                     active_integral += live
@@ -498,12 +381,11 @@ class System:
                         f"{max_cycles} cycles; "
                         f"{sum(sm.live_warps for sm in sms)} warps live")
 
-                # Generalized fast-forward: with every SM parked and no NSU
-                # holding issuable work, jump to the next external stimulus.
-                # Struct-parked SMs veto the jump: the legacy loop steps
-                # cycle-by-cycle while any SM holds issuable work, and the
-                # stepped-cycle sets must stay identical (epoch boundaries
-                # land in the digest via the epoch log).
+                # Fast-forward: with every SM parked and no NSU holding
+                # issuable work, jump to the next external stimulus.
+                # Struct-parked SMs veto the jump: an SM in a retry loop
+                # can issue, so time steps cycle-by-cycle, and epoch
+                # boundaries land in the digest via the epoch log.
                 if not act and not struct_cost and not any(
                         n.has_ready for n in nsus):
                     nt = engine.next_event_time()
@@ -515,10 +397,11 @@ class System:
                         wd = memsys.next_watchdog_deadline()
                         if wd is not None and (nt is None or wd < nt):
                             nt = wd
-                    wt = wq.next_time()
-                    if wt is not None and (nt is None or wt < nt):
-                        nt = wt
                     if nt is None:
+                        # Quiet, no pending events, no watchdog armed, yet
+                        # not finished: nothing can ever change.  Without
+                        # recovery a lost packet lands here (detect it now
+                        # instead of crawling to max_cycles).
                         settle(now)
                         raise SimulationTimeout(
                             f"{self.workload_name}/{self.config_name}: "
@@ -539,7 +422,6 @@ class System:
             for sm in sms:
                 sm.waker = None
             memsys.sm_waker = None
-            self._wq = None
             phases.stepped += stepped
             phases.fast_forwarded += fast_forwarded
             self.sched_stats = {"sm_ticks": sm_ticks,
@@ -635,7 +517,7 @@ class System:
         m.record("summary", cycle=self.engine.now, stalls=stalls,
                  packets=packets, traffic=res.traffic.as_dict(),
                  phases=self.phases.as_dict(),
-                 sched={"mode": self.sched, **self.sched_stats},
+                 sched=dict(self.sched_stats),
                  dram={"activations": res.dram_activations,
                        "reads": res.dram_reads, "writes": res.dram_writes},
                  hmc=[h.metrics_snapshot() for h in self.hmcs],

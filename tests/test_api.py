@@ -236,9 +236,16 @@ class TestValidation:
         with pytest.raises(KeyError, match="unknown config"):
             api.run(_request(config="NDP(Imaginary)"))
 
-    def test_unknown_sched_raises_valueerror(self):
-        with pytest.raises(ValueError, match="unknown scheduler 'bogus'"):
-            api.run(_request(sched="bogus"))
+    def test_sched_keyword_rejected(self):
+        # There is one main loop; no surface takes a scheduler choice.
+        from repro.sim.runner import build_system
+        for call in (lambda: _request(sched="active"),
+                     lambda: build_system("VADD", "Baseline", sched="active"),
+                     lambda: api.make_runner(sched="active"),
+                     lambda: api.bench(sched="active"),
+                     lambda: api.explore(sched="active")):
+            with pytest.raises(TypeError, match="sched"):
+                call()
 
     def test_unknown_scale_raises_valueerror(self):
         with pytest.raises(ValueError, match="unknown scale 'huge'"):

@@ -33,6 +33,7 @@ from repro.memory.backend import (
 from repro.sim.runner import build_system
 from repro.sim.serialize import result_to_dict
 from repro.sim.store import cell_key, config_fingerprint
+from tests import reference_stepper
 from tests.test_baseline_recovery import TestUnarmedDigests
 
 
@@ -134,9 +135,11 @@ class TestCXLDigests:
         assert hmc_result.traffic.intra_hmc > 0
 
     def test_legacy_scheduler_agrees_on_cxl(self):
-        # Both main-loop schedulers must replay the same cxl machine.
-        base = ci_config().with_backend("cxl")
-        _, result = _run("VADD", "NDP(Dyn)", base, sched="legacy")
+        # The tick-everything reference stepper replays the cxl pin too.
+        system = build_system("VADD", "NDP(Dyn)",
+                              base=ci_config().with_backend("cxl"),
+                              scale="ci")
+        result = reference_stepper.step(system, max_cycles=20_000_000)
         assert _digest(result) == self.EXPECTED[("VADD", "NDP(Dyn)")]
 
     def test_coda_policy_changes_placement_deterministically(self):

@@ -9,6 +9,7 @@ invariant holds, and unarmed runs are bit-identical to the pre-recovery
 simulator.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -29,6 +30,7 @@ from repro.sim.runner import build_system
 from repro.sim.serialize import result_to_dict
 from repro.sim.system import SimulationTimeout
 from repro.sim.validate import audit_system
+from tests import reference_stepper
 
 
 def _run(config, plan, workload="VADD", max_cycles=5_000_000):
@@ -41,6 +43,14 @@ def _run(config, plan, workload="VADD", max_cycles=5_000_000):
 def _digest(result) -> str:
     blob = json.dumps(result_to_dict(result), sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _starved_mshr(base):
+    """``base`` with a 1-entry L1 MSHR file, so loads hit structural
+    rejects and SMs spin in the issue retry loop."""
+    l1d = dataclasses.replace(base.gpu.l1d, mshr_entries=1)
+    return dataclasses.replace(
+        base, gpu=dataclasses.replace(base.gpu, l1d=l1d))
 
 
 class TestBaselineRecovery:
@@ -171,39 +181,59 @@ class TestUnarmedDigests:
 
     @pytest.mark.parametrize("workload,config", sorted(EXPECTED))
     def test_legacy_scheduler_digest_unchanged(self, workload, config):
-        # The pinned digests bind BOTH main-loop schedulers: the active
-        # scheduler (the default above) and the tick-everything legacy
-        # loop must replay the exact same simulation.
+        # The pins also bind the tick-everything loop, which lives on as
+        # the reference stepper: a pin failure that moves both runs is a
+        # component change, one that moves only System.run is the loop.
         system = build_system(workload, config, base=ci_config(),
-                              scale="ci", sched="legacy")
-        result = system.run(max_cycles=20_000_000)
+                              scale="ci")
+        result = reference_stepper.step(system, max_cycles=20_000_000)
         assert _digest(result) == self.EXPECTED[(workload, config)]
 
-    @pytest.mark.parametrize("workload,config",
-                             [("BFS", "NDP(Dyn)"),
-                              ("KMN", "NDP(Dyn)_Cache")])
-    def test_schedulers_agree_beyond_the_digest(self, workload, config):
-        # The digest covers RunResult; the stall breakdown and phase
-        # accounting also feed figures and the metrics stream, so pin
-        # them cross-scheduler too (BFS stresses dependency stalls, KMN
-        # with the cache filter stresses the offload/suppress path).
-        runs = {}
-        for sched in ("legacy", "active"):
-            system = build_system(workload, config, base=ci_config(),
-                                  scale="ci", sched=sched)
-            result = system.run(max_cycles=20_000_000)
-            runs[sched] = (result, system.phases)
-        legacy, active = runs["legacy"], runs["active"]
-        assert _digest(legacy[0]) == _digest(active[0])
-        assert legacy[0].stalls.as_dict() == active[0].stalls.as_dict()
-        for field in ("stepped", "fast_forwarded", "epochs", "events"):
-            assert getattr(legacy[1], field) == getattr(active[1], field), \
-                f"phase counter {field} diverged between schedulers"
+    #: Cells on which ``System.run`` must replay the reference stepper:
+    #: the four pinned cells (BFS stresses dependency stalls, KMN with the
+    #: cache filter the offload/suppress path), the cxl expander, and a
+    #: 1-entry L1 MSHR file that forces structural parking.
+    DIFFERENTIAL = [
+        *(pytest.param(w, c, ci_config(), id=f"{w}-{c}")
+          for w, c in sorted(EXPECTED)),
+        pytest.param("VADD", "NDP(Dyn)", ci_config().with_backend("cxl"),
+                     id="VADD-NDP(Dyn)-cxl"),
+        pytest.param("VADD", "Baseline", _starved_mshr(ci_config()),
+                     id="VADD-Baseline-mshr1"),
+    ]
+
+    @pytest.mark.parametrize("workload,config,base", DIFFERENTIAL)
+    def test_schedulers_agree_beyond_the_digest(self, workload, config,
+                                                base):
+        # System.run parks SMs that cannot issue and settles their idle
+        # cycles in bulk; the reference stepper ticks every SM on every
+        # stepped cycle.  The digest covers RunResult; the stall breakdown
+        # and phase accounting also feed figures and the metrics stream,
+        # so they must agree too.
+        system = build_system(workload, config, base=base, scale="ci")
+        result = system.run(max_cycles=20_000_000)
+        ref_system = build_system(workload, config, base=base, scale="ci")
+        ref = reference_stepper.step(ref_system, max_cycles=20_000_000)
+        assert _digest(result) == _digest(ref)
+        assert result.stalls.as_dict() == ref.stalls.as_dict()
+        for field in ("stepped", "fast_forwarded", "epochs"):
+            assert (getattr(system.phases, field)
+                    == getattr(ref_system.phases, field)), \
+                f"phase counter {field} diverged from the reference"
+        assert (system.engine.events_processed
+                == ref_system.engine.events_processed)
+        if base.gpu.l1d.mshr_entries == 1:
+            # MSHR-full SMs park mid-retry-loop and replay the elided
+            # cycles' miss/reject counters on wake (digest equality).
+            stats = system.sched_stats
+            assert stats["struct_parks"] > 0
+            assert stats["struct_replayed"] > 0
+            assert stats["sm_ticks"] < ref_system.sched_stats["sm_ticks"]
 
     def test_active_scheduler_elides_ticks(self):
-        # The point of the active scheduler: strictly fewer SM ticks than
-        # the dense stepped * num_sms product, with the gap settled into
-        # the same idle classifications (digest equality above).
+        # The point of parking: strictly fewer SM ticks than the dense
+        # stepped * num_sms product, with the gap settled into the same
+        # idle classifications (the differential test above).
         system = build_system("VADD", "Baseline", base=ci_config(),
                               scale="ci")
         system.run(max_cycles=20_000_000)

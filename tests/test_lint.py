@@ -419,8 +419,8 @@ class TestHotPathAllocation:
     def test_cold_functions_and_modules_unflagged(self, tmp_path):
         # non-hot method in the engine module's other classes, and a
         # tick() outside the sim path, are both fine
-        engine = ("class WakeQueue:\n"
-                  "    def park(self):\n"
+        engine = ("class RateAccumulator:\n"
+                  "    def step_many(self):\n"
                   "        self.cb = lambda: None\n")
         serve = ("class Shard:\n"
                  "    def tick(self):\n"

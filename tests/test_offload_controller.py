@@ -98,8 +98,9 @@ class TestFullBlockFlow:
         # Drive NSU + events to completion.
         for _ in range(200_000):
             system.engine.process_due()
-            for nsu, acc in zip(system.nsus, system._nsu_accs):
-                for _ in range(acc.step()):
+            k = system._nsu_acc.step()
+            for nsu in system.nsus:
+                for _ in range(k):
                     nsu.tick()
             if sm.completions:
                 break

@@ -14,16 +14,16 @@ def _fake_cell(workload="VADD", config="Baseline", wall=0.5,
                digest="d0", num_sms=128):
     return {
         "workload": workload, "config": config, "scale": "bench",
-        "num_sms": num_sms, "sched": "active", "wall_s": wall,
+        "num_sms": num_sms, "wall_s": wall,
         "wall_all": [wall], "cycles": 1000, "cycles_per_sec": 1000 / wall,
         "sm_ticks": 4000, "ticks_per_cycle": 4.0, "events_processed": 10,
         "instructions": 500, "digest": digest,
     }
 
 
-def _fake_report(cells, rev="abc1234", sched="active"):
+def _fake_report(cells, rev="abc1234"):
     return {"kind": "repro-bench", "version": 1, "rev": rev,
-            "sched": sched, "suites": ["sparse"], "repeats": 1,
+            "suites": ["sparse"], "repeats": 1,
             "unix_time": 0, "python": "3", "cells": cells}
 
 
@@ -67,7 +67,7 @@ class TestCompare:
     def test_per_cell_and_geomean_speedup(self):
         base = _fake_report([_fake_cell(wall=1.0),
                              _fake_cell(config="NDP(Dyn)", wall=4.0)],
-                            rev="old", sched="legacy")
+                            rev="old")
         new = _fake_report([_fake_cell(wall=0.5),
                             _fake_cell(config="NDP(Dyn)", wall=2.0)])
         cmp = perf.compare(new, base)
@@ -111,15 +111,3 @@ class TestRealCell:
         cmp = perf.compare(out.report, perf.load_report(out.path))
         assert cmp["digests_match"] is True
         assert cmp["geomean"] == pytest.approx(1.0)
-
-    def test_legacy_and_active_cells_share_digests(self, monkeypatch):
-        monkeypatch.setattr(perf, "BENCH_SCALE", "ci")
-        cells = {}
-        for sched in ("legacy", "active"):
-            cells[sched] = perf._run_cell("VADD", "Baseline", None,
-                                          sched=sched, repeats=1,
-                                          max_cycles=20_000_000)
-        assert cells["legacy"].digest == cells["active"].digest
-        assert cells["legacy"].cycles == cells["active"].cycles
-        # the active scheduler must actually elide SM ticks
-        assert cells["active"].sm_ticks < cells["legacy"].sm_ticks

@@ -1,22 +1,17 @@
 """Tests for the allocation-rate machinery: pooled event records with
 generation stamps, the DRAMRequest free list and its reset() contract,
-hop-walk recycling in the memory network, the vectorized FR-FCFS pick,
-and MSHR-full structural parking (docs/performance.md)."""
+and hop-walk recycling in the memory network (docs/performance.md).
+MSHR-full structural parking is checked by the differential test in
+``tests/test_baseline_recovery.py``."""
 
-import dataclasses
-
-import numpy as np
 import pytest
 
 from repro.config import SystemConfig, ci_config
 from repro.faults import get_scenario
-from repro.memory.dram import DRAMTimingSM
-from repro.memory.vault import (VEC_PICK_THRESHOLD, DRAMRequest,
-                                DRAMRequestPool, DRAMStats, VaultController)
+from repro.memory.vault import DRAMRequest, DRAMRequestPool
 from repro.network.fabric import MemoryNetwork
 from repro.sim.engine import Engine, LinkCounters
 from repro.sim.runner import build_system
-from repro.sim.serialize import result_digest
 
 
 class TestEventRecycling:
@@ -153,67 +148,3 @@ class TestHopWalkRecycling:
         e.drain()
         assert done == ["a", "b"]
         assert net._walks[0] is first
-
-
-class TestVectorizedPick:
-    def test_vec_matches_scalar_randomized(self):
-        # The numpy window scan must make the identical FR-FCFS decision
-        # as the Python loop for any bank/queue state -- the dispatch
-        # threshold can then never change a simulation result.
-        rng = np.random.default_rng(42)
-        e = Engine()
-        cfg = SystemConfig()
-        t = DRAMTimingSM.from_config(cfg.hmc.timing, cfg.gpu.sm_clock_mhz,
-                                     32)
-        for _ in range(200):
-            vault = VaultController(e, t, num_banks=16, stats=DRAMStats())
-            now = int(rng.integers(0, 150))
-            for bank in vault.banks:
-                bank.busy_until = int(rng.integers(0, 300))
-                if rng.random() < 0.5:
-                    bank.open_row = int(rng.integers(0, 4))
-            n = int(rng.integers(VEC_PICK_THRESHOLD, 64))
-            for _ in range(n):
-                vault.queue.append(DRAMRequest(
-                    0, False, None, bank=int(rng.integers(0, 16)),
-                    row=int(rng.integers(0, 4))))
-            assert (vault._pick_index_scalar(now, n)
-                    == vault._pick_index_vec(now, n))
-
-    def test_dispatch_uses_vec_only_above_threshold(self):
-        e = Engine()
-        cfg = SystemConfig()
-        t = DRAMTimingSM.from_config(cfg.hmc.timing, cfg.gpu.sm_clock_mhz,
-                                     32)
-        vault = VaultController(e, t, num_banks=16, stats=DRAMStats())
-        for _ in range(3):
-            vault.queue.append(DRAMRequest(0, False, None, bank=0, row=0))
-        # tiny window: must take the scalar path (numpy setup would
-        # dominate) and still pick the oldest request
-        assert vault._pick_index(0) == (0, 0)
-
-
-class TestStructuralParking:
-    def test_mshr_full_parks_without_perturbing_counters(self):
-        # Starve the L1 MSHR file so loads hit structural rejects; the
-        # active scheduler must park those SMs (fewer sm_ticks, parks
-        # observed) while replaying the exact miss/reject counters the
-        # legacy cycle-by-cycle scheduler accrues -- proven by digest
-        # identity, since l1 stats are part of the result.
-        base = ci_config()
-        base = dataclasses.replace(
-            base, gpu=dataclasses.replace(
-                base.gpu, l1d=dataclasses.replace(
-                    base.gpu.l1d, mshr_entries=1)))
-        results = {}
-        for sched in ("active", "legacy"):
-            system = build_system("VADD", "Baseline", base=base,
-                                  scale="ci", sched=sched)
-            res = system.run(max_cycles=2_000_000)
-            results[sched] = (result_digest(res), dict(system.sched_stats))
-        act_digest, act_stats = results["active"]
-        leg_digest, leg_stats = results["legacy"]
-        assert act_digest == leg_digest
-        assert act_stats["struct_parks"] > 0
-        assert act_stats["struct_replayed"] > 0
-        assert act_stats["sm_ticks"] < leg_stats["sm_ticks"]

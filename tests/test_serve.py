@@ -411,11 +411,13 @@ class TestDaemonErrors:
             assert exc.value.body["error"] == "KeyError"
 
     def test_bad_sched_is_structured_400(self):
-        with serve_daemon() as (_, client):
+        # There is no scheduler choice: ``sched`` is an unknown field.
+        with serve_daemon(worker=stub_worker) as (_, client):
             with pytest.raises(ServeError) as exc:
-                client.run(**run_payload(sched="bogus"))
+                client.run(**run_payload(sched="active"))
             assert exc.value.status == 400
-            assert exc.value.body["error"] == "ValueError"
+            assert exc.value.body["error"] == "TypeError"
+            assert "sched" in exc.value.body["detail"]
 
     def test_unknown_run_field_is_structured_400(self):
         with serve_daemon(worker=stub_worker) as (_, client):

@@ -149,64 +149,3 @@ class TestLink:
         link = Link(e, "l", bytes_per_cycle=1, latency=0)
         link.send(10, lambda: None)
         assert link.queue_delay == 10
-
-
-class TestWakeQueue:
-    def test_starts_fully_active(self):
-        from repro.sim.engine import WakeQueue
-        wq = WakeQueue(3)
-        assert wq.active == [0, 1, 2]
-        assert all(wq.is_active(i) for i in range(3))
-
-    def test_park_and_wake_round_trip(self):
-        from repro.sim.engine import WakeQueue
-        wq = WakeQueue(3)
-        wq.park(1, since=10)
-        assert wq.active == [0, 2]
-        assert not wq.is_active(1)
-        # wake returns the first unsettled cycle for idle accounting
-        assert wq.wake(1) == 10
-        assert wq.active == [0, 1, 2]
-
-    def test_spurious_wake_is_noop(self):
-        from repro.sim.engine import WakeQueue
-        wq = WakeQueue(2)
-        assert wq.wake(0) is None
-        assert wq.active == [0, 1]
-
-    def test_double_park_rejected(self):
-        from repro.sim.engine import WakeQueue
-        wq = WakeQueue(2)
-        wq.park(0, since=5)
-        with pytest.raises(ValueError):
-            wq.park(0, since=6)
-
-    def test_set_since_restamps_parked_member(self):
-        from repro.sim.engine import WakeQueue
-        wq = WakeQueue(2)
-        wq.park(0, since=5)
-        wq.set_since(0, 20)
-        assert wq.asleep_items() == [(0, 20)]
-        with pytest.raises(KeyError):
-            wq.set_since(1, 20)
-
-    def test_timed_lane_pops_due_and_dedups(self):
-        from repro.sim.engine import WakeQueue
-        wq = WakeQueue(3)
-        wq.park(0, since=0)
-        wq.park(1, since=0)
-        wq.wake_at(0, 10)
-        wq.wake_at(0, 12)          # duplicate booking, same member
-        wq.wake_at(1, 30)
-        assert wq.pop_due(9) == []
-        assert wq.pop_due(15) == [0]
-        assert wq.next_time() == 30
-
-    def test_timed_lane_skips_already_active(self):
-        from repro.sim.engine import WakeQueue
-        wq = WakeQueue(2)
-        wq.park(0, since=0)
-        wq.wake_at(0, 10)
-        wq.wake(0)                 # woke early; booking is now stale
-        assert wq.pop_due(10) == []
-        assert wq.next_time() is None
