@@ -16,9 +16,11 @@ from dataclasses import dataclass, field
 from repro.config import SystemConfig, paper_config
 from repro.core.target_select import target_policy_traffic_study
 from repro.energy import compute_energy
+from repro.executor import CellExecutor, WorkerLost
 from repro.sim.results import RunResult
-from repro.sim.runner import make_config, run_workload
+from repro.sim.runner import build_system, make_config, run_workload
 from repro.sim.store import ResultStore, cell_key
+from repro.sim.system import SimulationTimeout
 from repro.workloads import workload_names
 
 #: Figure 9's configuration columns, in plot order.
@@ -34,62 +36,66 @@ def geomean(values) -> float:
     return math.exp(sum(math.log(v) for v in vals) / len(vals))
 
 
-def _run_cell(args) -> "RunResult":
-    """Module-level worker for parallel prefetching (must be picklable).
+def _run_cell(args) -> "RunResult | SimulationTimeout":
+    """The one cell worker (module-level, so it pickles into a pool).
 
-    ``args`` is ``(workload, config, base, scale, max_cycles, audit)``.
-    With audit on, the invariant audit runs in the worker -- the
-    ``System`` cannot cross the pool boundary -- and its failures ride
-    back on ``result.extra["audit"]``.
+    ``args`` is ``(workload, config, base, scale, max_cycles, audit,
+    plan)``.  Builds and runs the cell, and audits it when ``audit`` is
+    set or a fault ``plan`` is armed -- in the worker, since the
+    ``System`` cannot cross the pool boundary -- with the failures riding
+    back on ``result.extra["audit"]``.  A cell that deadlocks returns its
+    :class:`SimulationTimeout` instead of raising it: ``fatal`` is an
+    outcome (see :func:`_outcome`), not a worker failure to retry.
     """
-    workload, config, base, scale, max_cycles, audit = args
-    if not audit:
-        return run_workload(workload, config, base=base, scale=scale,
-                            max_cycles=max_cycles)
-    from repro.sim.runner import build_system
-    from repro.sim.validate import audit_system
-    system = build_system(workload, config, base=base, scale=scale)
-    result = system.run(max_cycles=max_cycles)
+    workload, config, base, scale, max_cycles, audit, plan = args
+    try:
+        if not audit and plan is None:
+            return run_workload(workload, config, base=base, scale=scale,
+                                max_cycles=max_cycles)
+        from repro.sim.validate import audit_system
+        system = build_system(workload, config, base=base, scale=scale,
+                              faults=plan)
+        result = system.run(max_cycles=max_cycles)
+    except SimulationTimeout as e:
+        # A fresh copy: the raised one's traceback and context would pin
+        # the System in the cache.
+        return SimulationTimeout(*e.args)
     result.extra["audit"] = {"failures": audit_system(system, result)}
     return result
 
 
-def _run_chaos_cell(args) -> tuple[str, "RunResult | None"]:
-    """Module-level worker for parallel chaos sweeps.
+def _outcome(value: "RunResult | SimulationTimeout") -> str:
+    """A cell's chaos-vocabulary outcome: ``fatal`` (deadlocked),
+    ``audit-fail`` (completed, an invariant broke), ``recovered``
+    (faults fired, audit clean) or ``clean``."""
+    if isinstance(value, SimulationTimeout):
+        return "fatal"
+    if value.extra.get("audit", {}).get("failures"):
+        return "audit-fail"
+    if value.extra.get("faults", {}).get("total_fired", 0):
+        return "recovered"
+    return "clean"
 
-    Builds, runs and audits in one process (a ``System`` cannot cross the
-    pool boundary) and returns ``(outcome, result)`` with the chaos
-    outcome vocabulary: ``clean`` / ``recovered`` / ``audit-fail`` /
-    ``fatal`` (result is None for fatal -- the run deadlocked).  ``args``
-    is ``(workload, config, base, scale, max_cycles, plan)``.
-    """
-    workload, config, base, scale, max_cycles, plan = args
-    from repro.sim.runner import build_system
-    from repro.sim.system import SimulationTimeout
-    from repro.sim.validate import audit_system
-    system = build_system(workload, config, base=base, scale=scale,
-                          faults=plan)
-    try:
-        result = system.run(max_cycles=max_cycles)
-    except SimulationTimeout:
-        return "fatal", None
-    if audit_system(system, result):
-        return "audit-fail", result
-    fired = result.extra.get("faults", {}).get("total_fired", 0)
-    return ("recovered" if fired else "clean"), result
+
+def _completed(value: "RunResult | SimulationTimeout") -> RunResult:
+    if isinstance(value, SimulationTimeout):
+        # Raise a copy so the cached fatal value never gains a context.
+        raise SimulationTimeout(*value.args) from None
+    return value
 
 
 @dataclass
 class RunnerStats:
     """Where each requested cell came from (the cache-hit counters the
-    CLI prints after ``figure``/``sweep``/``report``)."""
+    CLI prints after ``figure``/``sweep``/``report``), plus the
+    :class:`~repro.executor.CellExecutor` counters of parallel batches."""
 
     sim_runs: int = 0       # cells actually simulated this process
     memory_hits: int = 0    # served from the in-process cache
     store_hits: int = 0     # served from the persistent store
-    worker_failures: int = 0
-    worker_retries: int = 0
-    serial_fallbacks: int = 0
+    worker_failures: int = 0    # attempts lost to a deadline / dead worker
+    worker_retries: int = 0     # cells retried in a fresh pool
+    serial_fallbacks: int = 0   # cells lost twice, then run serially
     extra: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
@@ -101,15 +107,18 @@ class RunnerStats:
 
 
 class ExperimentRunner:
-    """Caches one simulation per (workload, config name).
+    """Caches one simulation per cell, keyed by its store key.
 
-    Three cache levels: the in-process dict, an optional persistent
+    :meth:`result`, :meth:`prefetch`, :meth:`eval_cells` and
+    :meth:`chaos_grid` all resolve cells through one path: the
+    in-process cache, then an optional persistent
     :class:`~repro.sim.store.ResultStore` (``store=`` path or instance),
-    and -- with ``parallel > 1`` -- a process pool that :meth:`prefetch`
-    fans independent cells out over.  Parallel sweeps are hardened: each
-    worker gets ``worker_timeout`` seconds, failed cells are retried once
-    in a fresh pool, and anything still missing falls back to serial
-    execution with a warning instead of hanging the sweep.
+    then -- with ``parallel > 1`` and a batch of misses -- a
+    :class:`~repro.executor.CellExecutor` of worker processes, and last a
+    serial in-process run of the rest.  Each
+    worker gets ``worker_timeout`` seconds; a cell whose worker misses
+    that deadline or dies is retried once in a fresh pool, a cell that
+    deadlocks is ``fatal`` after one run, and a sweep never hangs.
     """
 
     def __init__(self, base: SystemConfig | None = None,
@@ -134,235 +143,17 @@ class ExperimentRunner:
                       else ResultStore(store))
         self.worker_timeout = worker_timeout
         self.stats = RunnerStats()
-        self._cache: dict[tuple[str, str], RunResult] = {}
-        # Test seams: a fake executor factory / worker fn can be injected
-        # to exercise the timeout/crash recovery paths deterministically.
+        self._cache: dict[str, RunResult | SimulationTimeout] = {}
+        # Test seams: a fake pool factory / worker fn can be injected to
+        # exercise the timeout/crash recovery paths deterministically.
         self._executor_factory = None
         self._worker = _run_cell
-        self._chaos_worker = _run_chaos_cell
 
-    # -- store plumbing ------------------------------------------------------
+    # -- the cell path -------------------------------------------------------
 
     def store_key(self, workload: str, config: str) -> str:
         return cell_key(workload, config, self.base, self.scale,
                         self.max_cycles)
-
-    def _store_get(self, workload: str, config: str) -> RunResult | None:
-        if self.store is None:
-            return None
-        return self.store.get(self.store_key(workload, config))
-
-    def _store_put(self, workload: str, config: str,
-                   result: RunResult) -> None:
-        if self.store is not None:
-            self.store.put(self.store_key(workload, config), result,
-                           meta={"scale": str(self.scale),
-                                 "max_cycles": self.max_cycles})
-
-    def _remember(self, workload: str, config: str,
-                  result: RunResult, *, persist: bool = True) -> None:
-        self._cache[(workload, config)] = result
-        if persist:
-            self._store_put(workload, config, result)
-
-    # -- cell access ---------------------------------------------------------
-
-    def _cell_args(self, workload: str, config: str) -> tuple:
-        """The ``_run_cell`` argument tuple for one grid cell."""
-        return (workload, config, self.base, self.scale, self.max_cycles,
-                self.audit)
-
-    def result(self, workload: str, config: str) -> RunResult:
-        key = (workload, config)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.stats.memory_hits += 1
-            return cached
-        stored = self._store_get(workload, config)
-        if stored is not None:
-            self.stats.store_hits += 1
-            self._cache[key] = stored
-            return stored
-        if self.verbose:  # pragma: no cover - progress chatter
-            print(f"  simulating {workload} / {config} ...", flush=True)
-        self.stats.sim_runs += 1
-        # The real in-process path, deliberately not self._worker: the
-        # test seams only redirect the pool, never serial execution.
-        res = _run_cell(self._cell_args(workload, config))
-        self._remember(workload, config, res,
-                       persist=not self._audit_failures(res))
-        return res
-
-    @staticmethod
-    def _audit_failures(result: RunResult) -> list:
-        return result.extra.get("audit", {}).get("failures", [])
-
-    def prefetch(self, configs, workloads=None) -> None:
-        """Simulate a grid of cells up-front, in parallel when enabled."""
-        workloads = list(workloads or self.workloads)
-        todo = [(w, c) for w in workloads for c in configs
-                if (w, c) not in self._cache]
-        # Serve what the persistent store already has before fanning out.
-        if self.store is not None:
-            remaining = []
-            for w, c in todo:
-                stored = self._store_get(w, c)
-                if stored is not None:
-                    self.stats.store_hits += 1
-                    self._cache[(w, c)] = stored
-                else:
-                    remaining.append((w, c))
-            todo = remaining
-        if not todo:
-            return
-        if self.parallel > 1:
-            def remember(key, res):
-                self.stats.sim_runs += 1
-                self._remember(key[0], key[1], res,
-                               persist=not self._audit_failures(res))
-
-            def make_arg(key):
-                return self._cell_args(key[0], key[1])
-
-            todo = self._parallel_map(todo, make_arg, self._worker,
-                                      remember, what="prefetch")
-        for w, c in todo:
-            self.result(w, c)
-
-    def eval_cells(self, cells) -> dict:
-        """Evaluate heterogeneous cells -- ``(workload, config_name,
-        base_config)`` triples, each with its *own* base -- and return
-        ``{store_key: RunResult | None}`` (None marks a fatal cell that
-        deadlocked).
-
-        This is the exploration driver's evaluation path
-        (:mod:`repro.explore.driver`): unlike :meth:`result`/:meth:`prefetch`
-        the per-cell base varies, so cells are identified by their full
-        content-addressed store key rather than ``(workload, config)``.
-        Keys are the *plain* :func:`~repro.sim.store.cell_key` -- no
-        explore-specific salt -- so candidates dedupe against every sweep
-        and figure cell ever stored (see the key-reuse note in
-        ``sim/store.py``).  Misses ride the same hardened pool as
-        :meth:`prefetch`; a cell that times out in the serial fallback is
-        recorded as None instead of aborting the batch.
-        """
-        from repro.sim.system import SimulationTimeout
-
-        out: dict[str, RunResult | None] = {}
-        by_key: dict[str, tuple] = {}
-        todo: list[tuple] = []
-        for workload, config, base in cells:
-            key = cell_key(workload, config, base, self.scale,
-                           self.max_cycles)
-            if key in out or key in by_key:
-                continue
-            stored = self.store.get(key) if self.store is not None else None
-            if stored is not None:
-                self.stats.store_hits += 1
-                out[key] = stored
-            else:
-                by_key[key] = (workload, config, base)
-                todo.append((workload, config, key))
-
-        def make_arg(item):
-            workload, config, base = by_key[item[2]]
-            return (workload, config, base, self.scale, self.max_cycles,
-                    self.audit)
-
-        def record(item, res):
-            self.stats.sim_runs += 1
-            out[item[2]] = res
-            if self.store is not None and not self._audit_failures(res):
-                self.store.put(item[2], res,
-                               meta={"scale": str(self.scale),
-                                     "max_cycles": self.max_cycles})
-
-        if self.parallel > 1 and len(todo) > 1:
-            todo = self._parallel_map(todo, make_arg, self._worker,
-                                      record, what="explore")
-        for item in todo:
-            try:
-                res = _run_cell(make_arg(item))
-            except SimulationTimeout:
-                self.stats.sim_runs += 1
-                out[item[2]] = None
-                continue
-            record(item, res)
-        return out
-
-    # -- hardened parallel fan-out (shared by prefetch and chaos) ------------
-
-    def _parallel_map(self, keys: list, make_arg, worker, on_result,
-                      what: str = "map") -> list:
-        """Fan ``keys`` over a process pool: ``worker(make_arg(key))`` per
-        key, ``on_result(key, value)`` per success.  Failed keys (worker
-        timeout or crash) are retried once in a fresh pool; whatever still
-        fails is returned for the caller to run serially.
-
-        Concurrency contract (checked by the CONC lint rules): workers
-        are *processes*, so ``worker`` must stay a module-level picklable
-        callable that reaches the simulator only through the ``repro.api``
-        facade / ``_run_cell`` -- never a closure mutating runner state.
-        ``self.stats`` and ``on_result`` run solely on the coordinating
-        thread (future results are consumed here, one at a time), i.e.
-        guarded-by: none -- single-thread access by construction."""
-        import concurrent.futures as cf
-
-        factory = self._executor_factory or cf.ProcessPoolExecutor
-        pending = list(keys)
-        for attempt in (0, 1):
-            if not pending:
-                break
-            if attempt:
-                self.stats.worker_retries += len(pending)
-                warnings.warn(
-                    f"parallel {what}: retrying {len(pending)} failed "
-                    f"cell(s) in a fresh worker pool", RuntimeWarning,
-                    stacklevel=3)
-            pending = self._parallel_attempt(factory, pending, cf,
-                                             make_arg, worker, on_result)
-        if pending:
-            self.stats.serial_fallbacks += len(pending)
-            warnings.warn(
-                f"parallel {what}: {len(pending)} cell(s) failed twice; "
-                f"falling back to serial simulation", RuntimeWarning,
-                stacklevel=3)
-        return pending
-
-    def _parallel_attempt(self, factory, keys, cf, make_arg, worker,
-                          on_result) -> list:
-        """One pool pass over ``keys``; returns the keys that failed
-        (worker timeout or crash)."""
-        pool = factory(max_workers=min(self.parallel, len(keys)))
-        failed: list = []
-        futures = {}
-        try:
-            for key in keys:
-                futures[key] = pool.submit(worker, make_arg(key))
-            # lint: ignore[DET002] -- mirrors the deterministic keys list
-            for key, fut in futures.items():
-                try:
-                    res = fut.result(timeout=self.worker_timeout)
-                except cf.TimeoutError:
-                    self.stats.worker_failures += 1
-                    failed.append(key)
-                except Exception:
-                    # Worker crash (BrokenProcessPool) or a simulation
-                    # error; both are retried, then surfaced serially.
-                    self.stats.worker_failures += 1
-                    failed.append(key)
-                else:
-                    if self.verbose:  # pragma: no cover
-                        label = " / ".join(str(p) for p in key)
-                        print(f"  [parallel] {label} done", flush=True)
-                    on_result(key, res)
-        finally:
-            # Never wait for a hung worker: cancel what has not started
-            # and leave stragglers to die with the pool's processes.
-            pool.shutdown(wait=False, cancel_futures=True)
-        return failed
-
-    # -- chaos grids ---------------------------------------------------------
 
     def chaos_store_key(self, workload: str, config: str, plan) -> str:
         """Chaos cells are cached under keys salted with the plan
@@ -372,58 +163,162 @@ class ExperimentRunner:
         return cell_key(workload, config, self.base, self.scale,
                         self.max_cycles, salt=salt)
 
+    def _cell_args(self, workload: str, config: str, base=None,
+                   plan=None) -> tuple:
+        """The :func:`_run_cell` argument tuple for one cell."""
+        return (workload, config, self.base if base is None else base,
+                self.scale, self.max_cycles, self.audit, plan)
+
+    def _cells(self, cells: dict, min_batch: int = 2) -> dict:
+        """Resolve ``{store_key: _run_cell args}`` to ``{store_key:
+        RunResult | SimulationTimeout}``: memory cache -> store ->
+        executor -> serial run of the cells the executor gave up on.
+        Only ``clean``/``recovered`` results are persisted.
+
+        The misses go to the executor only when ``parallel > 1`` and
+        there are at least ``min_batch`` of them; fewer run in-process,
+        with no pool to start and no deadline.  :meth:`prefetch` passes
+        1, since it asks for the pool even for one cell."""
+        out: dict = {}
+        todo: list = []
+        # lint: ignore[DET002] -- callers build cells in grid order
+        for key, args in cells.items():
+            if key in self._cache:
+                self.stats.memory_hits += 1
+                out[key] = self._cache[key]
+                continue
+            stored = self.store.get(key) if self.store is not None else None
+            if stored is not None:
+                self.stats.store_hits += 1
+                self._cache[key] = out[key] = stored
+            else:
+                todo.append((key, args))
+        if todo and self.parallel > 1 and len(todo) >= min_batch:
+            todo = self._fan_out(todo, out)
+        for key, args in todo:
+            if self.verbose:  # pragma: no cover - progress chatter
+                print(f"  simulating {args[0]} / {args[1]} ...", flush=True)
+            # The real in-process path, deliberately not self._worker:
+            # the test seams only redirect the pool, never serial runs.
+            out[key] = self._record(key, args, _run_cell(args))
+        return out
+
+    def _fan_out(self, todo: list, out: dict) -> list:
+        """Run ``todo`` (``(key, args)`` pairs) on a
+        :class:`~repro.executor.CellExecutor`, recording results into
+        ``out``; return the cells it gave up on.  An error a worker
+        raised itself propagates once every finished cell is recorded."""
+        if self.verbose:  # pragma: no cover - progress chatter
+            print(f"  simulating {len(todo)} cell(s) on "
+                  f"{min(self.parallel, len(todo))} worker(s) ...",
+                  flush=True)
+        with CellExecutor(self.parallel, self.worker_timeout,
+                          factory=self._executor_factory) as pool:
+            done = pool.starmap(self._worker, [(args,) for _, args in todo])
+        self.stats.worker_failures += pool.failures
+        self.stats.worker_retries += pool.retries
+        self.stats.serial_fallbacks += pool.gave_up
+        if pool.retries:
+            warnings.warn(
+                f"parallel cells: {pool.retries} cell(s) needed retrying "
+                "in a fresh worker pool (worker missed its "
+                f"{self.worker_timeout:g}s deadline or died)",
+                RuntimeWarning, stacklevel=4)
+        if pool.gave_up:
+            warnings.warn(
+                f"parallel cells: {pool.gave_up} cell(s) failed twice; "
+                "falling back to serial simulation", RuntimeWarning,
+                stacklevel=4)
+        lost, errors = [], []
+        for (key, args), (value, error) in zip(todo, done):
+            if error is None:
+                out[key] = self._record(key, args, value)
+            elif isinstance(error, WorkerLost):
+                lost.append((key, args))
+            else:
+                errors.append(error)
+        if errors:
+            raise errors[0]
+        return lost
+
+    def _record(self, key: str, args: tuple, value):
+        self.stats.sim_runs += 1
+        self._cache[key] = value
+        if self.store is not None and _outcome(value) in ("clean",
+                                                          "recovered"):
+            meta = {"scale": str(self.scale), "max_cycles": self.max_cycles}
+            plan = args[6]       # the _run_cell tuple's fault plan
+            if plan is not None:
+                meta["chaos"] = plan.name
+            self.store.put(key, value, meta=meta)
+        return value
+
+    # -- public cell access --------------------------------------------------
+
+    def result(self, workload: str, config: str) -> RunResult:
+        """One grid cell; raises :class:`SimulationTimeout` if it
+        deadlocked."""
+        key = self.store_key(workload, config)
+        return _completed(
+            self._cells({key: self._cell_args(workload, config)})[key])
+
+    def prefetch(self, configs, workloads=None) -> None:
+        """Simulate a grid of cells up-front, in parallel when enabled;
+        raises :class:`SimulationTimeout` if any cell deadlocked."""
+        cells = {self.store_key(w, c): self._cell_args(w, c)
+                 for w in (workloads or self.workloads) for c in configs}
+        values = self._cells(cells, min_batch=1)
+        for key in cells:
+            _completed(values[key])
+
+    def eval_cells(self, cells) -> dict:
+        """Evaluate heterogeneous cells -- ``(workload, config_name,
+        base_config)`` triples, each with its *own* base -- and return
+        ``{store_key: RunResult | None}`` (None marks a fatal cell that
+        deadlocked).
+
+        This is the exploration driver's evaluation path
+        (:mod:`repro.explore.driver`).  Keys are the *plain*
+        :func:`~repro.sim.store.cell_key` -- no explore-specific salt --
+        so candidates dedupe against every sweep and figure cell ever
+        stored (see the key-reuse note in ``sim/store.py``).
+        """
+        todo = {}
+        for workload, config, base in cells:
+            key = cell_key(workload, config, base, self.scale,
+                           self.max_cycles)
+            todo.setdefault(key, self._cell_args(workload, config, base))
+        values = self._cells(todo)
+        return {key: (None if _outcome(values[key]) == "fatal"
+                      else values[key]) for key in todo}
+
     def chaos_grid(self, plans: dict, configs, workloads=None
                    ) -> dict:
         """Run every (workload, config, plan-key) chaos cell and return
-        ``{(workload, config, key): (outcome, result)}``.
+        ``{(workload, config, key): (outcome, result)}`` (result is None
+        for ``fatal``).
 
         ``plans`` maps an opaque key (e.g. a fault rate) to a
-        :class:`~repro.faults.FaultPlan`.  Cells ride the same hardened
-        pool as :meth:`prefetch` when ``parallel > 1``; only ``clean`` and
-        ``recovered`` outcomes are persisted (``audit-fail`` and ``fatal``
-        are never cached).
+        :class:`~repro.faults.FaultPlan`.  Only ``clean`` and
+        ``recovered`` outcomes are persisted (``audit-fail`` and
+        ``fatal`` are never cached).
         """
-        workloads = list(workloads or self.workloads)
-        out: dict = {}
-        todo: list = []
-        for w in workloads:
+        keys = {}
+        cells = {}
+        for w in (workloads or self.workloads):
             for c in configs:
                 # lint: ignore[DET002] -- plan grid is built in
                 # scenario-declaration order, stable by construction
                 for pkey, plan in plans.items():
-                    stored = (self.store.get(self.chaos_store_key(w, c, plan))
-                              if self.store is not None else None)
-                    if stored is not None:
-                        self.stats.store_hits += 1
-                        fired = stored.extra.get("faults", {}).get(
-                            "total_fired", 0)
-                        out[(w, c, pkey)] = (
-                            "recovered" if fired else "clean", stored)
-                    else:
-                        todo.append((w, c, pkey))
-
-        def make_arg(key):
-            w, c, pkey = key
-            return (w, c, self.base, self.scale, self.max_cycles,
-                    plans[pkey])
-
-        def record(key, value):
-            outcome, res = value
-            self.stats.sim_runs += 1
-            out[key] = value
-            if (res is not None and outcome in ("clean", "recovered")
-                    and self.store is not None):
-                w, c, pkey = key
-                self.store.put(self.chaos_store_key(w, c, plans[pkey]), res,
-                               meta={"scale": str(self.scale),
-                                     "max_cycles": self.max_cycles,
-                                     "chaos": plans[pkey].name})
-
-        if self.parallel > 1 and len(todo) > 1:
-            todo = self._parallel_map(todo, make_arg, self._chaos_worker,
-                                      record, what="chaos")
-        for key in todo:
-            record(key, self._chaos_worker(make_arg(key)))
+                    key = self.chaos_store_key(w, c, plan)
+                    keys[(w, c, pkey)] = key
+                    cells[key] = self._cell_args(w, c, plan=plan)
+        values = self._cells(cells)
+        out = {}
+        for cell in keys:
+            value = values[keys[cell]]
+            outcome = _outcome(value)
+            out[cell] = (outcome, None if outcome == "fatal" else value)
         return out
 
     def speedup(self, workload: str, config: str) -> float:
@@ -560,16 +455,9 @@ def coherence_overhead(runner: ExperimentRunner,
 # Section 7.3: a more powerful GPU (2x compute units)
 # ---------------------------------------------------------------------------
 
-def bigger_gpu(runner_factory=None, base: SystemConfig | None = None,
-               scale: str = "bench", workloads=None) -> dict:
+def bigger_gpu(base: SystemConfig | None = None, scale: str = "bench",
+               workloads=None) -> dict:
     """Speedup of NDP(Dyn)_Cache over Baseline when the SM count doubles."""
-    if runner_factory is not None:
-        import warnings
-
-        warnings.warn(
-            "bigger_gpu(runner_factory=...) is ignored and deprecated; "
-            "pass base/scale/workloads or use repro.api.make_runner",
-            DeprecationWarning, stacklevel=2)
     base = base or paper_config()
     big = base.scaled_gpu(num_sms=base.gpu.num_sms * 2)
     runner = ExperimentRunner(base=big, scale=scale, workloads=workloads)

@@ -538,7 +538,7 @@ def explore(*, workload: str = "VADD", space=None, agent: str = "hillclimb",
 # -- simulation-as-a-service --------------------------------------------------
 
 def serve(*, host: str = "127.0.0.1", port: int = 0, shards: int = 2,
-          mode: str = "process", job_timeout: float = 900.0,
+          job_timeout: float = 900.0,
           request_timeout: float = 900.0, queue_depth: int = 256,
           rate: float = 0.0, burst: float = 16.0, hot_set: int = 64,
           store: str | None = None, use_store: bool = True,
@@ -550,8 +550,7 @@ def serve(*, host: str = "127.0.0.1", port: int = 0, shards: int = 2,
     ``port=0`` binds an ephemeral port (read ``daemon.port``); ``rate``
     is the per-client token-bucket refill in requests/second (0 turns
     limiting off, ``burst`` is the bucket depth); ``hot_set`` bounds the
-    in-memory LRU of recent run responses; ``mode="thread"`` keeps shard
-    workers in-process (tests/CI).  ``store`` defaults to
+    in-memory LRU of recent run responses.  ``store`` defaults to
     ``$REPRO_STORE`` via the daemon's workers.  ``block=True`` serves in
     the foreground until interrupted or ``POST /v1/shutdown``;
     ``block=False`` returns immediately with the daemon running in
@@ -566,14 +565,14 @@ def serve(*, host: str = "127.0.0.1", port: int = 0, shards: int = 2,
     from repro.serve.daemon import ServeConfig, ServeDaemon
     resolved = store if store is not None else os.environ.get("REPRO_STORE")
     daemon = ServeDaemon(ServeConfig(
-        host=host, port=port, shards=shards, mode=mode,
+        host=host, port=port, shards=shards,
         job_timeout=job_timeout, request_timeout=request_timeout,
         queue_depth=queue_depth, rate=rate, burst=burst, hot_set=hot_set,
         store=resolved, use_store=use_store, metrics_out=metrics_out))
     daemon.start()
     if progress is not None:
         progress(f"serving on {daemon.address} "
-                 f"({shards} {mode} shard(s), "
+                 f"({shards} shard(s), "
                  f"store {resolved or 'disabled'})")
     if block:
         daemon.wait()

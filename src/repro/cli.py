@@ -487,7 +487,7 @@ def cmd_serve(args) -> int:
     """Run the simulation service daemon (docs/serving.md)."""
     try:
         api.serve(host=args.host, port=args.port, shards=args.shards,
-                  mode=args.mode, job_timeout=args.job_timeout,
+                  job_timeout=args.job_timeout,
                   request_timeout=args.request_timeout,
                   queue_depth=args.queue_depth, rate=args.rate,
                   burst=args.burst, hot_set=args.hot_set,
@@ -751,11 +751,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--shards", type=int, default=2,
                     help="shard workers; jobs route to a shard by store "
                          "key (default 2)")
-    pv.add_argument("--mode", choices=["process", "thread"],
-                    default="process",
-                    help="worker isolation: 'process' replaces crashed/"
-                         "hung workers; 'thread' stays in-process "
-                         "(tests/CI)")
     pv.add_argument("--job-timeout", type=float, default=900.0,
                     help="per-job worker deadline in seconds "
                          "(default 900)")

@@ -476,8 +476,8 @@ class NDPController:
             # Any entries whose credit-return message was dropped are
             # restored here: the manager knows what the block reserved.
             self._reconcile_held(inst)
-        # complete_offload is a waker-hooked mutator: the active
-        # scheduler settles the SM's parked idle cycles before the ACK
+        # complete_offload is a waker-hooked mutator: ``System.run``
+        # settles the SM's parked idle cycles before the ACK
         # registers land (invariant I1, docs/performance.md).  We only
         # reach here from engine events (ACK delivery), never from
         # another SM's tick (invariant I3).

@@ -202,7 +202,7 @@ class SM:
         return bool(self.ready) or (
             bool(self.pending_traces) and len(self.warps) < self.warps_per_sm)
 
-    # -- structural-reject parking (active scheduler) -------------------------
+    # -- structural-reject parking (System.run) -------------------------------
 
     def _probe_struct(self, warp: Warp, now: int) -> int | None:
         """Would ``_try_issue(warp)`` be a pure structural load reject
@@ -243,7 +243,7 @@ class SM:
     def struct_park_probe(self) -> int | None:
         """Shadow-walk this cycle's issue attempt order: if *every* warp
         the scheduler would try is a pure structural load reject, return
-        the summed per-cycle counter cost (the active scheduler parks the
+        the summed per-cycle counter cost (``System.run`` parks the
         SM and replays ``cost`` L1 misses + MSHR rejects per elided cycle
         on wake); otherwise return ``None``.
 

@@ -570,13 +570,11 @@ class SimStateIsolationRule(Rule):
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)):
                 continue
-            worker = None
-            if node.func.attr == "submit" and node.args:
-                worker = node.args[0]
-            elif node.func.attr == "_parallel_map" and len(node.args) >= 3:
-                worker = node.args[2]
-            if isinstance(worker, ast.Lambda):
-                ctx.report(self.id, self.severity, worker,
+            # submit(fn, ...) on a raw executor, starmap(fn, jobs) on
+            # repro.executor.CellExecutor: the worker is the first arg.
+            if (node.func.attr in ("submit", "starmap") and node.args
+                    and isinstance(node.args[0], ast.Lambda)):
+                ctx.report(self.id, self.severity, node.args[0],
                            "lambda submitted as an executor worker "
                            "captures live state across the pool "
                            "boundary; pass a module-level function")

@@ -58,7 +58,6 @@ LOCK_ORDER = (
     "Coalescer._lock",
     "TokenBucket._lock",
     "_HotSet._lock",
-    "ShardPool._lock",
 )
 
 #: Modules whose lock-owning classes are instrumented when armed.

@@ -93,8 +93,8 @@ class MemoryNetwork:
         ``deliver`` if an armed fault plan kills the packet in flight.
 
         Every delivery — including the local src == dst shortcut — runs
-        as an engine event, never inline in the caller's frame.  The
-        active-set scheduler relies on this: no packet may wake an SM
+        as an engine event, never inline in the caller's frame.
+        ``System.run`` relies on this: no packet may wake an SM
         synchronously from inside another component's tick
         (invariant I3, docs/performance.md).
         """

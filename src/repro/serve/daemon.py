@@ -47,13 +47,11 @@ class ServeConfig:
     """Every daemon knob, with service-grade defaults.  ``port=0`` binds
     an ephemeral port (read it back from :attr:`ServeDaemon.port`);
     ``rate=0`` disables per-client rate limiting; ``hot_set=0`` disables
-    the in-memory LRU; ``mode="thread"`` keeps workers in-process for
-    tests."""
+    the in-memory LRU."""
 
     host: str = "127.0.0.1"
     port: int = 0
     shards: int = 2
-    mode: str = "process"
     job_timeout: float = 900.0
     request_timeout: float = 900.0
     queue_depth: int = 256
@@ -97,12 +95,12 @@ class _HotSet:
 class ServeDaemon:
     """The long-running service.  ``start()`` binds and spins up the
     server + dispatcher threads; ``stop()`` drains and shuts everything
-    down (idempotent).  ``worker`` is a test seam forwarded to the
-    :class:`ShardPool` (defaults to the real
-    :func:`~repro.serve.pool.execute_job`)."""
+    down (idempotent).  ``worker`` and ``executor_factory`` are test
+    seams forwarded to the :class:`ShardPool` (defaults: the real
+    :func:`~repro.serve.pool.execute_job` in worker processes)."""
 
     def __init__(self, config: ServeConfig | None = None,
-                 worker=None) -> None:
+                 worker=None, executor_factory=None) -> None:
         from repro.serve.limiter import TokenBucket
         from repro.sim.metrics import MetricsRegistry
 
@@ -113,10 +111,10 @@ class ServeDaemon:
         self.coalescer = Coalescer()
         self.hot = _HotSet(self.config.hot_set)
         self.pool = ShardPool(shards=self.config.shards,
-                              mode=self.config.mode,
                               job_timeout=self.config.job_timeout,
                               worker=worker,
-                              on_counter=self._count)
+                              on_counter=self._count,
+                              executor_factory=executor_factory)
         self.store = None
         if self.config.use_store and self.config.store:
             from repro.sim.store import ResultStore
@@ -375,8 +373,7 @@ class ServeDaemon:
         return {"ok": not self._stopping.is_set(),
                 "queue_depth": self.queue.depth,
                 "inflight": self.coalescer.inflight(),
-                "shards": self.pool.shards,
-                "mode": self.config.mode}
+                "shards": self.pool.shards}
 
     def stats(self) -> dict:
         latency = self.registry.histograms.get("serve.latency.ms")

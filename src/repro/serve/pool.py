@@ -1,21 +1,20 @@
 """The serve daemon's shard-worker pool and the picklable job executors.
 
-The pool is the hardened-pool idiom of
-:meth:`repro.analysis.figures.ExperimentRunner._parallel_map` reshaped
-for a long-running service: instead of one pool per grid, N **shards**
-each own a single-worker executor and a FIFO of jobs.  Jobs are routed
-to a shard by their content-derived key (``int(key[:8], 16) % shards``
--- never ``hash()``, which is per-process salted), so repeated requests
-for the same cell land on the same shard and duplicate work serializes
+N **shards** each own a FIFO of jobs and one long-lived single-worker
+:class:`~repro.executor.CellExecutor` -- the same deadline-and-retry
+executor every ``ExperimentRunner`` grid uses.  Jobs are routed to a
+shard by their content-derived key (``int(key[:8], 16) % shards`` --
+never ``hash()``, which is per-process salted), so repeated requests for
+the same cell land on the same shard and duplicate work serializes
 naturally even without coalescing.
 
-Each shard survives its worker: a job that exceeds the per-job timeout
-or crashes the worker process gets the executor torn down and replaced
-(``serve.worker.restarts``) and one retry in the fresh worker; an
-*application* error (unknown workload, bad scale) is returned to the
-waiter as-is without touching the worker.  ``mode="thread"`` swaps the
-process executor for a thread executor -- same code path, no pickling,
-for fast deterministic tests.
+The executor's policy is the service's: a job that misses the per-job
+deadline or kills its worker gets the worker replaced
+(``serve.worker.restarts``) and one retry in the fresh worker
+(``serve.worker.retries``); a job lost twice is answered with a
+``TimeoutError`` (504) or ``RuntimeError`` (500); an *application*
+error (unknown workload, bad scale) is returned to the waiter as-is
+without touching the worker.
 
 Everything below ``execute_job`` runs *inside* the worker process and
 must stay picklable/module-level, exactly like ``figures._run_cell``.
@@ -27,9 +26,10 @@ store simulate a cell once.
 
 from __future__ import annotations
 
-import concurrent.futures as cf
 import queue
 import threading
+
+from repro.executor import CellExecutor, WorkerLost
 
 __all__ = ["ShardPool", "execute_job", "run_key"]
 
@@ -52,24 +52,17 @@ class ShardPool:
     executor with a ``job_timeout`` deadline and calls
     ``on_done(job, value, error)`` exactly once.  ``on_counter`` (if
     given) receives ``serve.*`` counter increments.
+    ``executor_factory`` builds each shard's worker pool (see
+    :class:`~repro.executor.CellExecutor`; tests pass thread pools).
     """
 
-    def __init__(self, shards: int = 2, mode: str = "process",
-                 job_timeout: float = 900.0, worker=None,
-                 on_counter=None) -> None:
-        if mode not in ("process", "thread"):
-            raise ValueError(f"unknown pool mode {mode!r}: "
-                             "expected 'process' or 'thread'")
-        self.mode = mode
+    def __init__(self, shards: int = 2, job_timeout: float = 900.0,
+                 worker=None, on_counter=None,
+                 executor_factory=None) -> None:
         self.job_timeout = float(job_timeout)
         self.worker = worker or execute_job
+        self.executor_factory = executor_factory
         self._count = on_counter or (lambda name, n=1: None)
-        self._lock = threading.Lock()
-        # Bumped concurrently by every shard thread's _replace_executor;
-        # unlike the daemon's snapshot counters this one feeds the
-        # serve.worker.restarts metric, so lost increments would break
-        # the exactly-once accounting tests.
-        self._restarts = 0                 # guarded-by: _lock
         self._shards = [_Shard(i, self) for i in range(max(1, int(shards)))]
 
     @property
@@ -78,13 +71,9 @@ class ShardPool:
 
     @property
     def restarts(self) -> int:
-        with self._lock:
-            return self._restarts
-
-    def note_restart(self) -> None:
-        """Called from shard threads on worker replacement."""
-        with self._lock:
-            self._restarts += 1
+        """Worker replacements across all shards (each shard's executor
+        counts its own, so no lock is needed to sum them)."""
+        return sum(s.cells.restarts for s in self._shards)
 
     def shard_of(self, key: str) -> int:
         """Stable shard index from the leading key bytes (content-derived
@@ -110,6 +99,9 @@ class ShardPool:
         for s in self._shards:
             s.join(wait_seconds / max(1, len(self._shards)))
 
+    def _worker_count(self, name: str, n: int) -> None:
+        self._count(f"serve.worker.{name}", n)
+
 
 class _Shard:
     """One FIFO + one single-worker executor, replaced on timeout/crash."""
@@ -118,7 +110,9 @@ class _Shard:
         self.index = index
         self.pool = pool
         self._q: queue.Queue = queue.Queue()
-        self._executor = None
+        self.cells = CellExecutor(1, pool.job_timeout,
+                                  factory=pool.executor_factory,
+                                  on_count=pool._worker_count)
         self._thread = threading.Thread(
             target=self._loop, daemon=True, name=f"serve-shard-{index}")
         self._thread.start()
@@ -132,69 +126,26 @@ class _Shard:
     def join(self, timeout: float) -> None:
         self._thread.join(timeout)
 
-    # -- worker lifecycle ----------------------------------------------------
-
-    def _new_executor(self):
-        if self.pool.mode == "thread":
-            return cf.ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix=f"serve-w{self.index}")
-        return cf.ProcessPoolExecutor(max_workers=1)
-
-    def _replace_executor(self) -> None:
-        """Graceful worker replacement: never wait for a hung worker --
-        cancel what has not started and leave the straggler to die with
-        the executor's process (same policy as ``_parallel_map``)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-        self.pool.note_restart()
-        self.pool._count("serve.worker.restarts")
-
-    # -- the shard loop ------------------------------------------------------
-
     def _loop(self) -> None:
         while True:
             item = self._q.get()
             if item is None:
-                if self._executor is not None:
-                    self._executor.shutdown(wait=False, cancel_futures=True)
+                self.cells.close()
                 return
             job, on_done = item
-            value, error = self._execute(job)
+            [(value, error)] = self.cells.starmap(
+                self.pool.worker, [(job.kind, job.payload)])
+            if isinstance(error, WorkerLost) and error.timed_out:
+                error = TimeoutError(
+                    f"job {job.label()} exceeded the "
+                    f"{self.pool.job_timeout:g}s worker deadline")
+            elif isinstance(error, WorkerLost):
+                error = RuntimeError(
+                    f"worker crashed running job {job.label()}")
             try:
                 on_done(job, value, error)
             except Exception:  # pragma: no cover - resolver must not kill us
                 pass
-
-    def _execute(self, job) -> tuple:
-        """Run one job with a deadline; one retry in a fresh worker for
-        infrastructure failures (timeout / worker crash), none for
-        application errors."""
-        error: BaseException | None = None
-        for attempt in (0, 1):
-            if self._executor is None:
-                self._executor = self._new_executor()
-            fut = self._executor.submit(self.pool.worker, job.kind,
-                                        job.payload)
-            try:
-                return fut.result(timeout=self.pool.job_timeout), None
-            except cf.TimeoutError:
-                self._replace_executor()
-                error = TimeoutError(
-                    f"job {job.label()} exceeded the "
-                    f"{self.pool.job_timeout:g}s worker deadline")
-            except cf.BrokenExecutor:
-                self._replace_executor()
-                error = RuntimeError(
-                    f"worker crashed running job {job.label()}")
-            except Exception as e:
-                # Application error (unknown workload, bad config, ...):
-                # the worker is healthy, the request is not.  No retry.
-                return None, e
-            if attempt:
-                break
-            self.pool._count("serve.worker.retries")
-        return None, error
 
 
 # -- job executors (worker-process side; must stay picklable) -----------------

@@ -94,7 +94,7 @@ class GPUMemSystem:
         # event stream is untouched.
         self.recovery = None
         self.timeouts = None
-        # Wake hook for MSHR-capacity parking: the active scheduler binds
+        # Wake hook for MSHR-capacity parking: ``System.run`` binds
         # this to ``System._wake_sm`` so an L1 fill (which frees an MSHR
         # entry and may insert the line a parked SM spins on) reactivates
         # the owning SM.  Fired *before* the fill mutates cache state, so
@@ -137,7 +137,7 @@ class GPUMemSystem:
         True iff a load of ``line`` from SM ``sm_id`` would be
         structurally rejected right now (L1 miss + no outstanding MSHR
         entry to merge into + MSHR file full).  Touches no counters and
-        no LRU state -- the active scheduler's park probe uses it to
+        no LRU state -- ``System.run``'s park probe uses it to
         decide whether a retry loop is pure spin (docs/performance.md).
         """
         if self.l1[sm_id].contains(line):
@@ -293,7 +293,7 @@ class GPUMemSystem:
 
     def _fill_l1(self, sm_id: int, line: int) -> None:
         # Fills always run as engine events, and the resulting warp
-        # wake-ups funnel through SM.wake_warp — the active scheduler's
+        # wake-ups funnel through SM.wake_warp — ``System.run``'s
         # waker hook (invariants I1/I3, docs/performance.md).  Never call
         # this synchronously from another SM's tick.
         #

@@ -9,3 +9,8 @@ def handle(pool, payload):
     # BAD: lambda worker captures live state across the pool boundary.
     pool.submit(lambda: system.run(payload))
     return SMState
+
+
+def fan_out(cells, jobs):
+    # BAD: lambda handed to the CellExecutor entry point (starmap).
+    return cells.starmap(lambda job: job.run(), jobs)

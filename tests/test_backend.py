@@ -33,8 +33,11 @@ from repro.memory.backend import (
 from repro.sim.runner import build_system
 from repro.sim.serialize import result_to_dict
 from repro.sim.store import cell_key, config_fingerprint
-from tests import reference_stepper
-from tests.test_baseline_recovery import TestUnarmedDigests
+from tests import reference_stepper, test_baseline_recovery
+
+#: The seed's hmc digest pins.  Imported through the module, not by class
+#: name, so pytest does not collect the pinning class a second time here.
+HMC_PINS = test_baseline_recovery.TestUnarmedDigests.EXPECTED
 
 
 def _digest(result) -> str:
@@ -88,12 +91,11 @@ class TestHMCIdentity:
     """backend="hmc" (the default) replays the pre-backend simulator."""
 
     @pytest.mark.parametrize("workload,config",
-                             sorted(TestUnarmedDigests.EXPECTED))
+                             sorted(HMC_PINS))
     def test_explicit_hmc_matches_seed_digests(self, workload, config):
         base = ci_config().with_backend("hmc")
         _, result = _run(workload, config, base)
-        assert _digest(result) == \
-            TestUnarmedDigests.EXPECTED[(workload, config)]
+        assert _digest(result) == HMC_PINS[(workload, config)]
 
     def test_default_backend_is_hmc(self):
         assert ci_config().backend == "hmc"
@@ -119,10 +121,9 @@ class TestCXLDigests:
 
     @pytest.mark.parametrize("workload,config", sorted(EXPECTED))
     def test_cxl_differs_from_hmc(self, workload, config):
-        hmc_pins = TestUnarmedDigests.EXPECTED
-        if (workload, config) in hmc_pins:
+        if (workload, config) in HMC_PINS:
             assert self.EXPECTED[(workload, config)] != \
-                hmc_pins[(workload, config)]
+                HMC_PINS[(workload, config)]
 
     def test_cxl_has_no_intra_stack_traffic(self):
         # The expander has no vault NoC: every access rides the host

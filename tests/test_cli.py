@@ -243,12 +243,12 @@ class TestServeCLI:
     def test_serve_flags_parsed(self):
         p = build_parser()
         args = p.parse_args(["serve"])
-        assert args.port == 8787 and args.mode == "process"
+        assert args.port == 8787
         assert args.rate == 0.0 and args.hot_set == 64
-        args = p.parse_args(["serve", "--port", "0", "--mode", "thread",
+        args = p.parse_args(["serve", "--port", "0",
                              "--rate", "2.5", "--hot-set", "8",
                              "--queue-depth", "32"])
-        assert args.port == 0 and args.mode == "thread"
+        assert args.port == 0
         assert args.rate == 2.5 and args.hot_set == 8
         assert args.queue_depth == 32
 

@@ -72,7 +72,7 @@ class TestFixtureCorpus:
         findings = lint_as_serve(tmp_path, "conc005_bad.py", "CONC005")
         imports = [f for f in findings if "import" in f.message]
         lambdas = [f for f in findings if "lambda" in f.message]
-        assert len(imports) == 2 and len(lambdas) == 1
+        assert len(imports) == 2 and len(lambdas) == 2
 
     def test_conc005_good(self, tmp_path):
         assert lint_as_serve(tmp_path, "conc005_good.py", "CONC005") == []
@@ -174,8 +174,9 @@ class TestShippedTreeConcurrency:
             "guard_groups"]
         assert "rejections" not in manifest[
             "repro.serve.limiter.TokenBucket"]["guard_groups"]
-        assert manifest["repro.serve.pool.ShardPool"]["guard_groups"][
-            "_restarts"] == ["_lock"]
+        # Restart counts live in each shard's executor (one writer per
+        # counter), so ShardPool owns no lock at all.
+        assert "repro.serve.pool.ShardPool" not in manifest
 
 
 # -- repro lint --changed -----------------------------------------------------

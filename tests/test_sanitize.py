@@ -1,5 +1,7 @@
 """The runtime lock sanitizer (repro.lint.sanitize)."""
 
+import concurrent.futures as cf
+
 import pytest
 
 from repro.lint import sanitize
@@ -138,8 +140,8 @@ class TestLockOrder:
 class TestDaemonIntegration:
     def test_daemon_lifecycle_armed(self, armed):
         from repro.serve.daemon import ServeConfig, ServeDaemon
-        daemon = ServeDaemon(ServeConfig(mode="thread", shards=1,
-                                         hot_set=4))
+        daemon = ServeDaemon(ServeConfig(shards=1, hot_set=4),
+                             executor_factory=cf.ThreadPoolExecutor)
         daemon.start()
         try:
             assert daemon.healthz()["ok"]

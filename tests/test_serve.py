@@ -3,12 +3,13 @@ shard pool, HTTP daemon admission/error mapping, and the loadtest
 acceptance criteria (coalesced duplicates, exactly-once per unique cell,
 bit-identical results, structured 429 rejections).
 
-Daemon tests run in ``mode="thread"`` on an ephemeral port so they stay
-in-process and deterministic; the worker seam (``ServeDaemon(...,
-worker=...)``) swaps in gated/flaky stubs where wall-clock or failure
-injection matters.
+Daemon tests run thread workers (the ``executor_factory`` seam) on an
+ephemeral port so they stay in-process and deterministic; the worker
+seam (``ServeDaemon(..., worker=...)``) swaps in gated/flaky stubs where
+wall-clock or failure injection matters.
 """
 
+import concurrent.futures as cf
 import contextlib
 import http.client
 import json
@@ -92,12 +93,12 @@ class FlakyWorker:
 
 @contextlib.contextmanager
 def serve_daemon(worker=None, **kw):
-    kw.setdefault("mode", "thread")
     kw.setdefault("port", 0)
     kw.setdefault("shards", 2)
     kw.setdefault("job_timeout", 60.0)
     kw.setdefault("request_timeout", 60.0)
-    daemon = ServeDaemon(ServeConfig(**kw), worker=worker)
+    daemon = ServeDaemon(ServeConfig(**kw), worker=worker,
+                         executor_factory=cf.ThreadPoolExecutor)
     daemon.start()
     try:
         yield daemon, ServeClient(daemon.address, client_id="test")
@@ -264,7 +265,8 @@ def _pool_run(pool, job):
 
 class TestShardPool:
     def test_shard_routing_is_stable_and_hashless(self):
-        pool = ShardPool(shards=4, mode="thread", worker=stub_worker)
+        pool = ShardPool(shards=4, worker=stub_worker,
+                         executor_factory=cf.ThreadPoolExecutor)
         try:
             assert pool.shard_of("00000000" + "f" * 56) == 0
             assert pool.shard_of("00000007" + "f" * 56) == 3
@@ -283,8 +285,9 @@ class TestShardPool:
             counts[name] = counts.get(name, 0) + n
 
         flaky = FlakyWorker(hang_calls=1, hang_seconds=3.0)
-        pool = ShardPool(shards=1, mode="thread", job_timeout=0.2,
-                         worker=flaky, on_counter=on_counter)
+        pool = ShardPool(shards=1, job_timeout=0.2, worker=flaky,
+                         on_counter=on_counter,
+                         executor_factory=cf.ThreadPoolExecutor)
         try:
             value, error = _pool_run(pool, make_job())
             assert error is None
@@ -297,8 +300,8 @@ class TestShardPool:
 
     def test_timeout_on_both_attempts_fails_the_job(self):
         flaky = FlakyWorker(hang_calls=2, hang_seconds=3.0)
-        pool = ShardPool(shards=1, mode="thread", job_timeout=0.2,
-                         worker=flaky)
+        pool = ShardPool(shards=1, job_timeout=0.2, worker=flaky,
+                         executor_factory=cf.ThreadPoolExecutor)
         try:
             value, error = _pool_run(pool, make_job())
             assert value is None
@@ -315,7 +318,8 @@ class TestShardPool:
             calls.append(kind)
             raise KeyError("unknown workload 'NOPE'")
 
-        pool = ShardPool(shards=1, mode="thread", worker=bad_request)
+        pool = ShardPool(shards=1, worker=bad_request,
+                         executor_factory=cf.ThreadPoolExecutor)
         try:
             value, error = _pool_run(pool, make_job())
             assert value is None
@@ -324,10 +328,6 @@ class TestShardPool:
             assert pool.restarts == 0           # worker kept
         finally:
             pool.shutdown()
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown pool mode"):
-            ShardPool(mode="fiber")
 
     def test_execute_job_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown job kind"):
@@ -390,7 +390,7 @@ class TestBuildSchedule:
 
 
 # ---------------------------------------------------------------------------
-# daemon: admission, errors, coalescing (thread mode, stub workers)
+# daemon: admission, errors, coalescing (thread workers running stubs)
 # ---------------------------------------------------------------------------
 
 
@@ -542,11 +542,25 @@ class TestDaemonBatch:
             assert stats["counters"]["serve.batch.jobs"] == 3
 
     def test_duplicate_jobs_inside_a_batch_coalesce(self):
-        with serve_daemon(worker=stub_worker) as (daemon, client):
-            resp = client.batch([
-                {"kind": "run", **run_payload()},
-                {"kind": "run", **run_payload()},
-            ])
+        # Gated so item 1 is still in flight when item 2 is admitted (an
+        # instant worker can finish it first and answer item 2 "hot").
+        gated = GatedWorker()
+        with serve_daemon(worker=gated) as (daemon, client):
+            box = {}
+
+            def post():
+                box["resp"] = client.batch([
+                    {"kind": "run", **run_payload()},
+                    {"kind": "run", **run_payload()},
+                ])
+
+            t = threading.Thread(target=post, daemon=True)
+            t.start()
+            assert wait_until(lambda: daemon.stats()["coalesce_hits"] == 1)
+            gated.gate.set()
+            t.join(timeout=30)
+            assert not t.is_alive()
+            resp = box["resp"]
             assert resp["ok"] == 2
             flags = sorted(r["body"]["coalesced"] for r in resp["results"])
             assert flags == [False, True]
@@ -599,7 +613,7 @@ class TestDaemonBatch:
 
 
 # ---------------------------------------------------------------------------
-# daemon: real simulations (thread mode, default worker)
+# daemon: real simulations (thread workers, default worker)
 # ---------------------------------------------------------------------------
 
 

@@ -6,15 +6,19 @@ import os
 import subprocess
 import sys
 import time
+import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.analysis import figures
 from repro.analysis.figures import ExperimentRunner
 from repro.config import ci_config
+from repro.executor import CellExecutor, WorkerLost
 from repro.sim.runner import run_workload
 from repro.sim.store import (CODE_VERSION_SALT, STORE_FORMAT, ResultStore,
                              cell_key)
+from repro.sim.system import SimulationTimeout
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -177,7 +181,7 @@ class TestParallelPrefetchHardening:
             w, c, *_ = arg
             calls[(w, c)] = calls.get((w, c), 0) + 1
             if calls[(w, c)] == 1:
-                raise RuntimeError("simulated worker crash")
+                raise BrokenProcessPool("simulated worker crash")
             return tiny_result
 
         r._executor_factory = cf.ThreadPoolExecutor
@@ -188,15 +192,15 @@ class TestParallelPrefetchHardening:
         assert r.stats.worker_retries == 2
         assert r.stats.serial_fallbacks == 0
         assert r.stats.sim_runs == 2   # worker simulations count too
-        assert ("VADD", "Baseline") in r._cache
-        assert ("VADD", "NDP(Dyn)") in r._cache
+        assert r.store_key("VADD", "Baseline") in r._cache
+        assert r.store_key("VADD", "NDP(Dyn)") in r._cache
 
     def test_repeated_crash_falls_back_to_serial(self, monkeypatch,
                                                  tiny_result):
         r = self._runner()
 
         def always_crash(arg):
-            raise RuntimeError("boom")
+            raise BrokenProcessPool("boom")
 
         monkeypatch.setattr(figures, "run_workload",
                             lambda *a, **k: tiny_result)
@@ -206,7 +210,7 @@ class TestParallelPrefetchHardening:
             r.prefetch(["Baseline"], workloads=["VADD"])
         assert r.stats.serial_fallbacks == 1
         assert r.stats.sim_runs == 1
-        assert ("VADD", "Baseline") in r._cache
+        assert r.store_key("VADD", "Baseline") in r._cache
 
     def test_worker_timeout_is_a_failure(self, monkeypatch, tiny_result):
         r = self._runner(worker_timeout=0.05)
@@ -222,13 +226,51 @@ class TestParallelPrefetchHardening:
         with pytest.warns(RuntimeWarning):
             r.prefetch(["Baseline"], workloads=["VADD"])
         assert r.stats.worker_failures >= 1
-        assert ("VADD", "Baseline") in r._cache
+        assert r.store_key("VADD", "Baseline") in r._cache
 
     def test_serial_prefetch_unaffected(self):
         r = self._runner(parallel=1)
         r.prefetch(["Baseline"], workloads=["VADD"])
         assert r.stats.sim_runs == 1
         assert r.stats.worker_failures == 0
+
+    def test_dead_worker_process_is_lost_not_a_job_error(self):
+        """Real worker processes: one that dies mid-job is retried
+        once in a fresh pool, then reported lost; an exception the job
+        raises comes back as-is, unretried."""
+        with CellExecutor(workers=2, timeout=60.0) as pool:
+            out = pool.starmap(divmod, [(7, 2), (1, 0)])
+            [(_, lost)] = pool.starmap(os._exit, [(3,)])
+        assert out[0] == ((3, 1), None)
+        assert isinstance(out[1][1], ZeroDivisionError)
+        assert isinstance(lost, WorkerLost) and not lost.timed_out
+        assert (pool.failures, pool.retries, pool.restarts,
+                pool.gave_up) == (2, 1, 2, 1)
+
+    def test_fatal_cell_simulated_once(self, monkeypatch):
+        """A deadlocking cell is an outcome, not a worker failure: one
+        simulation per cell, no retry or serial-fallback warning."""
+        calls = []
+
+        def counting(workload, config, **kw):
+            calls.append((workload, config))
+            return run_workload(workload, config, **kw)
+
+        monkeypatch.setattr(figures, "run_workload", counting)
+        r = self._runner(max_cycles=50)
+        r._executor_factory = cf.ThreadPoolExecutor
+        cells = [("VADD", "Baseline", ci_config()),
+                 ("VADD", "NDP(Dyn)", ci_config())]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = r.eval_cells(cells)
+            assert list(out.values()) == [None, None]
+            with pytest.raises(SimulationTimeout):
+                r.prefetch(["Baseline"], workloads=["VADD"])
+        assert sorted(calls) == [("VADD", "Baseline"), ("VADD", "NDP(Dyn)")]
+        assert r.stats.sim_runs == 2
+        assert r.stats.worker_failures == 0
+        assert r.stats.serial_fallbacks == 0
 
 
 # -- cross-process key reservation (the serve shard-worker protocol) --------
