@@ -2,6 +2,7 @@
 for the infrastructure itself, via pytest-benchmark's timing machinery)."""
 
 import numpy as np
+import pytest
 
 from repro.config import SystemConfig, WORD_SIZE
 from repro.gpu.cache import Cache
@@ -52,12 +53,17 @@ def test_cache_lookup_throughput(benchmark):
     benchmark(run)
 
 
-def test_coalescer_throughput(benchmark):
+@pytest.mark.parametrize("form", ["rows", "batch"])
+def test_coalescer_throughput(benchmark, form):
+    """200 warp instructions: 200 one-row calls, or one call on all 200
+    rows (how trace generation coalesces a warp)."""
     rng = np.random.default_rng(0)
-    batches = [rng.integers(0, 1 << 24, 32) * WORD_SIZE for _ in range(200)]
+    rows = rng.integers(0, 1 << 24, (200, 32)) * WORD_SIZE
 
     def run():
-        return sum(len(coalesce(b)) for b in batches)
+        if form == "rows":
+            return sum(len(coalesce(r)) for r in rows)
+        return sum(len(g) for g in coalesce(rows))
 
     assert benchmark(run) > 0
 

@@ -5,9 +5,9 @@ A :class:`WorkloadModel` authors one kernel in the IR and implements
 addresses of every dynamic memory instruction.  The base class runs the
 static analyzer once, lays the kernel out into *segments* (plain
 instructions vs. offload blocks), and unrolls ``iters`` loop iterations per
-warp into a :class:`~repro.gpu.trace.WarpTrace`, coalescing each memory
-instruction on the way (addresses are generated and coalesced on the GPU in
-both execution modes, Section 4.1).
+warp into a :class:`~repro.gpu.trace.WarpTrace`, coalescing all of the
+warp's memory instructions in one pass (addresses are generated and
+coalesced on the GPU in both execution modes, Section 4.1).
 
 Input problems are scaled down from Table 1 (the simulator is cycle-level
 Python, not a farm of GPGPU-sim machines); every workload keeps the *shape*
@@ -170,21 +170,24 @@ class WorkloadModel:
                 f"{self.name}: NSU block sizes {analyzed.nsu_body_lengths} "
                 f"do not match Table 1 {self.table1_nsu_counts}")
         arrays = self.layout(scale)
-        segments = self._segments(analyzed)
+        prologue = [_instr_segment(instr) for instr in self.prologue()]
+        body = self._segments(analyzed)
+        mem = (_mem_instrs(prologue), _mem_instrs(body))
         lanes = np.arange(cfg.gpu.warp_width, dtype=np.int64)
+        # crc32, not hash(): hash() of a str varies with PYTHONHASHSEED,
+        # which made trace digests differ across processes (DET004).
+        name_key = zlib.crc32(self.name.encode()) & 0xFFFF
         traces = []
         for w in range(scale.num_warps):
-            # crc32, not hash(): hash() of a str varies with PYTHONHASHSEED,
-            # which made trace digests differ across processes (DET004).
-            name_key = zlib.crc32(self.name.encode()) & 0xFFFF
             rng = np.random.default_rng((cfg.seed, name_key, w))
-            traces.append(self._warp_trace(w, scale, segments, arrays,
-                                           lanes, rng))
+            traces.append(self._warp_trace(w, scale, prologue, body, mem,
+                                           arrays, lanes, rng))
         return WorkloadInstance(self.name, analyzed, traces, scale)
 
     def _segments(self, analyzed: AnalyzedKernel):
-        """Split the kernel into (kind, payload) segments in program order:
-        ("instr", Instr) or ("block", OffloadBlock)."""
+        """Split the kernel into segments in program order:
+        ("instr", Instr, mem) or ("block", OffloadBlock, mem), where
+        ``mem`` holds the segment's memory instructions."""
         kernel = analyzed.kernel
         covered: dict[tuple[int, int], object] = {}
         for blk in analyzed.blocks:
@@ -196,46 +199,82 @@ class WorkloadModel:
             while i < len(bb.instrs):
                 blk = covered.get((b_idx, i))
                 if blk is not None:
-                    segs.append(("block", blk))
+                    segs.append(("block", blk, tuple(
+                        ins for ins in blk.instrs if ins.is_mem)))
                     i = blk.candidate.stop
                 else:
-                    segs.append(("instr", bb.instrs[i]))
+                    segs.append(_instr_segment(bb.instrs[i]))
                     i += 1
         return segs
 
-    def _warp_trace(self, warp: int, scale: Scale, segments, arrays,
-                    lanes, rng) -> WarpTrace:
-        trace: WarpTrace = []
-        ctx0 = MemCtx(warp=warp, it=0, lanes=lanes, rng=rng, scale=scale)
-        for instr in self.prologue():
-            accesses = (self._coalesced(instr, arrays, ctx0)
-                        if instr.is_mem else ())
-            trace.append(DynInstr(instr, accesses))
+    def _warp_trace(self, warp: int, scale: Scale, prologue, body, mem,
+                    arrays, lanes, rng) -> WarpTrace:
+        """One warp's trace: the prologue segments once, then the body
+        segments ``scale.iters`` times.  Addresses and masks are generated
+        in program order (the RNG draws follow it) into one row per
+        memory instruction; the rows are then coalesced in one call."""
+        width = lanes.size
+        prologue_mem, body_mem = mem
+        n_rows = len(prologue_mem) + scale.iters * len(body_mem)
+        addr_rows = np.empty((n_rows, width), dtype=np.int64)
+        mask_rows = np.ones((n_rows, width), dtype=bool)
+        row = 0
+
+        def add_rows(instrs, ctx):
+            nonlocal row
+            for instr in instrs:
+                addrs = self.mem_addrs(instr, arrays, ctx)
+                mask = self.active_lanes(instr, ctx)
+                if np.shape(addrs) != (width,):
+                    self._wrong_width(instr, "mem_addrs", addrs, width)
+                addr_rows[row] = addrs
+                if mask is not None:
+                    if np.shape(mask) != (width,):
+                        self._wrong_width(instr, "active_lanes", mask, width)
+                    mask_rows[row] = mask
+                row += 1
+
+        add_rows(prologue_mem,
+                 MemCtx(warp=warp, it=0, lanes=lanes, rng=rng, scale=scale))
+        actives = []
         for it in range(scale.iters):
             ctx = MemCtx(warp=warp, it=it, lanes=lanes, rng=rng, scale=scale)
             mask = self.warp_active_mask(ctx)
-            active = int(mask.sum()) if mask is not None else lanes.size
-            for kind, payload in segments:
-                if kind == "instr":
-                    instr = payload
-                    accesses = ()
-                    if instr.is_mem:
-                        accesses = self._coalesced(instr, arrays, ctx)
-                    trace.append(DynInstr(instr, accesses))
-                else:
-                    blk = payload
-                    groups = tuple(
-                        self._coalesced(ins, arrays, ctx)
-                        for ins in blk.instrs if ins.is_mem)
-                    trace.append(DynBlock(blk, groups, active))
-        return trace
-
-    def _coalesced(self, instr, arrays, ctx):
-        addrs = self.mem_addrs(instr, arrays, ctx)
-        active = self.active_lanes(instr, ctx)
-        accesses = coalesce(addrs, active)
-        if not accesses:
+            actives.append(int(mask.sum()) if mask is not None else width)
+            add_rows(body_mem, ctx)
+        groups = coalesce(addr_rows, mask_rows)
+        if not all(groups):
+            instr = (prologue_mem + body_mem * scale.iters)[groups.index(())]
             raise AssertionError(
                 f"{self.name}: memory instruction {instr} produced no "
                 "accesses (empty active mask?)")
-        return accesses
+
+        trace: WarpTrace = []
+        k = 0
+        for segments, active in [(prologue, width)] + [
+                (body, a) for a in actives]:
+            for kind, payload, instrs in segments:
+                n = len(instrs)
+                if kind == "instr":
+                    trace.append(DynInstr(payload, groups[k] if n else ()))
+                else:
+                    trace.append(DynBlock(payload, groups[k:k + n], active))
+                k += n
+        return trace
+
+    def _wrong_width(self, instr, source, row, width):
+        shape = np.shape(row)
+        got = f"{shape[0]} lanes" if len(shape) == 1 else f"shape {shape}"
+        raise ValueError(
+            f"{self.name}: {source} returned {got} for "
+            f"'{' '.join(str(instr).split())}', but the warp width is {width}")
+
+
+def _instr_segment(instr: Instr):
+    """The segment of one instruction outside any offload block."""
+    return ("instr", instr, (instr,) if instr.is_mem else ())
+
+
+def _mem_instrs(segments) -> tuple[Instr, ...]:
+    """The segments' memory instructions, one per coalesced row."""
+    return tuple(instr for _, _, mem in segments for instr in mem)

@@ -44,10 +44,8 @@ class TestCoalesce:
     def test_all_inactive_returns_empty(self):
         assert coalesce(np.arange(4), np.zeros(4, dtype=bool)) == ()
 
-    def test_partial_warp_is_irregular(self):
-        # 4 active lanes with lane-ordered offsets but not a full aligned
-        # pattern of the coalescer's aligned test... lanes 0..3 give
-        # offsets 0,4,8,12 == i*word -> actually aligned by Section 4.1.1.
+    def test_partial_lane_ordered_warp_is_aligned(self):
+        # Lanes 0..3 at offsets i * word: aligned by the Section 4.1.1 test.
         addrs = np.arange(4) * WORD_SIZE
         (acc,) = coalesce(addrs)
         assert not acc.irregular

@@ -2,7 +2,7 @@
 invariants."""
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.config import LINE_SIZE, NDPConfig, OffloadMode, SystemConfig, WORD_SIZE
 from repro.core.credit import BufferCreditManager
@@ -35,6 +35,63 @@ class TestCoalescerProperties:
         a2 = coalesce(np.array(addrs[::-1], dtype=np.int64))
         assert sorted((x.line_addr, x.words) for x in a1) == \
             sorted((x.line_addr, x.words) for x in a2)
+
+
+def coalesce_oracle(addrs, active, word_size):
+    """Pure-Python coalescer: each touched line maps to its set of word
+    indices; a row is aligned iff it touches one line and its k-th active
+    lane sits at offset ``k * word_size``."""
+    lanes = [a for a, on in zip(addrs, active) if on]
+    words: dict[int, set[int]] = {}
+    for a in lanes:
+        words.setdefault(a // LINE_SIZE, set()).add(a % LINE_SIZE // word_size)
+    aligned = len(words) == 1 and all(
+        a % LINE_SIZE == k * word_size for k, a in enumerate(lanes))
+    return [(line, len(w), not aligned) for line, w in sorted(words.items())]
+
+
+@st.composite
+def lane_batches(draw):
+    """(addrs, active, word_size): ``(N, L)`` rows of byte addresses with
+    masks that include all-inactive and all-active rows, and rows that are
+    random within a few lines or lane-ordered from a line's start."""
+    n = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 64))
+    word_size = draw(st.sampled_from([4, 8]))
+    addrs, active = [], []
+    for _ in range(n):
+        mask = np.array(draw(st.one_of(
+            st.lists(st.booleans(), min_size=width, max_size=width),
+            st.just([False] * width), st.just([True] * width))))
+        # Small bases make neighbouring rows share lines.
+        base = draw(st.integers(0, 3) | st.integers(0, 1 << 34)) * LINE_SIZE
+        kind = draw(st.sampled_from(["random", "packed", "lanes"]))
+        if kind == "random":      # a few lines, repeated words
+            row = base + np.array(draw(st.lists(
+                st.integers(0, 3 * LINE_SIZE - 1),
+                min_size=width, max_size=width)))
+        elif kind == "packed":    # the k-th active lane at k * word_size
+            row = base + (np.cumsum(mask) - 1) * word_size
+        else:                     # lane i at i * word_size
+            row = base + np.arange(width) * word_size
+        addrs.append(row)
+        active.append(mask)
+    return (np.array(addrs, dtype=np.int64), np.array(active, dtype=bool),
+            word_size)
+
+
+class TestCoalescerBatchProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(lane_batches())
+    def test_batch_equals_rows_and_oracle(self, batch):
+        addrs, active, word_size = batch
+        rows = coalesce(addrs, active, word_size)
+        assert len(rows) == len(addrs)
+        for a, m, got in zip(addrs, active, rows):
+            one = coalesce(a, m, word_size)
+            assert got == one
+            assert [(x.line_addr, x.words, x.irregular) for x in one] == \
+                coalesce_oracle(a.tolist(), m.tolist(), word_size)
 
 
 class TestCacheProperties:

@@ -1,11 +1,15 @@
 """Unit tests for the workload models: Table 1 counts and the address
 properties that drive each workload's paper behaviour."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.config import LINE_SIZE, ci_config
 from repro.gpu.trace import DynBlock, DynInstr
 from repro.workloads import SCALES, Scale, get_workload, workload_names
+from repro.workloads.vadd import VADD
 
 CFG = ci_config()
 
@@ -188,6 +192,36 @@ class TestDivergenceMasks:
                     assert item.active_threads == 32
 
 
+class ShortAddrs(VADD):
+    """VADD whose address rows are half a warp wide."""
+
+    name = "SHORT"
+
+    def mem_addrs(self, instr, arrays, ctx):
+        return super().mem_addrs(instr, arrays, ctx)[:16]
+
+
+class ShortMask(VADD):
+    """VADD whose active masks are half a warp wide."""
+
+    name = "SHORTMASK"
+
+    def active_lanes(self, instr, ctx):
+        return np.ones(16, dtype=bool)
+
+
+class TestWarpWidthRows:
+    @pytest.mark.parametrize("model, source", [(ShortAddrs, "mem_addrs"),
+                                               (ShortMask, "active_lanes")])
+    def test_wrong_width_row_is_rejected(self, model, source):
+        with pytest.raises(ValueError) as err:
+            model().build(CFG, Scale("t", 2, 1))
+        msg = str(err.value)
+        assert msg.startswith(f"{model.name}: {source} returned 16 lanes")
+        assert "'ld R4 <- [A@R0]'" in msg
+        assert "warp width is 32" in msg
+
+
 class TestScaling:
     def test_scale_presets_exist(self):
         assert set(SCALES) == {"ci", "bench", "paper"}
@@ -199,3 +233,47 @@ class TestScaling:
     def test_iter_factor_respected(self):
         bprop = get_workload("BPROP").build(CFG, Scale("s", 8, 8))
         assert bprop.scale.iters == 4   # iter_factor = 0.5
+
+
+def trace_digest(inst) -> str:
+    """sha256 over every warp's trace items: kind, block id (or position
+    in the warp's trace), active threads, and each coalesced access's
+    ``(line_addr, words, irregular)``."""
+    h = hashlib.sha256()
+    for w, trace in enumerate(inst.traces):
+        h.update(f"warp {w}\n".encode())
+        for pos, item in enumerate(trace):
+            if isinstance(item, DynBlock):
+                head = f"block {item.block.block_id} {item.active_threads}"
+                groups = item.mem_accesses
+            else:
+                head = f"instr {pos}"
+                groups = (item.accesses,)
+            body = " | ".join(
+                " ".join(f"{a.line_addr},{a.words},{int(a.irregular)}"
+                         for a in g)
+                for g in groups)
+            h.update(f"{head}: {body}\n".encode())
+    return h.hexdigest()
+
+
+#: ci-scale trace digests under ``ci_config()``.  Any change to address
+#: generation, active masks or coalescing moves one of these.
+TRACE_PINS = {
+    "BFS": "c9baabe0e9748f5504bda3dd7efb9b793e49564fc9352a3c072dbb8849939228",
+    "BICG": "7837b854c1f1f24800957818ada996d292288dfa933302987ef746104dfcafc5",
+    "BPROP": "c68b19c43359887bcfe483ea6f967c45dcb82c2f210397ccf261b06fb42016e2",
+    "FWT": "36ce0475c451d38678b558421f0b57e5b7e77ed0193acf168c8f5dfae325d75f",
+    "KMN": "3758bba9c983a5157202f37ed1030f3b4b33bab3ba123ba3c2f57f9f04440970",
+    "MiniFE": "7b68d93ae4ae002902ad9279dc38633892bccde0b215bec11dc6c8701fe65f27",
+    "SP": "ced847b53694a909d0a230171c59e13e399085b6eaf75ff57f875992791a2bc6",
+    "STCL": "8ed376e611ab47a42cd11c4d27d7f9990bb1a9b64a40ba1066098197fddddefc",
+    "STN": "ea87ea14c75dd4565d9bd5e46279f5b55280bd0c62fd9f3f70d3656b3801ef75",
+    "VADD": "bae1d097c4310784b57b5cba54a50cd4f5a4a00c4ee4f752993e911a7b3c4b17",
+}
+
+
+class TestTracePins:
+    @pytest.mark.parametrize("name", sorted(TABLE1))
+    def test_trace_digest_pinned(self, built, name):
+        assert trace_digest(built[name]) == TRACE_PINS[name]
