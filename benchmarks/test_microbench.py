@@ -13,11 +13,29 @@ from repro.memory.vault import DRAMRequest, DRAMStats, VaultController
 from repro.sim.engine import Engine, Link
 
 
-def test_engine_event_throughput(benchmark):
+@pytest.mark.parametrize("form", ["scheduled", "chained"])
+def test_engine_event_throughput(benchmark, form):
+    """10k events: pre-scheduled at() calls, or 100 chains of 50 hops in
+    which each hop schedules one at(now) event and passes the chain on
+    with a call_after that binds an argument (the shape of the
+    simulator's packet traffic)."""
+    def noop():
+        pass
+
     def run():
         e = Engine()
-        for i in range(10_000):
-            e.at(i % 997, lambda: None)
+
+        def hop(left):
+            e.at(e.now, noop)
+            if left > 1:
+                e.call_after(1 + left % 3, hop, left - 1)
+
+        if form == "chained":
+            for i in range(100):
+                e.call_after(1 + i % 7, hop, 50)
+        else:
+            for i in range(10_000):
+                e.at(i % 997, lambda: None)
         e.drain()
         return e.events_processed
 

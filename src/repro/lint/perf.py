@@ -1,13 +1,13 @@
 """Performance rules: allocation discipline on the simulator hot path.
 
 The dense-suite optimization work (docs/performance.md, "Allocation-rate
-engineering") replaced per-event closures with pooled event records that
-carry at most two bound arguments (``Engine.call_at``/``call_after``,
+engineering") replaced per-event closures with up to two arguments bound
+into the event entry itself (``Engine.call_at``/``call_after``,
 ``Link.send``'s argument form).  A closure or nested function created on
-the hot path re-introduces exactly the per-event allocation the slab
-removed -- and nothing but a lint rule would notice, because the code
-still behaves identically.  This module makes the discipline checked
-instead of conventional.
+the hot path is one more allocation per event on top of that entry --
+and nothing but a lint rule would notice, because the code still
+behaves identically.  This module makes the discipline checked instead
+of conventional.
 
 Rule:
 
@@ -100,8 +100,8 @@ class HotPathAllocationRule(Rule):
     severity = "error"
     description = ("closure/lambda/partial constructed on the simulator "
                    "hot path (engine event loop, Link.send, tick() "
-                   "methods); bind arguments into the pooled event "
-                   "record (call_at/call_after/Link.send arg) or "
+                   "methods); bind arguments into the event entry "
+                   "(call_at/call_after/Link.send arg) or "
                    "annotate the site '# perf: alloc-ok -- why'")
     scope = ("repro.sim", "repro.gpu", "repro.memory", "repro.network",
              "repro.core")

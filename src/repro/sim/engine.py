@@ -20,109 +20,51 @@ import heapq
 import math
 from typing import Callable
 
-#: Sentinel for "no argument bound" in a pooled event record.  Distinct
-#: from ``None`` so callbacks may legitimately receive ``None``.
+#: Sentinel for "no argument bound" in an event entry.  Distinct from
+#: ``None`` so callbacks may legitimately receive ``None``.
 _NOARG = object()
-
-#: Width of the near-future calendar lane, in cycles.  Events landing
-#: within ``(now, now + CAL_SPAN]`` skip the heap entirely: the dominant
-#: delays on the dense hot path (L1/L2 latencies, link hops) are small
-#: constants, so most events ride the O(1) calendar instead of paying
-#: two O(log n) heap operations.
-CAL_SPAN = 8
-
-
-class _EventRecord:
-    """A pooled, reusable event.
-
-    Records are recycled through the engine's free list after they fire
-    (or after their tombstone drains), so steady-state scheduling does no
-    allocation.  ``gen`` is a generation stamp: it increments on every
-    recycle, so a stale handle held by a caller can never cancel (or
-    observe) a later tenant of the same record -- see :meth:`Engine.cancel`.
-    """
-
-    __slots__ = ("time", "seq", "fn", "a", "b", "gen")
-
-    def __init__(self) -> None:
-        self.time = 0
-        self.seq = 0
-        self.fn: Callable | None = None
-        self.a = _NOARG
-        self.b = _NOARG
-        self.gen = 0
-
-
-def _bucket_time(bucket: "list[_EventRecord]") -> int:
-    return bucket[0].time
 
 
 class Engine:
-    """An integer-time event queue with a pooled-record fast path.
+    """An integer-time event queue: one FIFO list per due cycle.
 
     Components call :meth:`at` / :meth:`after` to schedule callbacks; the
     system driver interleaves :meth:`process_due` with per-cycle component
     ticks and may fast-forward over idle regions with :meth:`next_event_time`.
 
-    Two scheduling lanes back the queue, invisible to callers:
-
-    * a **calendar lane** of ``CAL_SPAN`` buckets for events due within
-      ``(now, now + CAL_SPAN]`` -- append on schedule, splice on drain;
-    * the classic **heap** for same-cycle and far-future events.
-
-    :meth:`process_due` merges both lanes in strict global ``(time, seq)``
-    order, so lane placement can never reorder same-cycle events --
-    execution order is bit-identical to a single-heap engine.  The bucket
-    invariant that makes the merge cheap: outside of :meth:`process_due`
-    every bucket holds records of exactly one future time (a half-open
-    ``CAL_SPAN`` window meets each residue class once), appended in
-    ``seq`` order.
+    Each due cycle maps to a list of ``(fn, a, b)`` entries in scheduling
+    order, and a heap holds each due cycle once, so only the first event
+    of a cycle pays a heap push (most events join a cycle that is already
+    open).  :meth:`process_due` runs the due lists in cycle order; an
+    ``at(now)`` made by a callback joins the end of the list for ``now``,
+    after every event already due.  That is exactly the ``(time, seq)``
+    order of a single heap, without sequence numbers.
 
     Hot callers avoid per-event closure allocation with
     :meth:`call_at` / :meth:`call_after`, which bind up to two positional
-    arguments directly into the pooled record and hand back a cancellable
-    ``(record, generation)`` handle.
+    arguments into the event entry.
     """
 
     def __init__(self) -> None:
         self.now: int = 0
-        # far/same-cycle lane: (time, seq, record) tuples -- seq is unique,
-        # so heap comparisons never reach the record (C-speed ordering).
-        self._events: list[tuple[int, int, _EventRecord]] = []
-        self._cal: list[list[_EventRecord]] = [[] for _ in range(CAL_SPAN)]
-        self._cal_count = 0
-        self._free: list[_EventRecord] = []
-        self._seq = 0
+        self._due: dict[int, list[tuple]] = {}
+        self._times: list[int] = []    # heap of the keys of ``_due``
         self.events_processed = 0
-        self.events_recycled = 0
-        self.events_cancelled = 0
-        self.calendar_events = 0
+        self.calendar_events = 0       # joined an open cycle: no heap push
         self.subcycle_delays = 0
 
     # -- scheduling ----------------------------------------------------------
 
-    def _schedule(self, time: int, fn: Callable, a, b) -> _EventRecord:
-        now = self.now
-        if time < now:
-            raise ValueError(f"cannot schedule at {time} < now {now}")
-        free = self._free
-        if free:
-            rec = free.pop()
+    def _schedule(self, time: int, fn: Callable, a, b) -> None:
+        if time < self.now:
+            raise ValueError(f"cannot schedule at {time} < now {self.now}")
+        events = self._due.get(time)
+        if events is None:
+            self._due[time] = [(fn, a, b)]
+            heapq.heappush(self._times, time)
         else:
-            rec = _EventRecord()
-        self._seq += 1
-        rec.time = time
-        rec.seq = self._seq
-        rec.fn = fn
-        rec.a = a
-        rec.b = b
-        if now < time <= now + CAL_SPAN:
-            self._cal[time % CAL_SPAN].append(rec)
-            self._cal_count += 1
+            events.append((fn, a, b))
             self.calendar_events += 1
-        else:
-            heapq.heappush(self._events, (time, rec.seq, rec))
-        return rec
 
     def at(self, time: int, fn: Callable[[], None]) -> None:
         """Schedule ``fn`` to run at absolute cycle ``time``."""
@@ -153,151 +95,68 @@ class Engine:
             self.subcycle_delays += 1
         return math.ceil(delay)
 
-    def call_at(self, time: int, fn: Callable, a=_NOARG,
-                b=_NOARG) -> tuple[_EventRecord, int]:
+    def call_at(self, time: int, fn: Callable, a=_NOARG, b=_NOARG) -> None:
         """Like :meth:`at`, but binds up to two positional arguments into
-        the pooled event record -- the allocation-free form hot callers use
-        instead of constructing a closure per event.  Returns a
-        ``(record, generation)`` handle accepted by :meth:`cancel`."""
-        rec = self._schedule(int(time), fn, a, b)
-        return rec, rec.gen
+        the event entry -- the form hot callers use instead of
+        constructing a closure per event."""
+        self._schedule(int(time), fn, a, b)
 
     def call_after(self, delay: float, fn: Callable, a=_NOARG,
-                   b=_NOARG) -> tuple[_EventRecord, int]:
+                   b=_NOARG) -> None:
         """Argument-binding form of :meth:`after`; see :meth:`call_at`."""
-        rec = self._schedule(self.now + self._ceil_delay(delay), fn, a, b)
-        return rec, rec.gen
-
-    def cancel(self, rec: _EventRecord, gen: int) -> bool:
-        """Tombstone a scheduled event via its ``(record, generation)``
-        handle.  Returns ``True`` if the event was live and is now dead.
-
-        No allocation and no queue surgery: the record stays in its lane
-        and is recycled when its time drains.  A stale handle -- the event
-        already fired, was already cancelled, or the record now serves a
-        later tenant -- is rejected by the generation stamp and this is a
-        no-op, so double-cancel and cancel-after-fire are always safe."""
-        if rec.gen != gen or rec.fn is None:
-            return False
-        rec.fn = None
-        rec.a = _NOARG
-        rec.b = _NOARG
-        self.events_cancelled += 1
-        return True
+        self._schedule(self.now + self._ceil_delay(delay), fn, a, b)
 
     # -- dispatch ------------------------------------------------------------
 
-    def _recycle(self, rec: _EventRecord) -> None:
-        rec.gen += 1
-        rec.fn = None
-        rec.a = _NOARG
-        rec.b = _NOARG
-        self._free.append(rec)
-        self.events_recycled += 1
-
-    def _take_due_calendar(self) -> list[_EventRecord] | None:
-        """Splice out every due calendar bucket, merged in (time, seq)
-        order.  Buckets are single-time and seq-ordered (class invariant),
-        so this is a bucket sort, not a record sort."""
-        now = self.now
-        cal = self._cal
-        due_buckets: list[list[_EventRecord]] | None = None
-        for i in range(CAL_SPAN):
-            b = cal[i]
-            if b and b[0].time <= now:
-                cal[i] = []
-                self._cal_count -= len(b)
-                if due_buckets is None:
-                    due_buckets = [b]
-                else:
-                    due_buckets.append(b)
-        if due_buckets is None:
-            return None
-        if len(due_buckets) == 1:
-            return due_buckets[0]
-        due_buckets.sort(key=_bucket_time)
-        merged = due_buckets[0]
-        for b in due_buckets[1:]:
-            merged.extend(b)
-        return merged
-
     def process_due(self) -> int:
-        """Run all events scheduled at or before the current cycle, in
-        strict global ``(time, seq)`` order across both lanes."""
+        """Run all events scheduled at or before the current cycle, cycle
+        by cycle, each cycle's events in scheduling order."""
+        times = self._times
         now = self.now
+        due = self._due
         n = 0
-        heap = self._events
-        due = self._take_due_calendar() if self._cal_count else None
-        # After the splice above, callbacks can only add same-cycle events
-        # to the heap (``at(now)``) or strictly-future events to either
-        # lane, so re-checking the heap head each iteration is sufficient.
-        i = 0
-        nd = len(due) if due is not None else 0
-        while True:
-            if i < nd:
-                rec = due[i]
-                if heap:
-                    h = heap[0]
-                    ht = h[0]
-                    if ht <= now and (ht < rec.time or
-                                      (ht == rec.time and h[1] < rec.seq)):
-                        rec = heapq.heappop(heap)[2]
-                    else:
-                        i += 1
-                else:
-                    i += 1
-            elif heap and heap[0][0] <= now:
-                rec = heapq.heappop(heap)[2]
-            else:
-                break
-            fn = rec.fn
-            if fn is not None:
-                a = rec.a
+        while times and times[0] <= now:
+            t = times[0]
+            events = due[t]
+            # The list stays open while it runs, so an at(now) made by a
+            # callback joins its end; list iteration picks it up.
+            for fn, a, b in events:
                 if a is _NOARG:
                     fn()
-                elif rec.b is _NOARG:
+                elif b is _NOARG:
                     fn(a)
                 else:
-                    fn(a, rec.b)
-                n += 1
-            self._recycle(rec)
+                    fn(a, b)
+            del due[t]
+            heapq.heappop(times)
+            n += len(events)
         self.events_processed += n
         return n
 
     def next_event_time(self) -> int | None:
-        t = self._events[0][0] if self._events else None
-        if self._cal_count:
-            for b in self._cal:
-                if b:
-                    bt = b[0].time
-                    if t is None or bt < t:
-                        t = bt
-        return t
+        return self._times[0] if self._times else None
 
     @property
     def pending(self) -> int:
-        """Scheduled-but-undrained events (tombstoned cancellations count
-        until their time passes -- they still bound fast-forward)."""
-        return len(self._events) + self._cal_count
+        """Scheduled-but-undrained events.  Counting walks the open
+        cycles; a per-cycle check asks ``next_event_time() is None``."""
+        return sum(map(len, self._due.values()))
 
     def metrics_snapshot(self) -> dict:
-        """Counters/gauges published into the metrics registry."""
+        """Counters/gauges published into the metrics registry.
+        ``events_recycled`` stays for the benchmark's reader and is 0:
+        nothing is pooled."""
         return {"cycle": self.now, "pending_events": self.pending,
                 "events_processed": self.events_processed,
-                "events_recycled": self.events_recycled,
-                "events_cancelled": self.events_cancelled,
+                "events_recycled": 0,
                 "calendar_events": self.calendar_events,
-                "event_pool_free": len(self._free),
                 "subcycle_delays": self.subcycle_delays}
 
-    def drain(self, limit_cycles: int = 10 ** 9) -> None:
+    def drain(self) -> None:
         """Advance time event-to-event until the queue is empty (tests)."""
-        deadline = self.now + limit_cycles
-        while self.now <= deadline:
-            t = self.next_event_time()
-            if t is None:
-                break
-            self.now = max(self.now, t)
+        times = self._times
+        while times:
+            self.now = max(self.now, times[0])
             self.process_due()
 
 
@@ -364,8 +223,8 @@ class Link:
 
         Returns the delivery cycle.  Serialization queues behind earlier
         packets (``busy_until``); propagation latency is added on top.
-        ``arg``, when given, is bound into the pooled event record and
-        passed to ``deliver`` -- hot senders use this instead of building
+        ``arg``, when given, is bound into the event entry and passed to
+        ``deliver`` -- hot senders use this instead of building
         a closure per packet.
         """
         if size_bytes <= 0:

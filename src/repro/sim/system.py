@@ -526,7 +526,9 @@ class System:
                  engine=self.engine.metrics_snapshot())
 
     def _finished(self) -> bool:
-        if self.engine.pending:
+        # Runs every stepped cycle: an open due cycle means events are
+        # pending, without counting them.
+        if self.engine.next_event_time() is not None:
             return False
         if any(not sm.done for sm in self.sms):
             return False

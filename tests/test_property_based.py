@@ -1,6 +1,9 @@
 """Property-based tests (hypothesis) for core data structures and
 invariants."""
 
+import heapq
+import math
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -158,6 +161,141 @@ class TestTopologyProperties:
         for a, b in zip(path, path[1:]):
             assert bin(a ^ b).count("1") == 1
         assert len(path) - 1 == bin(src ^ dst).count("1")
+
+
+class HeapOracle:
+    """Reference event queue: one heap of ``(time, seq)`` entries, the
+    order the engine must reproduce."""
+
+    def __init__(self):
+        self.now = 0
+        self.heap = []
+        self.seq = 0
+
+    def call_at(self, time, fn, *args):
+        assert time >= self.now
+        self.seq += 1
+        heapq.heappush(self.heap, (time, self.seq, fn, args))
+
+    def call_after(self, delay, fn, *args):
+        self.call_at(self.now + math.ceil(delay), fn, *args)
+
+    def at(self, time, fn):
+        self.call_at(time, fn)
+
+    def after(self, delay, fn):
+        self.call_after(delay, fn)
+
+    def process_due(self):
+        while self.heap and self.heap[0][0] <= self.now:
+            _, _, fn, args = heapq.heappop(self.heap)
+            fn(*args)
+
+    def next_event_time(self):
+        return self.heap[0][0] if self.heap else None
+
+    @property
+    def pending(self):
+        return len(self.heap)
+
+    def drain(self):
+        while self.heap:
+            self.now = max(self.now, self.heap[0][0])
+            self.process_due()
+
+
+#: Offsets for ``at``/``call_at`` and delays for ``after``/``call_after``:
+#: small ones collide on the same cycles, a few are far.
+OFFSETS = st.sampled_from([0, 0, 1, 2, 3]) | st.sampled_from([40, 300])
+DELAYS = st.sampled_from([1, 1, 2, 3, 0.5, 2.5]) | st.sampled_from([40, 300])
+BOUND = st.lists(st.sampled_from([None, 0, "x"]), max_size=2)
+
+
+def _event_op(children):
+    """One scheduling call: ``(method, when, bound args, children)``.  A
+    callback made by it schedules its children when it runs."""
+    return st.one_of(
+        st.tuples(st.just("at"), OFFSETS, st.just(()), children),
+        st.tuples(st.just("after"), DELAYS, st.just(()), children),
+        st.tuples(st.just("call_at"), OFFSETS, BOUND.map(tuple), children),
+        st.tuples(st.just("call_after"), DELAYS, BOUND.map(tuple),
+                  children))
+
+
+EVENT_OPS = st.recursive(_event_op(st.just(())),
+                         lambda ops: _event_op(st.lists(ops, max_size=3)),
+                         max_leaves=25)
+
+
+def schedule_op(engine, op, label, log):
+    """Schedule ``op`` on ``engine``; its callback logs ``label``, the
+    cycle and the arguments it got, then schedules its children."""
+    method, when, args, children = op
+
+    def fire(*got):
+        log.append((label, engine.now, got))
+        for i, child in enumerate(children):
+            schedule_op(engine, child, label + (i,), log)
+
+    if method == "at":
+        engine.at(engine.now + when, fire)
+    elif method == "after":
+        engine.after(when, fire)
+    elif method == "call_at":
+        engine.call_at(engine.now + when, fire, *args)
+    else:
+        engine.call_after(when, fire, *args)
+
+
+class TestEngineProperties:
+    """The engine's dispatch order, ``pending`` and ``next_event_time``
+    equal a single ``(time, seq)`` heap's on drawn schedule programs:
+    top-level calls at cycle 0, calls injected after ``process_due`` at
+    later cycles (as ticks make them), and callbacks that schedule more
+    events at ``now`` and later."""
+
+    @staticmethod
+    def step(engine, program, injected):
+        """Drive one cycle at a time; returns the dispatch log and the
+        ``(now, pending, next_event_time)`` trail after each cycle."""
+        log, trail = [], []
+        for i, op in enumerate(program):
+            schedule_op(engine, op, (i,), log)
+        last = max((c for c, _ in injected), default=0)
+        while True:
+            engine.process_due()
+            for i, (cycle, op) in enumerate(injected):
+                if cycle == engine.now:
+                    schedule_op(engine, op, ("tick", i), log)
+            nt = engine.next_event_time()
+            trail.append((engine.now, engine.pending, nt))
+            if nt is None and engine.now >= last:
+                return log, trail
+            engine.now += 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(EVENT_OPS, min_size=1, max_size=6),
+           st.lists(st.tuples(st.integers(0, 6), EVENT_OPS), max_size=3))
+    def test_stepping_matches_heap_oracle(self, program, injected):
+        e = Engine()
+        log, trail = self.step(e, program, injected)
+        assert (log, trail) == self.step(HeapOracle(), program, injected)
+        assert e.events_processed == len(log)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(EVENT_OPS, min_size=1, max_size=6))
+    def test_drain_matches_heap_oracle(self, program):
+        runs = []
+        for engine in (Engine(), HeapOracle()):
+            log = []
+            for i, op in enumerate(program):
+                schedule_op(engine, op, (i,), log)
+            before = (engine.pending, engine.next_event_time())
+            engine.drain()
+            runs.append((log, before, engine.now, engine.pending,
+                         engine.next_event_time()))
+        assert runs[0] == runs[1]
+        assert runs[0][3:] == (0, None)
 
 
 class TestLinkProperties:

@@ -1,8 +1,8 @@
-"""Tests for the allocation-rate machinery: pooled event records with
-generation stamps, the DRAMRequest free list and its reset() contract,
-and hop-walk recycling in the memory network (docs/performance.md).
-MSHR-full structural parking is checked by the differential test in
-``tests/test_baseline_recovery.py``."""
+"""Tests for the allocation-rate machinery: the DRAMRequest free list
+and its reset() contract, and hop-walk recycling in the memory network
+(docs/performance.md).  MSHR-full structural parking is checked by the
+differential test in ``tests/test_baseline_recovery.py``; event ordering
+by ``tests/test_sim_engine.py`` and ``tests/test_property_based.py``."""
 
 import pytest
 
@@ -12,59 +12,6 @@ from repro.memory.vault import DRAMRequest, DRAMRequestPool
 from repro.network.fabric import MemoryNetwork
 from repro.sim.engine import Engine, LinkCounters
 from repro.sim.runner import build_system
-
-
-class TestEventRecycling:
-    def test_cancel_prevents_dispatch(self):
-        e = Engine()
-        fired = []
-        rec, gen = e.call_after(3, fired.append, "x")
-        assert e.cancel(rec, gen) is True
-        e.drain()
-        assert fired == []
-        assert e.metrics_snapshot()["events_cancelled"] == 1
-
-    def test_cancel_is_single_shot(self):
-        e = Engine()
-        rec, gen = e.call_after(3, lambda: None)
-        assert e.cancel(rec, gen) is True
-        assert e.cancel(rec, gen) is False
-
-    def test_stale_generation_rejected_after_recycle(self):
-        # Once an event fires, its record returns to the pool and its
-        # generation bumps; a cancel with the stale handle must neither
-        # succeed nor disturb the record's next occupant.
-        e = Engine()
-        first, second = [], []
-        rec1, gen1 = e.call_after(1, first.append, 1)
-        e.drain()
-        assert first == [1]
-        rec2, gen2 = e.call_after(1, second.append, 2)
-        assert rec2 is rec1          # LIFO free list reuses the record
-        assert gen2 != gen1
-        assert e.cancel(rec1, gen1) is False
-        e.drain()
-        assert second == [2]
-
-    def test_recycle_metrics_exported(self):
-        e = Engine()
-        for i in range(1, 6):
-            e.after(i, lambda: None)
-        e.drain()
-        snap = e.metrics_snapshot()
-        assert snap["events_recycled"] == 5
-        assert snap["event_pool_free"] > 0
-
-    def test_cancelled_event_keeps_pending_until_drained(self):
-        # Tombstones stay in the queue until their cycle passes; the
-        # run loop's termination check (engine.pending) must still see
-        # them so time advances past the cancelled slot.
-        e = Engine()
-        rec, gen = e.call_after(2, lambda: None)
-        e.cancel(rec, gen)
-        assert e.pending == 1
-        e.drain()
-        assert e.pending == 0
 
 
 class TestDRAMRequestPool:

@@ -63,6 +63,26 @@ class TestEngine:
         e.drain()
         assert out == [4]
 
+    def test_at_now_from_callback_runs_after_due_events(self):
+        # An at(now) made by a callback runs in the same process_due
+        # call, after every event that was already due, whether the
+        # callback was due at an earlier cycle or at now.
+        e = Engine()
+        out = []
+
+        def run(name):
+            out.append(name)
+            e.at(e.now, lambda: out.append(f"{name}+"))
+
+        e.call_at(2, run, "early")
+        e.call_at(3, run, "due")
+        e.at(4, lambda: out.append("later"))
+        e.now = 3
+        assert e.process_due() == 4
+        assert out == ["early", "due", "early+", "due+"]
+        assert e.pending == 1
+        assert e.next_event_time() == 4
+
     def test_process_due_only_runs_due(self):
         e = Engine()
         out = []
