@@ -13,8 +13,6 @@ Everything the CLI can do is reachable from Python through four calls:
   workload), parallel by default, returning a :class:`ChaosReport`.
 * :func:`make_runner` -- the shared :class:`ExperimentRunner` factory for
   figure/report-style grid consumers.
-* :func:`bench` -- the pinned simulator-performance grid
-  (:mod:`repro.perf`), with baseline files and ``--compare`` support.
 * :func:`explore` -- design-space exploration (:mod:`repro.explore`):
   a search agent over :class:`SystemConfig` knobs, evaluated through
   the store-backed parallel pool.  See ``docs/design-space.md``.
@@ -41,10 +39,10 @@ from repro.sim.store import ResultStore, cell_key
 from repro.sim.system import SimulationTimeout
 from repro.sim.validate import audit_system
 
-__all__ = ["BenchOutcome", "ChaosCell", "ChaosReport", "RunOutcome",
-           "RunRequest", "SweepOutcome", "base_config", "bench", "chaos",
-           "explore", "fault_plan", "lint", "loadtest", "make_runner",
-           "resolve_store", "run", "serve", "sweep"]
+__all__ = ["ChaosCell", "ChaosReport", "RunOutcome", "RunRequest",
+           "SweepOutcome", "base_config", "chaos", "explore", "fault_plan",
+           "lint", "loadtest", "make_runner", "resolve_store", "run", "serve",
+           "sweep"]
 
 
 # -- shared resolution helpers (subsume the old private cli plumbing) --------
@@ -447,57 +445,6 @@ def chaos(*, scenario: str = "rdf-drop", rates=(0.0, 0.01, 0.05),
         ref_energy_nj=ref_energy, cells=cells, stats=runner.stats,
         store_root=str(runner.store.root) if runner.store else None,
         ref_audit_failures=ref_failures)
-
-
-# -- simulator performance ----------------------------------------------------
-
-@dataclass
-class BenchOutcome:
-    """What :func:`bench` produced: the measurement report, where it was
-    written (None when not persisted) and the optional comparison against
-    a baseline report."""
-
-    report: dict
-    path: str | None = None
-    comparison: dict | None = None
-
-    @property
-    def geomean_speedup(self) -> float | None:
-        return self.comparison["geomean"] if self.comparison else None
-
-
-def bench(*, suites=("sparse",), quick: bool = False,
-          repeats: int = 2, max_cycles: int = 20_000_000,
-          backend: str | None = None,
-          out: str | None = None, compare: str | None = None,
-          explore_best: str | None = None,
-          profile: bool = False, profile_top: int = 15,
-          progress=None) -> BenchOutcome:
-    """Run the pinned simulator benchmark grid (:mod:`repro.perf.bench`).
-
-    Times the *simulator*, not the simulated machine: every cell builds
-    and runs fresh (the result store is never consulted).  ``out`` is a
-    directory to write ``BENCH_<rev>.json`` into (None skips the write);
-    ``compare`` is a previously written report to compute per-cell and
-    geomean speedups against.  ``explore_best`` is a ``best_configs.json``
-    from :func:`explore`: its rank-1 configuration is timed as one extra
-    labelled cell.  ``profile`` adds one *untimed* cProfile repeat per
-    cell: the top-``profile_top`` cumulative-time functions land in the
-    report and the full pstats artifact next to it (timed samples are
-    never profiled, so ``wall_s`` stays comparable).  See
-    docs/performance.md.
-    """
-    from repro.perf import bench as perf
-    report = perf.run_bench(suites=suites, quick=quick,
-                            repeats=repeats, max_cycles=max_cycles,
-                            backend=backend,
-                            explore_best=explore_best,
-                            profile_dir=(out or ".") if profile else None,
-                            profile_top=profile_top, progress=progress)
-    path = perf.write_report(report, out) if out is not None else None
-    comparison = (perf.compare(report, perf.load_report(compare))
-                  if compare else None)
-    return BenchOutcome(report=report, path=path, comparison=comparison)
 
 
 # -- design-space exploration -------------------------------------------------

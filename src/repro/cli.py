@@ -13,9 +13,6 @@ Commands
 * ``overhead``                          -- §7.5 hardware overhead
 * ``chaos``                             -- fault-rate degradation sweep
 * ``lint [PATHS...]``                   -- static determinism/protocol analyzer
-* ``bench``                             -- simulator wall-clock benchmark
-  (pinned grid, ``BENCH_<rev>.json`` baselines, ``--compare``,
-  ``--explore-best``)
 * ``explore WORKLOAD``                  -- design-space search over
   SystemConfig knobs (seeded agents, JSONL trajectories, ``--resume``,
   ``--plot`` best-so-far curves; see docs/design-space.md)
@@ -389,40 +386,6 @@ def cmd_lint(args) -> int:
     return report.exit_code
 
 
-def cmd_bench(args) -> int:
-    """Time the pinned simulator benchmark grid (docs/performance.md)."""
-    from repro.perf import format_compare
-
-    suites = tuple(s.strip() for s in args.suites.split(",") if s.strip())
-    try:
-        out = api.bench(suites=suites, quick=args.quick,
-                        repeats=args.repeats, max_cycles=args.max_cycles,
-                        backend=args.backend,
-                        out=args.out, compare=args.compare,
-                        explore_best=args.explore_best,
-                        profile=args.profile, profile_top=args.profile_top,
-                        progress=print)
-    except (KeyError, ValueError, OSError) as e:
-        print(str(e.args[0]) if e.args else str(e), file=sys.stderr)
-        return 2
-    if args.profile:
-        for cell in out.report["cells"]:
-            if not cell.get("profile"):
-                continue
-            print(f"\nprofile {cell['workload']}/{cell['config']} "
-                  f"(untimed repeat; full graph: {cell['profile_path']})")
-            print(f"  {'cumtime':>9} {'tottime':>9} {'ncalls':>10}  function")
-            for row in cell["profile"]:
-                print(f"  {row['cumtime']:9.3f} {row['tottime']:9.3f} "
-                      f"{row['ncalls']:>10}  {row['func']}")
-    if out.path:
-        print(f"wrote {out.path}")
-    if out.comparison is not None:
-        for line in format_compare(out.comparison):
-            print(line)
-    return 0
-
-
 def cmd_explore(args) -> int:
     """Search the NDP design space (docs/design-space.md)."""
     from repro.explore.report import format_best, format_generations
@@ -509,6 +472,9 @@ def cmd_loadtest(args) -> int:
             workload=args.workload, config=args.config, scale=args.scale,
             max_cycles=args.max_cycles, mix=args.mix, out=args.out,
             sanitize=args.sanitize, progress=print)
+    except ValueError as e:
+        print(f"loadtest: {e}", file=sys.stderr)
+        return 2
     except OSError as e:
         print(f"loadtest failed against {args.url}: "
               f"{e.args[0] if e.args else e}", file=sys.stderr)
@@ -679,32 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "rewriting files")
     pl.set_defaults(fn=cmd_lint)
 
-    pb = sub.add_parser("bench")
-    pb.add_argument("--suites", default="sparse",
-                    help="comma-separated bench suites (sparse, dense; "
-                         "default sparse -- the pinned grid ignores "
-                         "--scale/--workloads)")
-    pb.add_argument("--quick", action="store_true",
-                    help="run the 2-cell CI smoke subset")
-    pb.add_argument("--repeats", type=int, default=2,
-                    help="timed runs per cell; best is recorded (default 2)")
-    pb.add_argument("--max-cycles", type=int, default=20_000_000)
-    pb.add_argument("--out", default=".", metavar="DIR",
-                    help="directory for BENCH_<rev>.json (default: cwd)")
-    pb.add_argument("--compare", metavar="FILE",
-                    help="baseline BENCH_*.json to compute speedups against")
-    pb.add_argument("--explore-best", metavar="FILE",
-                    help="best_configs.json from 'repro explore': time its "
-                         "rank-1 configuration as one extra cell")
-    pb.add_argument("--profile", action="store_true",
-                    help="add one untimed cProfile repeat per cell: top-N "
-                         "table in the report, pstats artifact in --out "
-                         "(timed samples are never profiled)")
-    pb.add_argument("--profile-top", type=int, default=15, metavar="N",
-                    help="rows kept in the per-cell profile table "
-                         "(default 15)")
-    pb.set_defaults(fn=cmd_bench)
-
     px = sub.add_parser("explore")
     px.add_argument("workload")
     px.add_argument("--space", default="default",
@@ -799,7 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "small offsets to it (default 2000000)")
     plt.add_argument("--mix", default="run",
                      help="comma-separated job kinds to mix in "
-                          "(run,sweep,chaos,bench,explore; default run)")
+                          "(run,sweep,chaos,explore; default run)")
     plt.add_argument("--out", metavar="REPORT.json",
                      help="write the full traffic report as JSON")
     plt.add_argument("--expect-rejections", action="store_true",

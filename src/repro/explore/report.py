@@ -1,13 +1,12 @@
 """Exploration artifacts: ``best_configs.json`` and text tables.
 
 ``best_configs.json`` is the durable hand-off between an exploration run
-and everything downstream (``repro bench --explore-best``, a follow-up
-sweep, a human).  It carries the run's provenance (space name +
-fingerprint, workload, scale, fitness, agent, seed) and the ``top_k``
-entries with their content-addressed store keys, so a consumer can both
-rebuild the winning configuration *and* pull its cached result without
-re-simulating.  Deliberately timestamp-free: two seeded runs write
-byte-identical files.
+and everything downstream (a follow-up sweep, a human).  It carries the
+run's provenance (space name + fingerprint, workload, scale, fitness,
+agent, seed) and the ``top_k`` entries with their content-addressed
+store keys, so a consumer can both rebuild the winning configuration
+*and* pull its cached result without re-simulating.  Deliberately
+timestamp-free: two seeded runs write byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ import json
 import os
 import tempfile
 
-__all__ = ["best_bench_cell", "format_best", "format_generations",
-           "load_best_configs", "write_best_configs"]
+__all__ = ["format_best", "format_generations", "load_best_configs",
+           "write_best_configs"]
 
 BEST_KIND = "repro-explore-best"
 BEST_VERSION = 1
@@ -63,29 +62,6 @@ def load_best_configs(path: str) -> dict:
     if payload.get("kind") != BEST_KIND:
         raise ValueError(f"{path} is not a {BEST_KIND} file")
     return payload
-
-
-def best_bench_cell(path: str):
-    """Resolve a ``best_configs.json`` into the ``(workload, config_name,
-    base_config, label)`` of its rank-1 entry, for ``repro bench
-    --explore-best``.  Refuses when the named space's current definition
-    no longer matches the file's fingerprint (the point would silently
-    materialize differently)."""
-    from repro.explore.space import resolve_space
-
-    payload = load_best_configs(path)
-    entries = payload.get("entries") or []
-    if not entries:
-        raise ValueError(f"{path} has no best entries to benchmark")
-    sp = resolve_space(payload["space"]["name"])
-    if sp.fingerprint() != payload["space"]["fingerprint"]:
-        raise ValueError(
-            f"{path}: search space {sp.name!r} has changed since this "
-            "exploration ran (fingerprint mismatch); re-run repro explore")
-    best = entries[0]
-    config_name, cfg = sp.materialize(best["point"])
-    label = f"explore[{payload['fitness']}]:{config_name}"
-    return payload["workload"], config_name, cfg, label
 
 
 def format_generations(outcome) -> str:

@@ -202,7 +202,7 @@ class SearchSpace:
         """SHA-256 of the spec: knob names+values, constraint names and
         the full base config.  Appliers are assumed to be determined by
         the knob name (true for the named spaces below); ``--resume``
-        and ``bench --explore-best`` refuse on a fingerprint mismatch."""
+        refuses on a fingerprint mismatch."""
         payload = json.dumps(self.spec(), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()
 

@@ -44,7 +44,7 @@ class FacadeDriftRule(Rule):
     #: sense with live Python objects in hand.
     PROGRAMMATIC_ONLY = frozenset({
         "base", "request", "runner", "verbose", "rate", "seed",
-        # bench: a per-cell progress callback (the CLI passes print).
+        # explore/loadtest: a progress callback (the CLI passes print).
         "progress",
         # serve: foreground vs. background is a calling-convention choice
         # (the CLI always serves in the foreground).

@@ -71,9 +71,6 @@ class ServeClient:
     def chaos(self, **payload) -> dict:
         return self.request("POST", "/v1/chaos", payload)
 
-    def bench(self, **payload) -> dict:
-        return self.request("POST", "/v1/bench", payload)
-
     def explore(self, **payload) -> dict:
         return self.request("POST", "/v1/explore", payload)
 

@@ -14,7 +14,7 @@ the full tour):
 * ``serve.*`` metrics in a :class:`~repro.sim.metrics.MetricsRegistry`,
   exported as the standard JSONL stream on shutdown.
 
-Endpoints (all JSON): ``POST /v1/{run,sweep,chaos,bench,explore}``,
+Endpoints (all JSON): ``POST /v1/{run,sweep,chaos,explore}``,
 ``POST /v1/batch`` (many jobs per request, per-item statuses),
 ``POST /v1/shutdown``, ``GET /v1/{healthz,stats,metrics}``.  Errors are
 structured: ``{"error": <type>, "detail": <message>}`` with 400 for

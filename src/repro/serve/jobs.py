@@ -1,7 +1,7 @@
 """Job model for the serve daemon: the fair queue and the coalescer.
 
 A :class:`Job` is one unit of simulation work (a run, a sweep, a chaos
-grid, a bench or an explore call) identified by a content-derived key.
+grid or an explore call) identified by a content-derived key.
 Two structures route jobs between the HTTP threads and the shard pool:
 
 * :class:`JobQueue` -- a blocking queue with **round-robin client
@@ -30,7 +30,7 @@ __all__ = ["Coalescer", "Job", "JobQueue", "QueueClosed", "job_fingerprint"]
 
 
 def job_fingerprint(kind: str, payload: dict) -> str:
-    """Content-derived key for non-run jobs (sweep/chaos/bench/explore):
+    """Content-derived key for non-run jobs (sweep/chaos/explore):
     sha256 over the kind and the canonical JSON of the payload, so two
     identical grid requests coalesce exactly like two identical cells."""
     canon = json.dumps(payload, sort_keys=True, default=repr)
@@ -47,7 +47,7 @@ class Job:
     requests are blocked on :attr:`future` (1 for the admitting request;
     +1 per coalesced duplicate)."""
 
-    kind: str                      # run / sweep / chaos / bench / explore
+    kind: str                      # run / sweep / chaos / explore
     key: str
     payload: dict
     client: str

@@ -6,10 +6,9 @@ of duplicate cells (every client asks for the same cells, lining up on
 a barrier before *each* one so the duplicates pile onto the in-flight
 job and coalesce) followed by a seeded-shuffled tail of cells unique to
 that client.  ``duplicates`` sets the shared fraction; ``mix`` can swap
-some unique slots for sweep/chaos/bench/explore requests to exercise
-every endpoint.  Cells are distinguished by their ``max_cycles`` (part
-of the store key), so unique cells cost the same wall-clock as
-duplicates.
+some unique slots for sweep/chaos/explore requests to exercise every
+endpoint.  Cells are distinguished by their ``max_cycles`` (part of the
+store key), so unique cells cost the same wall-clock as duplicates.
 
 The report is one JSON-able dict: throughput, latency percentiles
 (measured client-side), per-source response counts, the coalesce-hit and
@@ -50,8 +49,6 @@ def _grid_payloads(scale: str, max_cycles: int) -> dict:
                   "rates": [0.0, 0.01], "configs": ["NDP(Dyn)"],
                   "workloads": ["VADD"], "scale": scale,
                   "max_cycles": max_cycles},
-        "bench": {"kind": "bench", "quick": True, "repeats": 1,
-                  "max_cycles": max_cycles},
         "explore": {"kind": "explore", "workload": "VADD", "space": "tiny",
                     "generations": 1, "population": 2, "seed": 0,
                     "scale": scale, "max_cycles": max_cycles},
@@ -61,7 +58,12 @@ def _grid_payloads(scale: str, max_cycles: int) -> dict:
 def build_schedule(*, clients: int, requests: int, duplicates: float,
                    seed: int, workload: str, config: str, scale: str,
                    max_cycles: int, mix: str = "run") -> list[list[dict]]:
-    """One request list per client.  Deterministic per seed."""
+    """One request list per client.  Deterministic per seed.
+
+    Each non-run kind in ``mix`` replaces one unique slot: kind ``i``
+    goes to client ``i % clients``, in slot ``i // clients`` counted from
+    the end.  Raises ``ValueError`` for an unknown kind, or when the
+    unique slots cannot hold every kind."""
     import numpy as np
 
     clients = max(1, int(clients))
@@ -83,15 +85,23 @@ def build_schedule(*, clients: int, requests: int, duplicates: float,
     kinds = [k.strip() for k in mix.split(",") if k.strip()]
     extras = [k for k in kinds if k != "run"]
     grid = _grid_payloads(scale, int(max_cycles))
+    unknown = [k for k in extras if k not in grid]
+    if unknown:
+        raise ValueError(f"unknown job kind(s) {', '.join(unknown)} in mix; "
+                         f"choose from run, {', '.join(grid)}")
+    if len(extras) > clients * unique:
+        raise ValueError(f"mix needs {len(extras)} unique slot(s) for "
+                         f"{', '.join(extras)}, but {clients} client(s) x "
+                         f"{unique} unique request(s) give "
+                         f"{clients * unique}")
     schedules: list[list[dict]] = []
     for c in range(clients):
         plan = [run_payload(j, True) for j in range(shared)]
         own = [run_payload(1000 + c * unique + j, False)
                for j in range(unique)]
         for i, kind in enumerate(extras):
-            # Round-robin the non-run kinds over clients' last unique slot.
-            if own and i % clients == c:
-                own[-1] = dict(grid[kind], cell=f"{kind}-0")
+            if i % clients == c:
+                own[-1 - i // clients] = dict(grid[kind], cell=f"{kind}-0")
         order = rng.permutation(len(own))
         plan.extend(own[i] for i in order)
         schedules.append(plan)

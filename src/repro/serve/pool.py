@@ -34,7 +34,7 @@ from repro.executor import CellExecutor, WorkerLost
 __all__ = ["ShardPool", "execute_job", "run_key"]
 
 #: Job kinds the executor understands (the daemon's POST endpoints).
-JOB_KINDS = ("run", "sweep", "chaos", "bench", "explore")
+JOB_KINDS = ("run", "sweep", "chaos", "explore")
 
 #: RunRequest fields settable over the wire (JSON-able only: no live
 #: SystemConfig / FaultPlan / MetricsRegistry objects cross the HTTP or
@@ -292,17 +292,6 @@ def _exec_chaos(payload: dict) -> dict:
     }
 
 
-def _exec_bench(payload: dict) -> dict:
-    from repro import api
-
-    out = api.bench(suites=tuple(payload.get("suites", ("sparse",))),
-                    quick=bool(payload.get("quick", True)),
-                    repeats=int(payload.get("repeats", 1)),
-                    max_cycles=int(payload.get("max_cycles", 20_000_000)),
-                    out=None)
-    return {"kind": "bench", "report": out.report}
-
-
 def _exec_explore(payload: dict) -> dict:
     from repro import api
 
@@ -332,7 +321,7 @@ def _exec_explore(payload: dict) -> dict:
 
 
 _EXECUTORS = {"run": _exec_run, "sweep": _exec_sweep, "chaos": _exec_chaos,
-              "bench": _exec_bench, "explore": _exec_explore}
+              "explore": _exec_explore}
 
 
 def execute_job(kind: str, payload: dict) -> dict:

@@ -242,7 +242,6 @@ class TestValidation:
         for call in (lambda: _request(sched="active"),
                      lambda: build_system("VADD", "Baseline", sched="active"),
                      lambda: api.make_runner(sched="active"),
-                     lambda: api.bench(sched="active"),
                      lambda: api.explore(sched="active")):
             with pytest.raises(TypeError, match="sched"):
                 call()

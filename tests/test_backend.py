@@ -9,6 +9,8 @@ makes:
   store keys as fingerprints minted before the field existed);
 * the ``cxl`` backend is a genuinely different machine (its own pinned
   digests, zero intra-stack NoC traffic, separated store keys);
+* both backends keep their bench-scale pins on the full paper
+  configuration (:class:`TestDensePins`);
 * every backend honours the shared protocol contract (registry
   completeness, resolve semantics, unarmed-chaos identity, CODA
   placement determinism).
@@ -20,7 +22,7 @@ import json
 
 import pytest
 
-from repro.config import BACKEND_NAMES, ci_config
+from repro.config import BACKEND_NAMES, ci_config, paper_config
 from repro.faults import get_scenario
 from repro.memory.backend import (
     BACKENDS,
@@ -153,6 +155,31 @@ class TestCXLDigests:
             "f5a3e31876cd409ffdcd1bcdf98f052b386d6e99dc1db516b4bbaea4198ca544"
         }
         assert digests != {self.EXPECTED[("VADD", "NDP(Dyn)")]}
+
+
+class TestDensePins:
+    """Bench-scale digests of the paper configuration (64 SMs, seed 1).
+    With the hmc STCL and MiniFE Baseline pins, which the repository
+    benchmark checks (``bench/test_bench.py``), these are the six dense
+    cells whose digests every push must reproduce."""
+
+    EXPECTED = {
+        ("hmc", "BFS", "NDP(Dyn)"):
+            "07ffd34980a711e7ce2b49ee5c85b8f684b1cfb6d08f8cb3d533af6742dea60f",
+        ("cxl", "BFS", "NDP(Dyn)"):
+            "b5d034da80ad7c57fb5998c52a94c19c0292bc0e19ee74725c7e4d770a34534b",
+        ("cxl", "STCL", "Baseline"):
+            "4488efe5b407d7cbe59e69318107b672f0bd8c44c9a27c8ca0f273dd8fff7ce4",
+        ("cxl", "MiniFE", "Baseline"):
+            "2e670a70c195e99dd3b0da92e74d38fac6ac08fe6b1d8daf11617703a681fdd5",
+    }
+
+    @pytest.mark.parametrize("backend,workload,config", sorted(EXPECTED))
+    def test_dense_digest_pinned(self, backend, workload, config):
+        base = paper_config().with_backend(backend)
+        system = build_system(workload, config, base=base, scale="bench")
+        result = system.run(max_cycles=20_000_000)
+        assert _digest(result) == self.EXPECTED[(backend, workload, config)]
 
 
 class TestStoreKeySeparation:

@@ -16,8 +16,7 @@ from repro.config import paper_config
 from repro.explore.agents import (AGENTS, Agent, Evaluation, History,
                                   best_of, make_agent)
 from repro.explore.driver import FITNESS, explore
-from repro.explore.report import (best_bench_cell, load_best_configs,
-                                  write_best_configs)
+from repro.explore.report import load_best_configs, write_best_configs
 from repro.explore.space import (SearchSpace, default_space, resolve_space,
                                  tiny_space)
 
@@ -348,25 +347,6 @@ class TestReport:
         write_best_configs(out, str(again))
         assert (again.read_bytes()
                 == (tmp / "run1" / "best_configs.json").read_bytes())
-
-    def test_best_bench_cell(self, first_run):
-        tmp, out = first_run
-        workload, config, base, label = best_bench_cell(
-            str(tmp / "run1" / "best_configs.json"))
-        assert workload == "VADD"
-        assert config == out.best[0].config_name
-        assert label == f"explore[cycles]:{config}"
-        assert base is not None
-
-    def test_best_bench_cell_refuses_stale_space(self, first_run, tmp_path):
-        tmp, _out = first_run
-        payload = json.loads(
-            (tmp / "run1" / "best_configs.json").read_text())
-        payload["space"]["fingerprint"] = "0" * 64
-        stale = tmp_path / "stale.json"
-        stale.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="fingerprint"):
-            best_bench_cell(str(stale))
 
     def test_load_rejects_other_json(self, tmp_path):
         p = tmp_path / "other.json"

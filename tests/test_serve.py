@@ -329,9 +329,10 @@ class TestShardPool:
         finally:
             pool.shutdown()
 
-    def test_execute_job_unknown_kind(self):
+    @pytest.mark.parametrize("kind", ["frobnicate", "bench"])
+    def test_execute_job_unknown_kind(self, kind):
         with pytest.raises(ValueError, match="unknown job kind"):
-            execute_job("frobnicate", {})
+            execute_job(kind, {})
 
 
 class TestHotSet:
@@ -382,11 +383,29 @@ class TestBuildSchedule:
 
     def test_mix_substitutes_grid_kinds_round_robin(self):
         schedules = build_schedule(
-            **dict(self.KW, mix="run,sweep,chaos,bench,explore"))
+            **dict(self.KW, mix="run,sweep,chaos,explore"))
         kinds = [p["kind"] for plan in schedules for p in plan]
-        for kind in ("sweep", "chaos", "bench", "explore"):
+        for kind in ("sweep", "chaos", "explore"):
             assert kinds.count(kind) == 1
-        assert kinds.count("run") == 12
+        assert kinds.count("run") == 13
+
+    def test_mix_with_more_kinds_than_clients_sends_every_kind(self):
+        # Kind i takes client i % 2's slot i // 2 from the end, so
+        # explore shares client 0 with sweep instead of replacing it.
+        schedules = build_schedule(
+            **dict(self.KW, clients=2, mix="run,sweep,chaos,explore"))
+        kinds = [[p["kind"] for p in plan] for plan in schedules]
+        assert sorted(kinds[0]) == ["explore", "run", "run", "sweep"]
+        assert sorted(kinds[1]) == ["chaos", "run", "run", "run"]
+
+    def test_mix_unknown_kind_names_the_valid_kinds(self):
+        with pytest.raises(ValueError, match="choose from run, sweep, "
+                                             "chaos, explore"):
+            build_schedule(**dict(self.KW, mix="run,bench"))
+
+    def test_mix_without_unique_slots_is_rejected(self):
+        with pytest.raises(ValueError, match="unique slot"):
+            build_schedule(**dict(self.KW, duplicates=1.0, mix="run,sweep"))
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +446,11 @@ class TestDaemonErrors:
             assert exc.value.body["error"] == "TypeError"
             assert "frobnicate" in exc.value.body["detail"]
 
-    def test_unknown_endpoint_is_404(self):
+    @pytest.mark.parametrize("kind", ["frobnicate", "bench"])
+    def test_unknown_endpoint_is_404(self, kind):
         with serve_daemon(worker=stub_worker) as (_, client):
             with pytest.raises(ServeError) as exc:
-                client.request("POST", "/v1/frobnicate", {})
+                client.request("POST", f"/v1/{kind}", {})
             assert exc.value.status == 404
 
     def test_invalid_json_body_is_400(self):
@@ -705,10 +725,10 @@ class TestLoadtest:
             report = run_loadtest(url=daemon.address, clients=5,
                                   requests=2, duplicates=0.5, seed=0,
                                   scale="ci", max_cycles=2_000_000,
-                                  mix="run,sweep,chaos,bench,explore")
+                                  mix="run,sweep,chaos,explore")
         assert report["completed"] == report["total_requests"]
         kinds = {r["kind"] for r in report["records"]}
-        assert kinds == {"run", "sweep", "chaos", "bench", "explore"}
+        assert kinds == {"run", "sweep", "chaos", "explore"}
 
     def test_rate_limited_clients_get_structured_429s(self):
         with serve_daemon(worker=stub_worker, rate=0.001,
