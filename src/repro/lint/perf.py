@@ -146,9 +146,9 @@ class HotPathAllocationRule(Rule):
                 continue
             ctx.report(self.id, self.severity, node,
                        f"{kind} allocated in hot-path function "
-                       f"'{fn.name}': every construction here is a "
-                       "per-event allocation the record pool exists to "
-                       "avoid; bind arguments into the event record, or "
+                       f"'{fn.name}': every construction here is an "
+                       "allocation per event on top of the event entry; "
+                       "bind arguments into the event entry, or "
                        "annotate '# perf: alloc-ok -- why'")
 
 

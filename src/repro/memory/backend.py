@@ -9,8 +9,9 @@ controller, or the GPU memory path:
 
 * **address map** -- how lines spread across devices and their internal
   channels (:meth:`MemoryBackend.make_address_map`);
-* **device build** -- the per-device stack objects, each honouring the
-  de-facto stack interface (``access_line`` / ``queue_occupancy`` /
+* **device build** -- the per-device objects, each a
+  :class:`~repro.memory.hmc.HMCStack` or a subclass stating its own
+  geometry (``access_line`` / ``queue_occupancy`` /
   ``metrics_snapshot`` / ``stats`` / ``vaults`` / ``nsu``);
 * **link geometry** -- host-link bandwidth/latency per direction and the
   inter-device fabric rate (:meth:`gpu_link_kwargs`,

@@ -16,12 +16,9 @@ HMC stack (docs/backends.md has the full table):
   (``cfg.cxl.ndp_cmd_queue``) surfaced through the backend's
   ``ndp_cmd_entries`` hook.
 
-The class mirrors :class:`~repro.memory.hmc.HMCStack`'s interface
-exactly -- ``access_line`` / ``vaults`` / ``nsu`` / ``stats`` /
-``queue_occupancy`` / ``metrics_snapshot`` /
-``peak_bandwidth_bytes_per_cycle`` -- so the system, the GPU memory
-path, and the fault-arming loop treat both substrates uniformly.  The
-``vaults`` attribute holds the *channel* controllers (same
+Only the first is the device's own business, so the class is an
+:class:`~repro.memory.hmc.HMCStack` that states its geometry: the
+``vaults`` attribute holds the DDR *channel* controllers (same
 :class:`~repro.memory.vault.VaultController` machinery, DDR5-class
 timing), which keeps the ``vault_read`` fault site armable on this
 substrate too.
@@ -29,78 +26,21 @@ substrate too.
 
 from __future__ import annotations
 
-from typing import Callable
-
-from repro.config import LINE_SIZE, SystemConfig
-from repro.memory.address import AddressMap
-from repro.memory.dram import DRAMTimingSM
-from repro.memory.vault import DRAMRequest, DRAMStats, VaultController, make_vaults
-from repro.sim.engine import Engine, LinkCounters
+from repro.config import SystemConfig
+from repro.memory.hmc import HMCStack
 
 
-class CXLExpander:
+class CXLExpander(HMCStack):
     """DDR channels + CXL front-end controller for one expander."""
 
-    def __init__(self, engine: Engine, cfg: SystemConfig, hmc_id: int,
-                 amap: AddressMap, counters: LinkCounters) -> None:
-        self.engine = engine
-        self.cfg = cfg
-        self.hmc_id = hmc_id
-        self.amap = amap
-        self.counters = counters
-        self.stats = DRAMStats()
-        timing = DRAMTimingSM.from_config(
-            cfg.cxl.timing, cfg.gpu.sm_clock_mhz,
-            cfg.cxl.channel_bus_bytes_per_dram_cycle)
-        self.timing = timing
-        self.vaults: list[VaultController] = make_vaults(
-            engine, timing, cfg.cxl.num_channels, cfg.cxl.banks_per_channel,
-            self.stats, cfg.cxl.channel_queue_size, f"cxl{hmc_id}")
-        # Attached by the system after construction:
-        self.nsu = None
+    kind = "cxl"
+    internal_noc = False
 
-    # -- DRAM access --------------------------------------------------------
-
-    def access_line(self, line_addr: int, is_write: bool,
-                    on_done: Callable[[DRAMRequest], None],
-                    meta: object = None,
-                    noc_bytes: int = LINE_SIZE,
-                    on_lost: Callable[[DRAMRequest], None] | None = None,
-                    ) -> None:
-        """Access one cache line in this expander's DRAM.
-
-        Same contract as :meth:`repro.memory.hmc.HMCStack.access_line`;
-        ``noc_bytes`` is accepted for interface compatibility but never
-        charged -- there is no internal NoC on this substrate.
-        """
-        if self.amap.hmc_of(line_addr * LINE_SIZE) != self.hmc_id:
-            raise ValueError(
-                f"line {line_addr:#x} does not belong to expander "
-                f"{self.hmc_id}")
-        channel_idx = self.amap.vault_of_line(line_addr)
-        bank, row = self.amap.bank_row_of_line(line_addr)
-        req = DRAMRequest(line_addr=line_addr, is_write=is_write,
-                          on_done=on_done, bank=bank, row=row,
-                          extra_latency=self.cfg.cxl.port_latency, meta=meta,
-                          on_lost=on_lost)
-        self.vaults[channel_idx].submit(req)
-
-    # -- convenience --------------------------------------------------------
-
-    @property
-    def queue_occupancy(self) -> int:
-        return sum(len(v.queue) for v in self.vaults)
-
-    def metrics_snapshot(self) -> dict:
-        """Counters/gauges published into the metrics registry."""
-        snap = self.stats.metrics_snapshot()
-        snap["queue_occupancy"] = self.queue_occupancy
-        snap["max_vault_queue"] = max(
-            (len(v.queue) for v in self.vaults), default=0)
-        return snap
-
-    def peak_bandwidth_bytes_per_cycle(self) -> float:
-        """Aggregate channel-bus bandwidth (the expander's peak DRAM
-        bandwidth -- fewer, wider channels than the HMC's 16 vaults)."""
-        per_channel = LINE_SIZE / max(self.timing.tCCD, self.timing.burst)
-        return per_channel * len(self.vaults)
+    @staticmethod
+    def geometry(cfg: SystemConfig) -> tuple:
+        """DDR channel timing, channel count, banks, queue depth and the
+        flat port latency (no NoC hop)."""
+        x = cfg.cxl
+        return (x.timing, x.channel_bus_bytes_per_dram_cycle,
+                x.num_channels, x.banks_per_channel, x.channel_queue_size,
+                x.port_latency)

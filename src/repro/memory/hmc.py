@@ -6,6 +6,12 @@ the owning vault, and forwards responses.  The intra-HMC NoC hop is modelled
 as a small fixed latency plus byte accounting (it is generously provisioned
 in the HMC and never the bottleneck, but its traffic costs energy --
 Figure 10 has an "Intra-HMC NoC" component).
+
+:class:`HMCStack` is the simulator's one memory-device class: the CXL
+expander (:class:`repro.memory.cxl.CXLExpander`) subclasses it and states
+only its geometry, so every DRAM line access -- GPU L2 fills, RDF reads,
+NSU writes -- takes the same :meth:`HMCStack.access_line` path on both
+backends.
 """
 
 from __future__ import annotations
@@ -15,8 +21,7 @@ from typing import Callable
 from repro.config import LINE_SIZE, SystemConfig
 from repro.memory.address import AddressMap
 from repro.memory.dram import DRAMTimingSM
-from repro.memory.vault import (DRAMRequest, DRAMRequestPool, DRAMStats,
-                                VaultController, make_vaults)
+from repro.memory.vault import DRAMRequest, DRAMStats, VaultController
 from repro.sim.engine import Engine, LinkCounters
 
 #: Fixed logic-layer NoC traversal latency (SM cycles).
@@ -26,6 +31,12 @@ NOC_LATENCY = 4
 class HMCStack:
     """Vaults + logic-layer routing for one stack."""
 
+    #: Device-name prefix: device 0 is ``hmc0``, its vaults ``hmc0.v<i>``.
+    kind = "hmc"
+    #: True when accesses cross a logic-layer NoC whose bytes are charged
+    #: to the ``intra_hmc`` traffic class.
+    internal_noc = True
+
     def __init__(self, engine: Engine, cfg: SystemConfig, hmc_id: int,
                  amap: AddressMap, counters: LinkCounters) -> None:
         self.engine = engine
@@ -33,48 +44,54 @@ class HMCStack:
         self.hmc_id = hmc_id
         self.amap = amap
         self.counters = counters
+        self.name = f"{self.kind}{hmc_id}"
         self.stats = DRAMStats()
-        timing = DRAMTimingSM.from_config(
-            cfg.hmc.timing, cfg.gpu.sm_clock_mhz,
-            cfg.hmc.vault_bus_bytes_per_dram_cycle)
-        self.timing = timing
-        # Request records are pool-recycled per stack (never shared across
-        # engines); vaults return them after the completion callback.
-        self.pool = DRAMRequestPool()
-        self.vaults: list[VaultController] = make_vaults(
-            engine, timing, cfg.hmc.num_vaults, cfg.hmc.banks_per_vault,
-            self.stats, cfg.hmc.vault_queue_size, f"hmc{hmc_id}",
-            pool=self.pool)
+        (timing, bus_bytes, channels, banks, queue_size,
+         self.access_latency) = self.geometry(cfg)
+        self.timing = DRAMTimingSM.from_config(
+            timing, cfg.gpu.sm_clock_mhz, bus_bytes)
+        self.vaults: list[VaultController] = [
+            VaultController(engine, self.timing, banks, self.stats,
+                            queue_size, name=f"{self.name}.v{v}")
+            for v in range(channels)]
         # Attached by the system after construction:
         self.nsu = None
+
+    @staticmethod
+    def geometry(cfg: SystemConfig) -> tuple:
+        """``(DRAM timing, vault-bus bytes per DRAM cycle, vaults, banks
+        per vault, vault queue depth, access latency)`` of one device;
+        the access latency is the front-end traversal added after each
+        DRAM access (here the logic-layer NoC hop)."""
+        h = cfg.hmc
+        return (h.timing, h.vault_bus_bytes_per_dram_cycle, h.num_vaults,
+                h.banks_per_vault, h.vault_queue_size, NOC_LATENCY)
 
     # -- DRAM access --------------------------------------------------------
 
     def access_line(self, line_addr: int, is_write: bool,
                     on_done: Callable[[DRAMRequest], None],
-                    meta: object = None,
                     noc_bytes: int = LINE_SIZE,
                     on_lost: Callable[[DRAMRequest], None] | None = None,
                     ) -> None:
-        """Access one cache line in this stack's DRAM.
+        """Access one cache line in this device's DRAM.
 
         ``on_done`` fires when the data is available at the logic layer
         (read) or written (write).  ``noc_bytes`` is charged to the
-        intra-HMC NoC for the request+response traversal.  ``on_lost``
-        fires instead when an armed ``vault_read`` fault swallows the
-        read response (see :class:`~repro.memory.vault.DRAMRequest`).
+        intra-HMC NoC for the request+response traversal (never on a
+        device without one).  ``on_lost`` fires instead when an armed
+        ``vault_read`` fault swallows the read response (see
+        :class:`~repro.memory.vault.DRAMRequest`).
         """
         if self.amap.hmc_of(line_addr * LINE_SIZE) != self.hmc_id:
             raise ValueError(
-                f"line {line_addr:#x} does not belong to HMC {self.hmc_id}")
-        vault_idx = self.amap.vault_of_line(line_addr)
+                f"line {line_addr:#x} does not belong to {self.name}")
         bank, row = self.amap.bank_row_of_line(line_addr)
-        self.counters.add("intra_hmc", noc_bytes)
-        req = self.pool.acquire(line_addr, is_write, on_done,
-                                bank=bank, row=row,
-                                extra_latency=NOC_LATENCY, meta=meta,
-                                on_lost=on_lost)
-        self.vaults[vault_idx].submit(req)
+        if self.internal_noc:
+            self.counters.add("intra_hmc", noc_bytes)
+        self.vaults[self.amap.vault_of_line(line_addr)].submit(
+            DRAMRequest(line_addr, is_write, on_done, bank, row,
+                        self.access_latency, on_lost))
 
     # -- convenience --------------------------------------------------------
 
@@ -88,11 +105,9 @@ class HMCStack:
         snap["queue_occupancy"] = self.queue_occupancy
         snap["max_vault_queue"] = max(
             (len(v.queue) for v in self.vaults), default=0)
-        snap["req_pool_free"] = self.pool.free
-        snap["req_pool_created"] = self.pool.created
         return snap
 
     def peak_bandwidth_bytes_per_cycle(self) -> float:
-        """Aggregate vault-bus bandwidth (the stack's peak DRAM bandwidth)."""
+        """Aggregate vault-bus bandwidth (the device's peak DRAM bandwidth)."""
         per_vault = LINE_SIZE / max(self.timing.tCCD, self.timing.burst)
         return per_vault * len(self.vaults)

@@ -58,98 +58,19 @@ class DRAMStats:
 class DRAMRequest:
     """One line-granularity DRAM access.
 
-    Slotted and pool-recycled: the stack's ingress path acquires records
-    from a :class:`DRAMRequestPool` and the vault returns them after the
-    completion callback fires.  ``pooled`` marks pool-owned records;
-    directly-constructed ones (tests, ad-hoc callers) are never recycled.
+    Built fresh by the device's ``access_line`` for every access; the
+    vault schedules ``on_done(req)`` -- or, when an armed ``vault_read``
+    fault swallows a read response, ``on_lost(req)`` -- at the cycle the
+    data reaches the device's front end.
     """
 
     line_addr: int
     is_write: bool
-    on_done: Callable[["DRAMRequest"], None] | None
-    arrival: int = 0
+    on_done: Callable[["DRAMRequest"], None]
     bank: int = 0
     row: int = 0
-    extra_latency: int = 0   # logic-layer NoC traversal after the access
-    meta: object = None
+    extra_latency: int = 0   # front-end traversal after the access
     on_lost: Callable[["DRAMRequest"], None] | None = None  # loss notify
-    pooled: bool = False
-
-    def reset(self) -> None:
-        """Restore construction defaults, so a recycled record is
-        field-for-field equal to ``DRAMRequest(0, False, None)`` (the
-        recycle invariant, docs/performance.md)."""
-        self.line_addr = 0
-        self.is_write = False
-        self.on_done = None
-        self.arrival = 0
-        self.bank = 0
-        self.row = 0
-        self.extra_latency = 0
-        self.meta = None
-        self.on_lost = None
-        self.pooled = False
-
-
-class DRAMRequestPool:
-    """Free list of recycled :class:`DRAMRequest` records.
-
-    One pool per stack (never shared across engines -- serve shards run
-    concurrent simulations).  ``release`` resets the record before it
-    re-enters the free list and rejects records it does not own, so a
-    double-free on a recovery path fails loudly instead of aliasing two
-    in-flight requests onto one record.
-    """
-
-    __slots__ = ("_free", "created", "reused", "released")
-
-    def __init__(self) -> None:
-        self._free: list[DRAMRequest] = []
-        self.created = 0
-        self.reused = 0
-        self.released = 0
-
-    def acquire(self, line_addr: int, is_write: bool,
-                on_done: Callable[["DRAMRequest"], None], *,
-                bank: int = 0, row: int = 0, extra_latency: int = 0,
-                meta: object = None,
-                on_lost: Callable[["DRAMRequest"], None] | None = None,
-                ) -> DRAMRequest:
-        free = self._free
-        if free:
-            req = free.pop()
-            self.reused += 1
-            req.line_addr = line_addr
-            req.is_write = is_write
-            req.on_done = on_done
-            req.bank = bank
-            req.row = row
-            req.extra_latency = extra_latency
-            req.meta = meta
-            req.on_lost = on_lost
-            req.pooled = True
-            return req
-        self.created += 1
-        return DRAMRequest(line_addr, is_write, on_done, bank=bank, row=row,
-                           extra_latency=extra_latency, meta=meta,
-                           on_lost=on_lost, pooled=True)
-
-    def release(self, req: DRAMRequest) -> None:
-        if not req.pooled:
-            raise ValueError(
-                "release of a request the pool does not own "
-                "(double-free, or a directly-constructed record)")
-        req.reset()
-        self.released += 1
-        self._free.append(req)
-
-    @property
-    def free(self) -> int:
-        return len(self._free)
-
-    def metrics_snapshot(self) -> dict:
-        return {"created": self.created, "reused": self.reused,
-                "released": self.released, "free": self.free}
 
 
 class VaultController:
@@ -157,12 +78,10 @@ class VaultController:
 
     def __init__(self, engine: Engine, timing: DRAMTimingSM,
                  num_banks: int, stats: DRAMStats,
-                 queue_size: int = 64, name: str = "vault",
-                 pool: DRAMRequestPool | None = None) -> None:
+                 queue_size: int = 64, name: str = "vault") -> None:
         self.engine = engine
         self.timing = timing
         self.banks = [BankState() for _ in range(num_banks)]
-        self.pool = pool
         self.stats = stats
         self.queue: deque[DRAMRequest] = deque()
         self.queue_size = queue_size
@@ -185,7 +104,6 @@ class VaultController:
         correctness argument depends on, are modelled exactly in
         ``repro.core``).
         """
-        req.arrival = self.engine.now
         self.queue.append(req)
         self.stats.queue_peak = max(self.stats.queue_peak, len(self.queue))
         self._schedule_wakeup(self.engine.now)
@@ -301,35 +219,8 @@ class VaultController:
                 # rely on their own watchdogs.
                 if req.on_lost is not None:
                     self.engine.call_at(ready + req.extra_latency,
-                                        self._lost, req)
-                elif req.pooled:
-                    # Nobody will hear about this request again; recycle.
-                    self.pool.release(req)
+                                        req.on_lost, req)
                 continue
-            self.engine.call_at(ready + req.extra_latency,
-                                self._complete, req)
+            self.engine.call_at(ready + req.extra_latency, req.on_done, req)
             now = self.engine.now  # unchanged; loop to try the next request
         # queue drained; nothing to schedule
-
-    # -- completion ----------------------------------------------------------
-
-    def _complete(self, req: DRAMRequest) -> None:
-        req.on_done(req)
-        if req.pooled:
-            self.pool.release(req)
-
-    def _lost(self, req: DRAMRequest) -> None:
-        req.on_lost(req)
-        if req.pooled:
-            self.pool.release(req)
-
-
-def make_vaults(engine: Engine, timing: DRAMTimingSM, num_vaults: int,
-                num_banks: int, stats: DRAMStats, queue_size: int,
-                name_prefix: str,
-                pool: DRAMRequestPool | None = None) -> list[VaultController]:
-    return [
-        VaultController(engine, timing, num_banks, stats, queue_size,
-                        name=f"{name_prefix}.v{v}", pool=pool)
-        for v in range(num_vaults)
-    ]

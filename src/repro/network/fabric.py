@@ -30,29 +30,22 @@ GPU_LINK_LATENCY = 10
 
 
 class _HopWalk:
-    """Reusable record for one packet's hop-by-hop traversal.
+    """One packet's hop-by-hop traversal of the memory network.
 
     Replaces the per-hop forwarding closure: the network binds the walk
     record into each link-arrival event (``Engine.call_at`` via
-    ``Link.send``'s argument-carrying form), mutates ``hop`` in place, and
-    recycles the record into the network's free list after final delivery.
-    ``reset()`` clears every field so recycled state can never leak
-    between packets (the recycle invariant, docs/performance.md).
+    ``Link.send``'s argument-carrying form) and advances ``hop`` in
+    place until the last hop delivers.
     """
 
     __slots__ = ("path", "hop", "size", "deliver")
 
-    def __init__(self) -> None:
-        self.path: list[int] | None = None
+    def __init__(self, path: list[int], size: int,
+                 deliver: Callable[[], None]) -> None:
+        self.path = path
         self.hop = 0
-        self.size = 0
-        self.deliver: Callable[[], None] | None = None
-
-    def reset(self) -> None:
-        self.path = None
-        self.hop = 0
-        self.size = 0
-        self.deliver = None
+        self.size = size
+        self.deliver = deliver
 
 
 class MemoryNetwork:
@@ -70,7 +63,6 @@ class MemoryNetwork:
         if bpc is None:
             bpc = cfg.hmc.link_bytes_per_sm_cycle(cfg.gpu.sm_clock_mhz)
         self._links: dict[tuple[int, int], Link] = {}
-        self._walks: list[_HopWalk] = []   # recycled hop-walk records
         # sorted(): networkx edge order is adjacency-insertion order; a
         # canonical construction order keeps link ids and any future
         # iteration over _links independent of topology-builder internals.
@@ -105,25 +97,16 @@ class MemoryNetwork:
         if src == dst:
             self.engine.at(self.engine.now, deliver)
             return
-        walks = self._walks
-        walk = walks.pop() if walks else _HopWalk()
-        walk.path = dimension_order_path(src, dst)
-        walk.hop = 0
-        walk.size = size_bytes
-        walk.deliver = deliver
-        self._step(walk)
+        self._step(_HopWalk(dimension_order_path(src, dst), size_bytes,
+                            deliver))
 
     def _step(self, walk: _HopWalk) -> None:
         """Advance one hop; the link arrival re-enters here with the same
-        record until the last hop, where the record is recycled *before*
-        ``deliver`` runs (a delivery that sends again may reuse it)."""
+        record until the last hop, which delivers."""
         path = walk.path
         hop = walk.hop
         if hop == len(path) - 1:
-            deliver = walk.deliver
-            walk.reset()
-            self._walks.append(walk)
-            deliver()
+            walk.deliver()
             return
         link = self._links[(path[hop], path[hop + 1])]
         walk.hop = hop + 1

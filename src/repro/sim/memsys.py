@@ -22,6 +22,7 @@ from repro.gpu.cache import Cache, CacheStats, MSHRFile
 from repro.gpu.coalescer import MemAccess
 from repro.memory.address import AddressMap
 from repro.memory.hmc import HMCStack
+from repro.memory.vault import DRAMRequest
 from repro.network.fabric import GPULinks
 from repro.sim.engine import Engine
 
@@ -172,57 +173,49 @@ class GPUMemSystem:
             return
         if status == "merged":
             return
-        self._fetch_from_dram(part, line)
-
-    def _fetch_from_dram(self, part: int, line: int) -> None:
+        st = None
         if self.recovery is not None:
-            st = _FetchState()
-            self._fetches[(part, line)] = st
-            self._issue_fetch(part, line, st)
-            self._arm_watchdog(part, line, st)
-            return
+            st = self._fetches[(part, line)] = _FetchState()
+        self._issue_fetch(part, line, st)
+
+    def _issue_fetch(self, part: int, line: int,
+                     st: _FetchState | None) -> None:
+        """One (re)issue of an L2 fill: read request down the GPU link,
+        vault read, full-line response back up.
+
+        ``st`` is None unless a recovery policy is armed.  Then every
+        packet of the chain carries a ``lost`` callback stamped with the
+        attempt, so a drop anywhere (down-link, vault read, up-link)
+        notifies us and a notification for a superseded attempt is
+        ignored, and the fill's watchdog is armed after the sends."""
         self.dram_read_requests += 1
-        req_size = PacketSizes.mem_read_request()
+        lost = on_lost = None
+        if st is not None:
+            self.rstats.fetch_attempts += 1
+            st.issued_at = self.engine.now
+            attempt = st.attempt
+
+            def lost() -> None:
+                self._fetch_lost(part, line, attempt)
+
+            def on_lost(req: DRAMRequest) -> None:
+                lost()
+
         resp_size = PacketSizes.mem_read_response()
 
         def at_hmc() -> None:
-            self.hmcs[part].access_line(line, False,
-                                        lambda r: send_response())
+            self.hmcs[part].access_line(line, False, send_response,
+                                        on_lost=on_lost)
 
-        def send_response() -> None:
-            self.gpu_links.to_gpu(part, resp_size,
-                                  lambda: self._fill_l2(part, line))
-
-        self.gpu_links.to_hmc(part, req_size, at_hmc)
-
-    # -- recoverable fetch path (armed runs only) ---------------------------
-
-    def _issue_fetch(self, part: int, line: int, st: _FetchState) -> None:
-        """One (re)issue of a recoverable L2 fill.  Every packet of the
-        chain carries a ``lost`` callback stamped with the attempt, so a
-        drop anywhere (down-link, vault read, up-link) notifies us and a
-        notification for a superseded attempt is ignored."""
-        self.dram_read_requests += 1
-        self.rstats.fetch_attempts += 1
-        st.issued_at = self.engine.now
-        attempt = st.attempt
-        req_size = PacketSizes.mem_read_request()
-        resp_size = PacketSizes.mem_read_response()
-
-        def lost() -> None:
-            self._fetch_lost(part, line, attempt)
-
-        def at_hmc() -> None:
-            self.hmcs[part].access_line(line, False,
-                                        lambda r: send_response(),
-                                        on_lost=lambda r: lost())
-
-        def send_response() -> None:
+        def send_response(req: DRAMRequest) -> None:
             self.gpu_links.to_gpu(part, resp_size,
                                   lambda: self._fill_l2(part, line),
                                   lost=lost)
 
-        self.gpu_links.to_hmc(part, req_size, at_hmc, lost=lost)
+        self.gpu_links.to_hmc(part, PacketSizes.mem_read_request(), at_hmc,
+                              lost=lost)
+        if st is not None:
+            self._arm_watchdog(part, line, st)
 
     def _fetch_lost(self, part: int, line: int, attempt: int) -> None:
         """A request/response of fill attempt ``attempt`` died in flight.
@@ -244,7 +237,6 @@ class GPUMemSystem:
         st.attempt += 1
         self.rstats.mshr_reissues += 1
         self._issue_fetch(part, line, st)
-        self._arm_watchdog(part, line, st)
 
     def _arm_watchdog(self, part: int, line: int, st: _FetchState) -> None:
         st.wd_token += 1

@@ -1,5 +1,6 @@
-"""Unit tests for the HMC memory substrate: address map, DRAM timing,
-FR-FCFS vault scheduling."""
+"""Unit tests for the memory substrate: address map, DRAM timing,
+FR-FCFS vault scheduling, and the one device class behind both
+backends."""
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from repro.memory import (
     HMCStack,
     VaultController,
 )
+from repro.faults import FaultInjector, get_scenario
+from repro.memory.backend import resolve_backend
 from repro.memory.dram import BankState
 from repro.sim.engine import Engine, LinkCounters
 
@@ -187,25 +190,58 @@ class TestVaultController:
         e.drain()
 
 
-class TestHMCStack:
-    def test_access_routes_to_owner_only(self):
+    def test_read_loss_notifies_on_lost_only(self):
+        # Reference: the unarmed read completes at cycle done_at.
         e = Engine()
-        cfg = ci_config()
-        amap = AddressMap(cfg)
+        vault, _, _ = _mk_vault(e)
+        done = []
+        vault.submit(DRAMRequest(0, False, lambda r: done.append(e.now),
+                                 bank=0, row=0, extra_latency=4))
+        e.drain()
+        [done_at] = done
+        # Armed: every read response is swallowed.  on_lost fires once,
+        # at the cycle on_done would have; on_done never fires.
+        e = Engine()
+        vault, stats, _ = _mk_vault(e)
+        vault.faults = FaultInjector(
+            get_scenario("vault-read-loss", rate=1.0), e)
+        fired, lost = [], []
+        req = DRAMRequest(0, False, fired.append, bank=0, row=0,
+                          extra_latency=4,
+                          on_lost=lambda r: lost.append((r, e.now)))
+        vault.submit(req)
+        # No listener: neither callback fires, and the vault still drains.
+        vault.submit(DRAMRequest(1, False, fired.append, bank=1, row=0))
+        e.drain()
+        assert lost == [(req, done_at)]
+        assert fired == []
+        assert stats.reads == 2
+        assert not vault.queue
+        assert e.next_event_time() is None
+
+
+class TestHMCStack:
+    @pytest.mark.parametrize("backend", ["hmc", "cxl"])
+    def test_access_routes_to_owner_only(self, backend):
+        e = Engine()
+        cfg = ci_config().with_backend(backend)
+        be = resolve_backend(backend)
+        amap = be.make_address_map(cfg)
         c = LinkCounters()
-        stack = HMCStack(e, cfg, hmc_id=0, amap=amap, counters=c)
-        # find a line owned by HMC 0
+        stack = be.build_stacks(e, cfg, amap, c)[0]
+        # find a line owned by device 0
         line = next(l for l in range(10000)
                     if amap.hmc_of(l * LINE_SIZE) == 0)
         wrong = next(l for l in range(10000)
                      if amap.hmc_of(l * LINE_SIZE) != 0)
         done = []
         stack.access_line(line, False, lambda r: done.append(r.line_addr))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"{backend}0"):
             stack.access_line(wrong, False, lambda r: None)
         e.drain()
         assert done == [line]
-        assert c.get("intra_hmc") == LINE_SIZE
+        # Only the HMC's logic-layer NoC carries (and charges) bytes.
+        assert c.get("intra_hmc") == (LINE_SIZE if backend == "hmc" else 0)
 
     def test_peak_bandwidth_near_spec(self):
         e = Engine()
