@@ -45,7 +45,7 @@ from repro import api
 from repro.analysis import figures as F
 from repro.analysis import tables as T
 from repro.analysis.plots import bar_chart, line_plot
-from repro.config import paper_config
+from repro.config import BACKEND_NAMES, TARGET_POLICIES, paper_config
 from repro.energy import compute_energy
 from repro.sim.runner import config_variants, make_config
 from repro.workloads import workload_names
@@ -552,8 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nsu-mhz", type=float, help="override NSU clock")
     p.add_argument("--ro-cache", type=int,
                    help="NSU read-only cache bytes (extension)")
-    p.add_argument("--target-policy", choices=["first", "optimal", "coda"])
-    p.add_argument("--backend", choices=["hmc", "cxl"],
+    p.add_argument("--target-policy", choices=TARGET_POLICIES)
+    p.add_argument("--backend", choices=BACKEND_NAMES,
                    help="memory substrate (default hmc -- the paper's "
                         "stacks; 'cxl' models memory expanders, see "
                         "docs/backends.md)")

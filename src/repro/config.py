@@ -160,8 +160,9 @@ class HMCConfig:
 
 @dataclass(frozen=True)
 class CXLConfig:
-    """CXL memory-expander backend parameters (the ``cxl`` entry of the
-    :data:`repro.memory.backend.BACKENDS` registry; see docs/backends.md).
+    """CXL memory-expander parameters: the ``cxl`` branch of
+    :func:`repro.memory.backend.backend_of` reads them into the substrate
+    record (see docs/backends.md).
 
     Departures from the HMC substrate, all deliberate:
 
@@ -252,9 +253,8 @@ class SMBufferConfig:
 #: Target-NSU selection policies (see repro.core.target_select).
 TARGET_POLICIES = ("first", "optimal", "coda")
 
-#: Memory-substrate backend names; the implementations live in the
-#: repro.memory.backend registry (kept as a plain tuple here so the
-#: config layer never imports the memory layer).
+#: Memory-substrate backend names; repro.memory.backend.backend_of turns
+#: each into its record of device facts.
 BACKEND_NAMES = ("hmc", "cxl")
 
 
@@ -373,12 +373,9 @@ class SystemConfig:
         selection."""
         return replace(self, ndp=replace(self.ndp, target_policy=policy))
 
-    def with_backend(self, name: str,
-                     cxl: CXLConfig | None = None) -> "SystemConfig":
-        """Return a copy on a different memory substrate ("hmc"/"cxl");
-        ``cxl`` optionally replaces the expander parameters too."""
-        return replace(self, backend=name,
-                       cxl=cxl if cxl is not None else self.cxl)
+    def with_backend(self, name: str) -> "SystemConfig":
+        """Return a copy on a different memory substrate ("hmc"/"cxl")."""
+        return replace(self, backend=name)
 
 
 def paper_config(mode: str = OffloadMode.OFF, **kwargs) -> SystemConfig:

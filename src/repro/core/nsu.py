@@ -18,6 +18,7 @@ from collections import deque
 from repro.config import LINE_SIZE, SystemConfig
 from repro.core.buffers import ReadDataBuffer, WriteAddressBuffer
 from repro.gpu.cache import Cache, CacheStats
+from repro.memory.backend import backend_of
 from repro.sim.engine import Engine
 
 #: Bytes per NSU instruction in its I-cache footprint (Figure 11 metric).
@@ -65,6 +66,8 @@ class NSU:
         self._busy_subcycles = 0
         self.read_buf = ReadDataBuffer(n.read_data_entries)
         self.wta_buf = WriteAddressBuffer(n.write_addr_entries)
+        # Sized like the command credits the controller grants.
+        self.cmd_entries = backend_of(cfg).cmd_entries
         self.cmd_queue: deque = deque()
         self.warps: list[NSUWarp] = []
         self.ready: deque[NSUWarp] = deque()
@@ -97,7 +100,7 @@ class NSU:
     def receive_cmd(self, inst) -> None:
         """An offload command packet arrived at the logic layer."""
         self.cmds_received += 1
-        if len(self.cmd_queue) >= self.cfg.nsu.cmd_buffer_entries:
+        if len(self.cmd_queue) >= self.cmd_entries:
             raise AssertionError(
                 "offload command buffer overflow: credit management must "
                 "prevent this (Section 4.3)")

@@ -37,8 +37,10 @@ from typing import Callable
 from repro.config import LINE_SIZE, SystemConfig
 from repro.core.credit import BufferCreditManager
 from repro.core.packets import PacketSizes
+from repro.core.target_select import select_target
 from repro.faults.recovery import RecoveryStats
 from repro.gpu.coalescer import MemAccess
+from repro.memory.backend import backend_of
 from repro.sim.engine import Engine
 
 
@@ -108,9 +110,7 @@ class NDPController:
     """One controller per GPU; owns the credit manager and packet plumbing."""
 
     def __init__(self, engine: Engine, cfg: SystemConfig, *, amap, memsys,
-                 gpu_links, network, hmcs, counters, decider=None,
-                 backend=None) -> None:
-        from repro.memory.backend import resolve_backend
+                 gpu_links, network, hmcs, counters, decider=None) -> None:
         self.engine = engine
         self.cfg = cfg
         self.amap = amap
@@ -120,16 +120,15 @@ class NDPController:
         self.hmcs = hmcs
         self.counters = counters
         self.decider = decider
-        # Substrate hooks: target selection, device queue depth, and the
-        # cost of a device-local response hop all come from the backend
-        # ("hmc" returns the historical constants bit-identically).
-        self.backend = resolve_backend(backend if backend is not None
-                                       else cfg.backend)
-        self._internal_noc = self.backend.internal_noc
-        self._local_resp_latency = self.backend.local_response_latency(cfg)
+        # Substrate facts: the device queue depth, and the NoC charge and
+        # latency of a device-local response hop.
+        be = backend_of(cfg)
+        self._noc = be.noc
+        self._hop_latency = be.hop_latency
+        self._target_policy = cfg.ndp.target_policy
         self.credits = BufferCreditManager(
             engine, cfg.num_hmcs,
-            cmd_entries=self.backend.ndp_cmd_entries(cfg),
+            cmd_entries=be.cmd_entries,
             read_data_entries=cfg.nsu.read_data_entries,
             write_addr_entries=cfg.nsu.write_addr_entries)
         self.nsus: list = []               # filled by the system after build
@@ -183,7 +182,7 @@ class NDPController:
         if self.pending[sm_id] + 1 > self.pending_cap:
             self.stats.pending_rejects += 1
             return None
-        target = self.backend.select_target(self.cfg, item, self.amap)
+        target = select_target(self._target_policy, item, self.amap)
         self._uid_counter += 1
         uid = (sm_id, warp.wid, self._uid_counter)
         inst = OffloadInstance(uid, sm, warp, item, target)
@@ -356,10 +355,10 @@ class NDPController:
                                       f"hmc{owner}", f"hmc{target}", resp,
                                       inst.uid, f"seq {seq}")
                 if owner == target:
-                    if self._internal_noc:
+                    if self._noc:
                         self.counters.add("intra_hmc", resp)
                     self.engine.after(
-                        self._local_resp_latency,
+                        self._hop_latency,
                         lambda: self._deliver_read(inst, attempt, key,
                                                    acc.words))
                 else:

@@ -9,8 +9,9 @@ policy costs at most ~15% extra inter-stack traffic under random placement,
 with the gap vanishing as blocks touch more memory.
 
 A third policy, :func:`coda_target`, implements CODA-style compute/data
-co-location (weight the write set) for the comparative-backend studies;
-all three are dispatched by ``MemoryBackend.select_target``.
+co-location (weight the write set).  :func:`select_target` dispatches
+``cfg.ndp.target_policy`` to the three; none depends on the memory
+substrate.
 """
 
 from __future__ import annotations
@@ -80,6 +81,16 @@ def coda_target(all_accesses: tuple[tuple[MemAccess, ...], ...],
         raise ValueError("offload block has no memory accesses")
     best = max(weighted.items(), key=lambda kv: (kv[1], -kv[0]))
     return best[0]
+
+
+def select_target(policy: str, item, amap: AddressMap) -> int:
+    """The target device for one offload block instance under ``policy``
+    ("first" / "optimal" / "coda", :data:`repro.config.TARGET_POLICIES`)."""
+    if policy == "optimal":
+        return optimal_target(item.mem_accesses, amap)
+    if policy == "coda":
+        return coda_target(item.mem_accesses, item.block, amap)
+    return first_instr_target(item.mem_accesses[0], amap)
 
 
 def block_traffic(all_accesses, target: int, amap: AddressMap) -> int:

@@ -78,13 +78,13 @@ def compute_energy(result: RunResult, cfg: SystemConfig,
 
     # The off-chip link constant is substrate-specific (HMC serdes vs
     # CXL serdes+protocol); the intra-device term is naturally zero on
-    # backends without an internal NoC (they never count intra_hmc
+    # a substrate without an internal NoC (it never counts intra_hmc
     # bytes).  getattr keeps pre-backend SystemConfig pickles working.
-    from repro.memory.backend import resolve_backend
-    backend = resolve_backend(getattr(cfg, "backend", "hmc"))
+    link_nj = (p.cxl_link_nj_per_byte
+               if getattr(cfg, "backend", "hmc") == "cxl"
+               else p.offchip_link_nj_per_byte)
     intra = p.intra_hmc_nj_per_byte * result.traffic.intra_hmc
-    offchip = backend.link_energy_nj_per_byte(p) * (
-        result.traffic.gpu_link + result.traffic.mem_net)
+    offchip = link_nj * (result.traffic.gpu_link + result.traffic.mem_net)
 
     dram = (p.dram_activate_nj * result.dram_activations
             + p.dram_rw_nj_per_byte * (result.dram_reads + result.dram_writes)

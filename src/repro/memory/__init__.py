@@ -1,5 +1,6 @@
-"""HMC-like 3D-stacked memory substrate: address mapping, DRAM timing,
-FR-FCFS vault controllers, and the stack container."""
+"""Memory substrate: the ``hmc``/``cxl`` device-fact record
+(:mod:`repro.memory.backend`), address mapping, DRAM timing, FR-FCFS
+vault controllers, and the device container."""
 
 from repro.memory.address import AddressMap, Location
 from repro.memory.dram import BankState, DRAMTimingSM

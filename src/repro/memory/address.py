@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import LINE_SIZE, PAGE_SIZE, SystemConfig
+from repro.memory.backend import backend_of
 
 _U64 = np.uint64
 
@@ -54,28 +55,22 @@ class Location:
 
 
 class AddressMap:
-    """Address decoding for a multi-stack system.
+    """Address decoding for a multi-device system.
 
-    The within-device geometry defaults to the HMC stack layout; memory
-    backends with a different internal organization (e.g. the CXL
-    expander's DDR channels) pass explicit ``num_vaults`` /
-    ``banks_per_vault`` / ``row_bytes`` overrides.  The page->device
+    The within-device geometry (vaults or DDR channels, banks, row size)
+    comes from the substrate record
+    (:func:`repro.memory.backend.backend_of`).  The page->device
     interleaving is geometry-independent so placement studies compare
     like-for-like across substrates.
     """
 
-    def __init__(self, cfg: SystemConfig, *,
-                 num_vaults: int | None = None,
-                 banks_per_vault: int | None = None,
-                 row_bytes: int | None = None) -> None:
+    def __init__(self, cfg: SystemConfig) -> None:
+        be = backend_of(cfg)
         self.cfg = cfg
         self.num_hmcs = cfg.num_hmcs
-        self.num_vaults = num_vaults if num_vaults is not None \
-            else cfg.hmc.num_vaults
-        self.banks_per_vault = banks_per_vault if banks_per_vault is not None \
-            else cfg.hmc.banks_per_vault
-        self.lines_per_row = (row_bytes if row_bytes is not None
-                              else cfg.hmc.row_bytes) // LINE_SIZE
+        self.num_vaults = be.vaults
+        self.banks_per_vault = be.banks
+        self.lines_per_row = be.row_bytes // LINE_SIZE
         self.seed = cfg.seed
         # The working sets span a few thousand pages; memoizing the hash
         # turns the per-access page lookup into a dict hit.
@@ -85,9 +80,11 @@ class AddressMap:
         self._bank_bits = self.banks_per_vault.bit_length() - 1
         self._col_bits = self.lines_per_row.bit_length() - 1
         if 2 ** self._vault_bits != self.num_vaults:
-            raise ValueError("num_vaults must be a power of two")
+            raise ValueError(
+                f"{be.name}: vaults per device must be a power of two")
         if 2 ** self._bank_bits != self.banks_per_vault:
-            raise ValueError("banks_per_vault must be a power of two")
+            raise ValueError(
+                f"{be.name}: banks per vault must be a power of two")
 
     # -- page -> HMC --------------------------------------------------------
 

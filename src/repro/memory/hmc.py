@@ -1,17 +1,19 @@
-"""One HMC stack: 16 vault controllers behind a logic-layer NoC.
+"""One memory device: DRAM vaults behind a front end.
 
-The logic layer receives packets from the stack's off-chip links (from the
-GPU or from peer stacks over the memory network), routes memory requests to
-the owning vault, and forwards responses.  The intra-HMC NoC hop is modelled
-as a small fixed latency plus byte accounting (it is generously provisioned
-in the HMC and never the bottleneck, but its traffic costs energy --
-Figure 10 has an "Intra-HMC NoC" component).
+On the paper's substrate the device is an HMC stack: 16 vault controllers
+behind a logic-layer NoC that receives packets from the stack's off-chip
+links (from the GPU or from peer stacks over the memory network), routes
+memory requests to the owning vault, and forwards responses.  The NoC hop
+is modelled as a small fixed latency plus byte accounting (it is
+generously provisioned in the HMC and never the bottleneck, but its
+traffic costs energy -- Figure 10 has an "Intra-HMC NoC" component).
 
-:class:`HMCStack` is the simulator's one memory-device class: the CXL
-expander (:class:`repro.memory.cxl.CXLExpander`) subclasses it and states
-only its geometry, so every DRAM line access -- GPU L2 fills, RDF reads,
-NSU writes -- takes the same :meth:`HMCStack.access_line` path on both
-backends.
+:class:`HMCStack` is the simulator's one memory-device class.  It reads
+its geometry, timing and front-end hop from the substrate record
+(:func:`repro.memory.backend.backend_of`), so on the ``cxl`` substrate
+the same class models an expander's DDR channels behind its controller
+port, with no NoC charged.  Every DRAM line access -- GPU L2 fills, RDF
+reads, NSU writes -- takes :meth:`HMCStack.access_line` on both.
 """
 
 from __future__ import annotations
@@ -20,52 +22,35 @@ from typing import Callable
 
 from repro.config import LINE_SIZE, SystemConfig
 from repro.memory.address import AddressMap
+from repro.memory.backend import backend_of
 from repro.memory.dram import DRAMTimingSM
 from repro.memory.vault import DRAMRequest, DRAMStats, VaultController
 from repro.sim.engine import Engine, LinkCounters
 
-#: Fixed logic-layer NoC traversal latency (SM cycles).
-NOC_LATENCY = 4
-
 
 class HMCStack:
-    """Vaults + logic-layer routing for one stack."""
-
-    #: Device-name prefix: device 0 is ``hmc0``, its vaults ``hmc0.v<i>``.
-    kind = "hmc"
-    #: True when accesses cross a logic-layer NoC whose bytes are charged
-    #: to the ``intra_hmc`` traffic class.
-    internal_noc = True
+    """Vaults + front-end routing for one device."""
 
     def __init__(self, engine: Engine, cfg: SystemConfig, hmc_id: int,
                  amap: AddressMap, counters: LinkCounters) -> None:
+        be = backend_of(cfg)
         self.engine = engine
         self.cfg = cfg
         self.hmc_id = hmc_id
         self.amap = amap
         self.counters = counters
-        self.name = f"{self.kind}{hmc_id}"
+        self.name = f"{be.name}{hmc_id}"
+        self.noc = be.noc
+        self.hop_latency = be.hop_latency
         self.stats = DRAMStats()
-        (timing, bus_bytes, channels, banks, queue_size,
-         self.access_latency) = self.geometry(cfg)
         self.timing = DRAMTimingSM.from_config(
-            timing, cfg.gpu.sm_clock_mhz, bus_bytes)
+            be.timing, cfg.gpu.sm_clock_mhz, be.bus_bytes)
         self.vaults: list[VaultController] = [
-            VaultController(engine, self.timing, banks, self.stats,
-                            queue_size, name=f"{self.name}.v{v}")
-            for v in range(channels)]
+            VaultController(engine, self.timing, be.banks, self.stats,
+                            be.queue_size, name=f"{self.name}.v{v}")
+            for v in range(be.vaults)]
         # Attached by the system after construction:
         self.nsu = None
-
-    @staticmethod
-    def geometry(cfg: SystemConfig) -> tuple:
-        """``(DRAM timing, vault-bus bytes per DRAM cycle, vaults, banks
-        per vault, vault queue depth, access latency)`` of one device;
-        the access latency is the front-end traversal added after each
-        DRAM access (here the logic-layer NoC hop)."""
-        h = cfg.hmc
-        return (h.timing, h.vault_bus_bytes_per_dram_cycle, h.num_vaults,
-                h.banks_per_vault, h.vault_queue_size, NOC_LATENCY)
 
     # -- DRAM access --------------------------------------------------------
 
@@ -87,11 +72,11 @@ class HMCStack:
             raise ValueError(
                 f"line {line_addr:#x} does not belong to {self.name}")
         bank, row = self.amap.bank_row_of_line(line_addr)
-        if self.internal_noc:
+        if self.noc:
             self.counters.add("intra_hmc", noc_bytes)
         self.vaults[self.amap.vault_of_line(line_addr)].submit(
             DRAMRequest(line_addr, is_write, on_done, bank, row,
-                        self.access_latency, on_lost))
+                        self.hop_latency, on_lost))
 
     # -- convenience --------------------------------------------------------
 

@@ -20,13 +20,12 @@ from typing import Callable
 import networkx as nx
 
 from repro.config import SystemConfig
+from repro.memory.backend import backend_of
 from repro.network.topology import dimension_order_path, hypercube_topology
 from repro.sim.engine import Engine, Link, LinkCounters
 
 #: Per-hop router pipeline latency (SM cycles).
 HOP_LATENCY = 6
-#: GPU link propagation latency (SM cycles).
-GPU_LINK_LATENCY = 10
 
 
 class _HopWalk:
@@ -49,19 +48,16 @@ class _HopWalk:
 
 
 class MemoryNetwork:
-    """Hypercube of HMC-to-HMC serdes links."""
+    """Hypercube of device-to-device links: HMC serdes, or a CXL switch
+    fabric on the ``cxl`` substrate (the record's ``net_bpc``)."""
 
     def __init__(self, engine: Engine, cfg: SystemConfig,
-                 counters: LinkCounters, *,
-                 bpc: float | None = None) -> None:
+                 counters: LinkCounters) -> None:
         self.engine = engine
         self.cfg = cfg
         self.faults = None   # armed by the system when a plan is active
         self.graph: nx.Graph = hypercube_topology(cfg.num_hmcs)
-        # Per-direction link bandwidth; the memory backend may override
-        # (the CXL backend models a switch fabric slower than HMC serdes).
-        if bpc is None:
-            bpc = cfg.hmc.link_bytes_per_sm_cycle(cfg.gpu.sm_clock_mhz)
+        bpc = backend_of(cfg).net_bpc
         self._links: dict[tuple[int, int], Link] = {}
         # sorted(): networkx edge order is adjacency-insertion order; a
         # canonical construction order keeps link ids and any future
@@ -138,33 +134,25 @@ class GPULinks:
     """
 
     def __init__(self, engine: Engine, cfg: SystemConfig,
-                 counters: LinkCounters, *,
-                 down_bpc: float | None = None,
-                 up_bpc: float | None = None,
-                 down_latency: int = GPU_LINK_LATENCY,
-                 up_latency: int = GPU_LINK_LATENCY) -> None:
+                 counters: LinkCounters) -> None:
         if cfg.gpu.num_links != cfg.num_hmcs:
             raise ValueError(
                 f"system wiring expects one GPU link per HMC "
                 f"({cfg.gpu.num_links} links, {cfg.num_hmcs} HMCs)")
         self.engine = engine
         self.faults = None   # armed by the system when a plan is active
-        # Memory backends may make the link asymmetric (CXL.mem has
-        # different request/response channel widths and latencies);
-        # defaults keep the symmetric Table 2 link.
-        if down_bpc is None:
-            down_bpc = cfg.gpu.link_bytes_per_sm_cycle
-        if up_bpc is None:
-            up_bpc = cfg.gpu.link_bytes_per_sm_cycle
+        # The substrate record sets each direction's rate and latency:
+        # symmetric on the HMC (Table 2), asymmetric on CXL.mem.
+        be = backend_of(cfg)
         self.down: list[Link] = []   # GPU -> HMC
         self.up: list[Link] = []     # HMC -> GPU
         for i in range(cfg.num_hmcs):
-            self.down.append(Link(engine, f"gpu->hmc{i}", down_bpc,
-                                  latency=down_latency,
+            self.down.append(Link(engine, f"gpu->hmc{i}", be.link_down_bpc,
+                                  latency=be.link_down_latency,
                                   traffic_class="gpu_link",
                                   counters=counters))
-            self.up.append(Link(engine, f"hmc{i}->gpu", up_bpc,
-                                latency=up_latency,
+            self.up.append(Link(engine, f"hmc{i}->gpu", be.link_up_bpc,
+                                latency=be.link_up_latency,
                                 traffic_class="gpu_link",
                                 counters=counters))
 

@@ -16,7 +16,8 @@ from repro.core.decision import DynamicDecider, make_decider
 from repro.core.nsu import NSU
 from repro.core.offload import NDPController
 from repro.gpu.sm import SM
-from repro.memory.backend import resolve_backend
+from repro.memory.address import AddressMap
+from repro.memory.hmc import HMCStack
 from repro.network.fabric import GPULinks, MemoryNetwork
 from repro.sim.engine import Engine, LinkCounters, RateAccumulator
 from repro.sim.results import RunResult, StallBreakdown, TrafficBytes
@@ -59,19 +60,13 @@ class System:
         self._struct_replayed = 0
         self.engine = Engine()
         self.counters = LinkCounters()
-        # Memory substrate: every substrate-specific decision (address
-        # map geometry, stack objects, link parameters, NDP queue depth,
-        # fault sites) routes through the backend; "hmc" reproduces the
-        # pre-backend wiring bit-identically.
-        self.backend = resolve_backend(cfg.backend)
-        self.backend.validate(cfg)
-        self.amap = self.backend.make_address_map(cfg)
-        self.gpu_links = GPULinks(self.engine, cfg, self.counters,
-                                  **self.backend.gpu_link_kwargs(cfg))
-        self.network = MemoryNetwork(self.engine, cfg, self.counters,
-                                     bpc=self.backend.mem_link_bpc(cfg))
-        self.hmcs = self.backend.build_stacks(self.engine, cfg, self.amap,
-                                              self.counters)
+        # The memory substrate ("hmc" or "cxl") is data: each component
+        # below reads its device facts from repro.memory.backend.
+        self.amap = AddressMap(cfg)
+        self.gpu_links = GPULinks(self.engine, cfg, self.counters)
+        self.network = MemoryNetwork(self.engine, cfg, self.counters)
+        self.hmcs = [HMCStack(self.engine, cfg, i, self.amap, self.counters)
+                     for i in range(cfg.num_hmcs)]
 
         from repro.sim.memsys import GPUMemSystem
         self.memsys = GPUMemSystem(self.engine, cfg, amap=self.amap,
@@ -85,8 +80,7 @@ class System:
             self.ndp = NDPController(
                 self.engine, cfg, amap=self.amap, memsys=self.memsys,
                 gpu_links=self.gpu_links, network=self.network,
-                hmcs=self.hmcs, counters=self.counters, decider=self.decider,
-                backend=self.backend)
+                hmcs=self.hmcs, counters=self.counters, decider=self.decider)
             self.nsus = [NSU(self.engine, cfg, i, self.ndp)
                          for i in range(cfg.num_hmcs)]
             self.ndp.nsus = self.nsus
@@ -123,8 +117,9 @@ class System:
             self.fault_injector = inj
             self.network.faults = inj
             self.gpu_links.faults = inj
-            for vault in self.backend.fault_controllers(self.hmcs):
-                vault.faults = inj
+            for hmc in self.hmcs:
+                for vault in hmc.vaults:
+                    vault.faults = inj
             for nsu in self.nsus:
                 nsu.faults = inj
             if self.ndp is not None:

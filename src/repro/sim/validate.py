@@ -10,6 +10,7 @@ configuration; it is also available to users via
 
 from __future__ import annotations
 
+from repro.memory.backend import backend_of
 from repro.sim.results import RunResult
 
 
@@ -87,13 +88,12 @@ def audit_system(system, result: RunResult) -> list[str]:
             system.ndp.credits.assert_conserved()
         except AssertionError as e:
             failures.append(str(e))
+        # Command-queue depth is a substrate fact (hmc: the NSU buffer;
+        # cxl: the expander-port queue) -- see backends.md.
+        want = (backend_of(cfg).cmd_entries, cfg.nsu.read_data_entries,
+                cfg.nsu.write_addr_entries)
         for hmc in range(cfg.num_hmcs):
             got = system.ndp.credits.available(hmc)
-            # Command-queue depth is a backend decision (hmc: the NSU
-            # buffer; cxl: the expander-port queue) -- see backends.md.
-            want = (system.backend.ndp_cmd_entries(cfg),
-                    cfg.nsu.read_data_entries,
-                    cfg.nsu.write_addr_entries)
             _check(got == want,
                    f"HMC {hmc} credits {got} != capacity {want}", failures)
         for nsu in system.nsus:

@@ -1,8 +1,8 @@
 """Memory-backend contract tests (PR 8 tentpole).
 
-The ``repro.memory.backend`` registry hides the substrate behind a
-small hook set; these tests pin the three guarantees the refactor
-makes:
+A memory substrate is one record of device facts
+(``repro.memory.backend.backend_of``); these tests pin the guarantees
+it makes:
 
 * the default ``hmc`` backend is **bit-identical** to the pre-backend
   simulator (same digests as ``test_baseline_recovery.EXPECTED``, same
@@ -11,9 +11,9 @@ makes:
   digests, zero intra-stack NoC traffic, separated store keys);
 * both backends keep their bench-scale pins on the full paper
   configuration (:class:`TestDensePins`);
-* every backend honours the shared protocol contract (registry
-  completeness, resolve semantics, unarmed-chaos identity, CODA
-  placement determinism).
+* both records hold their substrate's wiring, and the shared protocol
+  runs clean on both (unarmed-chaos identity, CODA placement
+  determinism, a narrow NSU).
 """
 
 import dataclasses
@@ -24,17 +24,11 @@ import pytest
 
 from repro.config import BACKEND_NAMES, ci_config, paper_config
 from repro.faults import get_scenario
-from repro.memory.backend import (
-    BACKENDS,
-    CXLBackend,
-    HMCBackend,
-    MemoryBackend,
-    backend_names,
-    resolve_backend,
-)
+from repro.memory.backend import backend_of
 from repro.sim.runner import build_system
 from repro.sim.serialize import result_to_dict
 from repro.sim.store import cell_key, config_fingerprint
+from repro.sim.validate import audit_system
 from tests import reference_stepper, test_baseline_recovery
 
 #: The seed's hmc digest pins.  Imported through the module, not by class
@@ -53,40 +47,51 @@ def _run(workload, config, base, **kw):
 
 
 class TestRegistry:
-    def test_registry_matches_config_names(self):
-        assert tuple(BACKENDS) == BACKEND_NAMES
-        assert backend_names() == BACKEND_NAMES
-
-    def test_entries_are_protocol_instances(self):
-        for name, backend in BACKENDS.items():
-            assert isinstance(backend, MemoryBackend)
-            assert backend.name == name
-
-    def test_resolve_by_name_and_instance(self):
-        hmc = resolve_backend("hmc")
-        assert isinstance(hmc, HMCBackend)
-        assert resolve_backend(None) is hmc          # default
-        assert resolve_backend(hmc) is hmc           # pass-through
-        assert isinstance(resolve_backend("cxl"), CXLBackend)
-
-    def test_resolve_unknown_lists_choices(self):
-        with pytest.raises(KeyError, match="hmc"):
-            resolve_backend("ddr5")
+    """The backend names (``config.BACKEND_NAMES``) and the record of
+    device facts each one builds."""
 
     def test_config_rejects_unknown_backend(self):
         with pytest.raises(ValueError):
             dataclasses.replace(ci_config(), backend="ddr5")
 
-    def test_hmc_hook_defaults_preserve_legacy_wiring(self):
+    def test_hmc_record_holds_legacy_wiring(self):
         # The exact values the pre-backend simulator hard-coded; any
         # drift here breaks the bit-identity pins below.
         cfg = ci_config()
-        hmc = resolve_backend("hmc")
-        assert hmc.internal_noc is True
-        assert hmc.local_response_latency(cfg) == 4
-        assert hmc.ndp_cmd_entries(cfg) == cfg.nsu.cmd_buffer_entries
-        assert hmc.gpu_link_kwargs(cfg) == {}
-        assert hmc.mem_link_bpc(cfg) is None
+        be = backend_of(cfg)
+        assert be.name == "hmc"
+        assert be.noc is True
+        assert be.hop_latency == 4
+        assert be.cmd_entries == cfg.nsu.cmd_buffer_entries
+        link = cfg.gpu.link_bytes_per_sm_cycle
+        assert (be.link_down_bpc, be.link_up_bpc) == (link, link)
+        assert (be.link_down_latency, be.link_up_latency) == (10, 10)
+        assert be.net_bpc == cfg.hmc.link_bytes_per_sm_cycle(
+            cfg.gpu.sm_clock_mhz)
+        h = cfg.hmc
+        assert (be.timing, be.bus_bytes, be.vaults, be.banks,
+                be.queue_size, be.row_bytes) == (
+            h.timing, h.vault_bus_bytes_per_dram_cycle, h.num_vaults,
+            h.banks_per_vault, h.vault_queue_size, h.row_bytes)
+
+    def test_cxl_record_reads_cxl_config(self):
+        cfg = ci_config().with_backend("cxl")
+        be = backend_of(cfg)
+        x = cfg.cxl
+        clock = cfg.gpu.sm_clock_mhz
+        assert be.name == "cxl"
+        assert be.noc is False
+        assert be.hop_latency == x.port_latency
+        assert be.cmd_entries == x.ndp_cmd_queue
+        assert (be.link_down_bpc, be.link_up_bpc) == \
+            x.host_link_bytes_per_sm_cycle(clock)
+        assert (be.link_down_latency, be.link_up_latency) == (
+            x.link_latency_down, x.link_latency_up)
+        assert be.net_bpc == x.fabric_bytes_per_sm_cycle(clock)
+        assert (be.timing, be.bus_bytes, be.vaults, be.banks,
+                be.queue_size, be.row_bytes) == (
+            x.timing, x.channel_bus_bytes_per_dram_cycle, x.num_channels,
+            x.banks_per_channel, x.channel_queue_size, x.row_bytes)
 
 
 class TestHMCIdentity:
@@ -231,9 +236,23 @@ class TestUnarmedChaosIdentity:
         assert armed_sys.fault_injector.total_fired == 0
 
     def test_cxl_faults_actually_fire(self):
-        # fault_controllers must expose the expander's channels so a
-        # real plan still lands somewhere.
+        # The system arms the expander's channels too, so a real plan
+        # still lands somewhere.
         base = ci_config().with_backend("cxl")
         plan = get_scenario("vault-read-loss", rate=0.05, seed=1)
         system, _ = _run("VADD", "Baseline", base, faults=plan)
         assert system.fault_injector.total_fired > 0
+
+
+class TestNarrowNSU:
+    """With fewer NSU warp slots than command credits, commands queue at
+    the NSU up to the depth the credit manager grants: the record's
+    command-queue depth, on either substrate."""
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_queued_commands_audit_clean(self, backend):
+        cfg = ci_config().with_backend(backend)
+        base = dataclasses.replace(
+            cfg, nsu=dataclasses.replace(cfg.nsu, num_warp_slots=8))
+        system, result = _run("BFS", "NaiveNDP", base)
+        assert audit_system(system, result) == []

@@ -29,14 +29,19 @@ class TestComponents:
         e = compute_energy(r, paper_config())
         assert e.nsu > 0
 
-    def test_link_energy_proportional_to_bytes(self):
+    @pytest.mark.parametrize("backend,constant", [
+        pytest.param("hmc", "offchip_link_nj_per_byte", id="hmc"),
+        pytest.param("cxl", "cxl_link_nj_per_byte", id="cxl"),
+    ])
+    def test_link_energy_proportional_to_bytes(self, backend, constant):
         p = EnergyParams()
+        cfg = paper_config().with_backend(backend)
         r1 = mk_result(traffic=TrafficBytes(gpu_link=1000))
         r2 = mk_result(traffic=TrafficBytes(gpu_link=3000))
-        e1 = compute_energy(r1, paper_config(), p)
-        e2 = compute_energy(r2, paper_config(), p)
+        e1 = compute_energy(r1, cfg, p)
+        e2 = compute_energy(r2, cfg, p)
         assert (e2.offchip_icnt - e1.offchip_icnt) == pytest.approx(
-            2000 * p.offchip_link_nj_per_byte)
+            2000 * getattr(p, constant))
 
     def test_memory_network_counted_as_offchip(self):
         r = mk_result(traffic=TrafficBytes(mem_net=4000))

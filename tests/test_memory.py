@@ -15,7 +15,6 @@ from repro.memory import (
     VaultController,
 )
 from repro.faults import FaultInjector, get_scenario
-from repro.memory.backend import resolve_backend
 from repro.memory.dram import BankState
 from repro.sim.engine import Engine, LinkCounters
 
@@ -225,10 +224,9 @@ class TestHMCStack:
     def test_access_routes_to_owner_only(self, backend):
         e = Engine()
         cfg = ci_config().with_backend(backend)
-        be = resolve_backend(backend)
-        amap = be.make_address_map(cfg)
+        amap = AddressMap(cfg)
         c = LinkCounters()
-        stack = be.build_stacks(e, cfg, amap, c)[0]
+        stack = HMCStack(e, cfg, 0, amap, c)
         # find a line owned by device 0
         line = next(l for l in range(10000)
                     if amap.hmc_of(l * LINE_SIZE) == 0)
