@@ -89,7 +89,8 @@ class DRAMTiming:
 
 @dataclass(frozen=True)
 class GPUConfig:
-    """Host GPU configuration (Table 2, 'GPU' section)."""
+    """Host GPU configuration (Table 2, 'GPU' section).  Every SM
+    schedules warps greedy-then-oldest, the GPGPU-sim default."""
 
     num_sms: int = 64
     warps_per_sm: int = 48          # 1536 threads / warp width 32
@@ -118,9 +119,6 @@ class GPUConfig:
     )
     alu_latency: int = 4            # SM cycles until result is ready
     max_inflight_loads_per_warp: int = 6
-    # Warp scheduling policy: "gto" (greedy-then-oldest, the GPGPU-sim
-    # default the paper inherits) or "lrr" (loose round-robin).
-    scheduler: str = "gto"
     # Graphics-era SRAM the NSU drops (Section 4.5) but the GPU carries;
     # counted in the Section 7.5 on-chip storage total.
     const_cache_bytes: int = 8 * 1024

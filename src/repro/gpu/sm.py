@@ -9,10 +9,11 @@ probing for the offload path.
 
 Interfaces expected from the system:
 
-* ``memsys.load(sm, access, on_done) -> bool`` and
-  ``memsys.store(sm, access) -> bool`` -- baseline/inline memory path;
-  ``False`` means a structural reject (MSHR full) and the instruction
-  retries next cycle.
+* ``memsys.load(sm, access, on_done) -> bool`` -- baseline/inline load
+  of one line; ``False`` means a structural reject (L1 MSHR file full)
+  and the load retries next cycle from the rejected line.
+* ``memsys.store(sm, access)`` -- write-through store of one line; it
+  always goes out (no MSHR), so a store never retries.
 * ``ndp.start_block / rdf / wta / end_block`` -- partitioned execution
   (absent in pure-baseline systems).
 * ``decider.decide(sm_id, dynblock) -> bool`` -- the offload decision.
@@ -38,12 +39,12 @@ SHMEM_LATENCY = 24
 
 
 class SM:
-    """One streaming multiprocessor."""
+    """One streaming multiprocessor with a greedy-then-oldest (GTO) warp
+    scheduler, the GPGPU-sim default the paper inherits."""
 
     def __init__(self, engine: Engine, sm_id: int, *, warps_per_sm: int,
                  alu_latency: int, max_inflight_loads: int,
-                 memsys, ndp=None, decider=None,
-                 scheduler: str = "gto") -> None:
+                 memsys, ndp=None, decider=None) -> None:
         self.engine = engine
         self.sm_id = sm_id
         self.warps_per_sm = warps_per_sm
@@ -52,9 +53,6 @@ class SM:
         self.memsys = memsys
         self.ndp = ndp
         self.decider = decider
-        if scheduler not in ("gto", "lrr"):
-            raise ValueError(f"unknown scheduler {scheduler!r}")
-        self.scheduler = scheduler
 
         # Active-set scheduling hook: ``System.run`` installs a callback
         # here and every external wake path (fill, timed dep release,
@@ -73,9 +71,10 @@ class SM:
         self.dep_count = 0
         self.current: Warp | None = None    # greedy-then-oldest anchor
 
-        # Per-memory-instruction replay state (partial structural rejects).
-        self._acc_cursor: dict[int, int] = {}
+        # Per-load replay state (partial structural rejects).
         self._replays: dict[int, "_MemReplay"] = {}
+        # Retry cost recorded by the last issue pass (see _issue).
+        self._retry_cost: int | None = None
 
         # Statistics.
         self.stalls = StallBreakdown()
@@ -151,30 +150,47 @@ class SM:
         return issued
 
     def _issue(self) -> bool:
+        """Try up to ``MAX_ISSUE_ATTEMPTS`` ready warps: the current one
+        first (GTO), then the ready set in insertion order.
+
+        The pass records in ``_retry_cost`` what the next cycle's pass
+        will cost: 1 per ``"mshr_full"`` attempt (an L1 miss + an MSHR
+        reject), 0 per ``"cap_spin"``, and ``None`` if any attempt had
+        another outcome, an issue included.  Exact, because only engine
+        events, which fire ``waker`` first, can change a retry's outcome
+        (docs/performance.md).
+        """
+        retries = 0
+        clean = True
         attempts = 0
         cur = self.current
-        # GTO: stick with the current warp while it can issue.
-        if (self.scheduler == "gto" and cur is not None
-                and cur.wid in self.ready):
+        if cur is not None and cur.wid in self.ready:
             status = self._try_issue(cur)
             if status == "issued":
+                self._retry_cost = None
                 return True
+            if status == "mshr_full":
+                retries += 1
+            elif status != "cap_spin":
+                clean = False
             attempts += 1
         for wid in list(self.ready):
             if attempts >= MAX_ISSUE_ATTEMPTS:
                 break
             warp = self.ready.get(wid)
-            if warp is None or (self.scheduler == "gto" and warp is cur):
+            if warp is None or warp is cur:
                 continue
             status = self._try_issue(warp)
             attempts += 1
             if status == "issued":
                 self.current = warp
-                if self.scheduler == "lrr" and warp.wid in self.ready:
-                    # Rotate the issuing warp to the back of the order.
-                    self.ready.pop(warp.wid)
-                    self.ready[warp.wid] = warp
+                self._retry_cost = None
                 return True
+            if status == "mshr_full":
+                retries += 1
+            elif status != "cap_spin":
+                clean = False
+        self._retry_cost = retries if clean else None
         return False
 
     def _classify_no_issue(self, cycles: int) -> None:
@@ -204,82 +220,12 @@ class SM:
 
     # -- structural-reject parking (System.run) -------------------------------
 
-    def _probe_struct(self, warp: Warp, now: int) -> int | None:
-        """Would ``_try_issue(warp)`` be a pure structural load reject
-        this cycle?  Returns ``None`` if the attempt could make progress
-        or have any side effect, else the attempt's per-cycle counter
-        cost: ``1`` for an MSHR-full retry (one L1 miss + one MSHR
-        reject), ``0`` for an inflight-cap spin (no counters touched).
-        Strictly side-effect-free -- a shadow of the issue path."""
-        item = warp.current_item()
-        if item is None:
-            return None                    # would finish the warp
-        if isinstance(item, DynBlock):
-            if warp.mode != "inline":
-                # Offload decision / packet-generation paths have side
-                # effects (decider state, NDP credits); never elide them.
-                return None
-            instr = item.block.instrs[warp.sub_pc]
-            accesses = (item.mem_accesses[warp.mem_seq]
-                        if instr.is_mem else ())
-        else:
-            instr = item.instr
-            accesses = item.accesses
-        reads = instr.reads
-        if reads and warp.srcs_ready_at(reads) > now:
-            return None                    # would block on a dependency
-        if instr.op is not Opcode.LD or not accesses:
-            return None                    # would issue
-        replay = self._replays.get(warp.wid)
-        if replay is None:
-            if warp.inflight_loads >= self.max_inflight_loads:
-                return 0                   # cap spin: rejected pre-counters
-            return None                    # would create a replay and pump
-        if self.memsys.l1_would_reject(self.sm_id,
-                                       replay.remaining[0].line_addr):
-            return 1                       # MSHR-full retry: miss + reject
-        return None                        # pump would make progress
-
     def struct_park_probe(self) -> int | None:
-        """Shadow-walk this cycle's issue attempt order: if *every* warp
-        the scheduler would try is a pure structural load reject, return
-        the summed per-cycle counter cost (``System.run`` parks the
-        SM and replays ``cost`` L1 misses + MSHR rejects per elided cycle
-        on wake); otherwise return ``None``.
-
-        Mirrors :meth:`_issue` exactly -- GTO current-warp-first, ready
-        insertion order, the ``MAX_ISSUE_ATTEMPTS`` cap -- because the
-        elided cycles must be bit-identical to the real retry cycles
-        they replace (docs/performance.md).
-        """
-        if self.pending_traces and len(self.warps) < self.warps_per_sm:
-            return None                    # _launch would make progress
-        ready = self.ready
-        if not ready:
-            return None                    # ordinary idle-park path applies
-        now = self.engine.now
-        cost = 0
-        attempts = 0
-        cur = self.current
-        gto = self.scheduler == "gto"
-        if gto and cur is not None and cur.wid in ready:
-            c = self._probe_struct(cur, now)
-            if c is None:
-                return None
-            cost += c
-            attempts += 1
-        for wid in ready:
-            if attempts >= MAX_ISSUE_ATTEMPTS:
-                break
-            warp = ready[wid]
-            if gto and warp is cur:
-                continue
-            c = self._probe_struct(warp, now)
-            if c is None:
-                return None
-            cost += c
-            attempts += 1
-        return cost
+        """The retry cost :meth:`_issue` recorded: ``System.run`` asks
+        after a tick that issued nothing, and on a number parks the SM
+        and replays that many L1 misses + MSHR rejects per elided cycle
+        on wake (docs/performance.md)."""
+        return self._retry_cost
 
     def metrics_snapshot(self) -> dict:
         """Counters/gauges published into the metrics registry."""
@@ -298,6 +244,9 @@ class SM:
     # -- instruction execution ---------------------------------------------------
 
     def _try_issue(self, warp: Warp) -> str:
+        """One attempt: ``"issued"``, ``"blocked"``, ``"done"``, the
+        offload path's ``"struct"``, or a load's ``"mshr_full"`` (L1
+        MSHR file full) or ``"cap_spin"`` (per-warp inflight cap)."""
         item = warp.current_item()
         if item is None:
             self._finish_warp(warp)
@@ -485,13 +434,13 @@ class SM:
         replay = self._replays.get(warp.wid)
         if replay is None:
             if warp.inflight_loads >= self.max_inflight_loads:
-                return "struct"
+                return "cap_spin"
             replay = _MemReplay(warp, instr.dst, accesses)
             self._replays[warp.wid] = replay
             warp.inflight_loads += 1
         sent_all = replay.pump(self)
         if not sent_all:
-            return "struct"
+            return "mshr_full"
         # All line requests of this load are out.
         del self._replays[warp.wid]
         replay.commit(self)
@@ -499,16 +448,8 @@ class SM:
         return "issued"
 
     def _exec_store(self, warp: Warp, instr, accesses) -> str:
-        cursor = self._acc_cursor.get(warp.wid, 0)
-        sent = cursor
-        for acc in accesses[cursor:]:
-            if not self.memsys.store(self, acc):
-                break
-            sent += 1
-        if sent < len(accesses):
-            self._acc_cursor[warp.wid] = sent
-            return "struct"
-        self._acc_cursor.pop(warp.wid, None)
+        for acc in accesses:
+            self.memsys.store(self, acc)
         self._retire(warp)
         return "issued"
 

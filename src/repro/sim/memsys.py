@@ -138,8 +138,9 @@ class GPUMemSystem:
         True iff a load of ``line`` from SM ``sm_id`` would be
         structurally rejected right now (L1 miss + no outstanding MSHR
         entry to merge into + MSHR file full).  Touches no counters and
-        no LRU state -- ``System.run``'s park probe uses it to
-        decide whether a retry loop is pure spin (docs/performance.md).
+        no LRU state.  The simulator itself never asks: the issue pass
+        records its own retry cost (``SM._issue``); the test oracle that
+        re-derives that cost (``tests/reference_stepper.py``) does.
         """
         if self.l1[sm_id].contains(line):
             return False
@@ -300,8 +301,9 @@ class GPUMemSystem:
 
     # -- baseline / inline stores ---------------------------------------------------
 
-    def store(self, sm, access: MemAccess) -> bool:
-        """Write-through store of one coalesced line access."""
+    def store(self, sm, access: MemAccess) -> None:
+        """Write-through store of one coalesced line access.  Stores take
+        no MSHR entry, so the hierarchy always accepts them."""
         line = access.line_addr
         self.l1[sm.sm_id].touch_write(line)
         part = self.amap.hmc_of(line * LINE_SIZE)
@@ -312,7 +314,6 @@ class GPUMemSystem:
             part, size,
             lambda: self.hmcs[part].access_line(line, True, lambda r: None,
                                                 noc_bytes=size))
-        return True
 
     # -- NDP hooks ---------------------------------------------------------------------
 

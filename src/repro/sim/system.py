@@ -92,8 +92,7 @@ class System:
             SM(self.engine, i, warps_per_sm=g.warps_per_sm,
                alu_latency=g.alu_latency,
                max_inflight_loads=g.max_inflight_loads_per_warp,
-               memsys=self.memsys, ndp=self.ndp, decider=self.decider,
-               scheduler=g.scheduler)
+               memsys=self.memsys, ndp=self.ndp, decider=self.decider)
             for i in range(g.num_sms)
         ]
         # Every NSU runs at one clock ratio, so one accumulator decides
@@ -310,9 +309,9 @@ class System:
                             else:
                                 parks.append(idx)
                         elif not issued:
-                            # Retry loop?  If every warp the scheduler
-                            # would try next cycle is a pure structural
-                            # load reject, park and replay the elided
+                            # Retry loop?  If every attempt of this tick
+                            # was a pure structural load reject, park at
+                            # the recorded cost and replay the elided
                             # cycles' counters at wake time.
                             cost = sm.struct_park_probe()
                             if cost is not None:

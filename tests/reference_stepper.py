@@ -7,11 +7,19 @@ cycle, and time fast-forwards only when no SM and no NSU can issue.
 cycles in bulk instead (docs/performance.md); the differential test in
 ``tests/test_baseline_recovery.py`` requires the two to agree on the
 digest, the stall breakdown and the phase counts.
+
+:func:`struct_park_cost` is the oracle for the other half of parking:
+it re-derives, by walking the next cycle's issue attempts without
+making them, the retry cost that ``SM._issue`` records for
+``SM.struct_park_probe``.
 """
 
 from __future__ import annotations
 
 from repro.core.decision import DynamicDecider
+from repro.gpu.sm import MAX_ISSUE_ATTEMPTS
+from repro.gpu.trace import DynBlock
+from repro.isa.instructions import Opcode
 from repro.sim.system import SimulationTimeout
 
 
@@ -114,3 +122,72 @@ def step(system, max_cycles: int = 20_000_000):
                           "sm_wakes": 0, "struct_parks": 0,
                           "struct_replayed": 0}
     return system._collect()
+
+
+def _attempt_cost(sm, warp, now: int) -> int | None:
+    """Would ``sm._try_issue(warp)`` be a pure structural load reject
+    this cycle?  ``None`` if the attempt could make progress or have any
+    side effect, else its counter cost: 1 for an MSHR-full retry (one L1
+    miss + one MSHR reject), 0 for an inflight-cap spin.  Touches
+    nothing."""
+    item = warp.current_item()
+    if item is None:
+        return None                    # would finish the warp
+    if isinstance(item, DynBlock):
+        if warp.mode != "inline":
+            # The offload decision and packet generation have side
+            # effects (decider state, NDP credits).
+            return None
+        instr = item.block.instrs[warp.sub_pc]
+        accesses = (item.mem_accesses[warp.mem_seq]
+                    if instr.is_mem else ())
+    else:
+        instr = item.instr
+        accesses = item.accesses
+    reads = instr.reads
+    if reads and warp.srcs_ready_at(reads) > now:
+        return None                    # would block on a dependency
+    if instr.op is not Opcode.LD or not accesses:
+        return None                    # would issue
+    replay = sm._replays.get(warp.wid)
+    if replay is None:
+        if warp.inflight_loads >= sm.max_inflight_loads:
+            return 0                   # cap spin: rejected pre-counters
+        return None                    # would create a replay and pump
+    if sm.memsys.l1_would_reject(sm.sm_id, replay.remaining[0].line_addr):
+        return 1                       # MSHR-full retry: miss + reject
+    return None                        # the pump would make progress
+
+
+def struct_park_cost(sm) -> int | None:
+    """Walk the attempts ``sm``'s next tick would make, in the issue
+    pass's order -- the current warp first (GTO), then the ready set in
+    insertion order, at most ``MAX_ISSUE_ATTEMPTS`` -- and return their
+    summed counter cost if every one is a pure structural load reject,
+    else ``None``."""
+    if sm.pending_traces and len(sm.warps) < sm.warps_per_sm:
+        return None                    # a launch would make progress
+    ready = sm.ready
+    if not ready:
+        return None
+    now = sm.engine.now
+    cost = 0
+    attempts = 0
+    cur = sm.current
+    if cur is not None and cur.wid in ready:
+        c = _attempt_cost(sm, cur, now)
+        if c is None:
+            return None
+        cost += c
+        attempts += 1
+    for warp in ready.values():
+        if attempts >= MAX_ISSUE_ATTEMPTS:
+            break
+        if warp is cur:
+            continue
+        c = _attempt_cost(sm, warp, now)
+        if c is None:
+            return None
+        cost += c
+        attempts += 1
+    return cost

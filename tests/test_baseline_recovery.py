@@ -26,6 +26,7 @@ from repro.faults import (
     TimeoutTracker,
     get_scenario,
 )
+from repro.gpu.sm import SM
 from repro.sim.runner import build_system
 from repro.sim.serialize import result_to_dict
 from repro.sim.system import SimulationTimeout
@@ -51,6 +52,13 @@ def _starved_mshr(base):
     l1d = dataclasses.replace(base.gpu.l1d, mshr_entries=1)
     return dataclasses.replace(
         base, gpu=dataclasses.replace(base.gpu, l1d=l1d))
+
+
+def _starved_pending(base):
+    """``base`` with a 16-entry SM pending buffer, so offloads run out of
+    entries and the offload path struct-rejects ``start_block``."""
+    return dataclasses.replace(base, sm_buffers=dataclasses.replace(
+        base.sm_buffers, pending_entries=16))
 
 
 class TestBaselineRecovery:
@@ -191,8 +199,10 @@ class TestUnarmedDigests:
 
     #: Cells on which ``System.run`` must replay the reference stepper:
     #: the four pinned cells (BFS stresses dependency stalls, KMN with the
-    #: cache filter the offload/suppress path), the cxl expander, and a
-    #: 1-entry L1 MSHR file that forces structural parking.
+    #: cache filter the offload/suppress path), the cxl expander, a
+    #: 1-entry L1 MSHR file that forces structural parking, and the cells
+    #: that struct-park at the default MSHR size: STCL and MiniFE on
+    #: MSHR-full retries, STN on inflight-cap spins alone.
     DIFFERENTIAL = [
         *(pytest.param(w, c, ci_config(), id=f"{w}-{c}")
           for w, c in sorted(EXPECTED)),
@@ -200,6 +210,8 @@ class TestUnarmedDigests:
                      id="VADD-NDP(Dyn)-cxl"),
         pytest.param("VADD", "Baseline", _starved_mshr(ci_config()),
                      id="VADD-Baseline-mshr1"),
+        *(pytest.param(w, "Baseline", ci_config(), id=f"{w}-Baseline")
+          for w in ("STCL", "MiniFE", "STN")),
     ]
 
     @pytest.mark.parametrize("workload,config,base", DIFFERENTIAL)
@@ -229,6 +241,59 @@ class TestUnarmedDigests:
             assert stats["struct_parks"] > 0
             assert stats["struct_replayed"] > 0
             assert stats["sm_ticks"] < ref_system.sched_stats["sm_ticks"]
+
+    #: Cells whose SMs struct-park at ci scale and seed 1.
+    PARKING = [
+        *(pytest.param(w, c, ci_config(), id=f"{w}-{c}")
+          for w, c in (("STCL", "Baseline"), ("MiniFE", "Baseline"),
+                       ("STN", "Baseline"), ("BFS", "NDP(Dyn)"))),
+        pytest.param("VADD", "Baseline", _starved_mshr(ci_config()),
+                     id="VADD-Baseline-mshr1"),
+    ]
+
+    @staticmethod
+    def _run_checking_probe(workload, config, base, monkeypatch):
+        """Run ``System.run``, recording at every ``struct_park_probe``
+        call the cycle, the SM, the issue pass's record and the oracle's
+        cost (``reference_stepper.struct_park_cost``)."""
+        probe = SM.struct_park_probe
+        calls = []
+
+        def checked(sm):
+            record = probe(sm)
+            calls.append((sm.engine.now, sm.sm_id, record,
+                          reference_stepper.struct_park_cost(sm)))
+            return record
+
+        monkeypatch.setattr(SM, "struct_park_probe", checked)
+        system = build_system(workload, config, base=base, scale="ci")
+        system.run(max_cycles=20_000_000)
+        return system, calls
+
+    @pytest.mark.parametrize("workload,config,base", PARKING)
+    def test_recorded_retry_cost_matches_oracle(self, workload, config,
+                                                base, monkeypatch):
+        # The issue pass records what repeating it would cost; the
+        # oracle re-derives that cost by walking the next cycle's
+        # attempts without making them.  A record may be None where the
+        # oracle would park (a tick that also blocked or finished a warp
+        # parks one cycle later), but a number must be the oracle's.
+        system, calls = self._run_checking_probe(workload, config, base,
+                                                 monkeypatch)
+        wrong = [c for c in calls if c[2] is not None and c[2] != c[3]]
+        assert not wrong, f"records that differ from the oracle: {wrong[:5]}"
+        parks = sum(1 for c in calls if c[2] is not None)
+        assert parks == system.sched_stats["struct_parks"] > 0
+
+    def test_offload_structural_rejects_never_park(self, monkeypatch):
+        # Out of SM pending-buffer entries, start_block fails and the warp
+        # retries the offload each cycle.  Those retries have side effects
+        # (the offload decision), so no record may price them.
+        system, calls = self._run_checking_probe(
+            "BFS", "NaiveNDP", _starved_pending(ci_config()), monkeypatch)
+        assert calls
+        assert all(c[2] is None and c[3] is None for c in calls)
+        assert system.sched_stats["struct_parks"] == 0
 
     def test_active_scheduler_elides_ticks(self):
         # The point of parking: strictly fewer SM ticks than the dense

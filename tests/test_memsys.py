@@ -100,7 +100,7 @@ class TestLoadPath:
 class TestStorePath:
     def test_write_through_reaches_dram(self):
         e, mem = mk_memsys()
-        assert mem.store(FakeSM(), acc(42, words=8))
+        mem.store(FakeSM(), acc(42, words=8))
         e.drain()
         assert sum(h.stats.writes for h in mem.hmcs) == 1
 
