@@ -24,7 +24,7 @@ coherence
     guards (Sections 4.2 and 4.1.1).
 """
 
-from repro.core.packets import PacketSizes, OffloadPacketId
+from repro.core.packets import PacketSizes
 from repro.core.credit import BufferCreditManager, Reservation
 from repro.core.buffers import ReadDataBuffer, WriteAddressBuffer
 from repro.core.target_select import (
@@ -44,7 +44,6 @@ from repro.core.decision import (
 
 __all__ = [
     "PacketSizes",
-    "OffloadPacketId",
     "BufferCreditManager",
     "Reservation",
     "ReadDataBuffer",

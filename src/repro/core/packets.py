@@ -15,21 +15,7 @@ Section 4.4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.config import ADDR_SIZE, LINE_SIZE, PKT_HEADER, REG_SIZE, WORD_SIZE
-
-
-@dataclass(frozen=True)
-class OffloadPacketId:
-    """Unique ID shared by all packets of one offload block instance."""
-
-    sm_id: int
-    warp_id: int
-    instance: int     # per-(sm, warp) running counter
-
-    def with_seq(self, seq: int) -> tuple["OffloadPacketId", int]:
-        return (self, seq)
 
 
 class PacketSizes:

@@ -20,13 +20,12 @@ from collections import Counter
 
 import numpy as np
 
+from repro.config import LINE_SIZE
 from repro.gpu.coalescer import MemAccess
 from repro.memory.address import AddressMap
 
 
-def _majority_hmc(line_addrs, amap: AddressMap) -> int:
-    counts = Counter(amap.hmc_of_lines(
-        np.asarray(line_addrs, dtype=np.int64)).tolist())
+def _majority_hmc(counts: Counter) -> int:
     # Ties break toward the lower HMC id (deterministic hardware).
     best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
     return best[0]
@@ -37,16 +36,20 @@ def first_instr_target(first_accesses: tuple[MemAccess, ...],
     """Paper policy: HMC with the most accesses from the first LD/ST."""
     if not first_accesses:
         raise ValueError("first memory instruction has no accesses")
-    return _majority_hmc([a.line_addr for a in first_accesses], amap)
+    hmc_of = amap.hmc_of
+    return _majority_hmc(Counter(
+        [hmc_of(a.line_addr * LINE_SIZE) for a in first_accesses]))
 
 
 def optimal_target(all_accesses: tuple[tuple[MemAccess, ...], ...],
                    amap: AddressMap) -> int:
     """Oracle policy: HMC with the most accesses over the whole block."""
-    lines = [a.line_addr for group in all_accesses for a in group]
-    if not lines:
+    hmc_of = amap.hmc_of
+    counts = Counter([hmc_of(a.line_addr * LINE_SIZE)
+                      for group in all_accesses for a in group])
+    if not counts:
         raise ValueError("offload block has no memory accesses")
-    return _majority_hmc(lines, amap)
+    return _majority_hmc(counts)
 
 
 def coda_target(all_accesses: tuple[tuple[MemAccess, ...], ...],
@@ -65,6 +68,7 @@ def coda_target(all_accesses: tuple[tuple[MemAccess, ...], ...],
     Falls back to plain majority (== ``optimal_target``) for read-only
     blocks, where co-location has nothing extra to say.
     """
+    hmc_of = amap.hmc_of
     weighted: Counter = Counter()
     mem_seq = 0
     for inst in block.gpu_code:
@@ -73,14 +77,11 @@ def coda_target(all_accesses: tuple[tuple[MemAccess, ...], ...],
         group = all_accesses[mem_seq]
         mem_seq += 1
         weight = write_weight if inst.kind == "wta" else 1
-        owners = amap.hmc_of_lines(np.asarray(
-            [a.line_addr for a in group], dtype=np.int64)).tolist()
-        for owner in owners:
-            weighted[owner] += weight
+        for a in group:
+            weighted[hmc_of(a.line_addr * LINE_SIZE)] += weight
     if not weighted:
         raise ValueError("offload block has no memory accesses")
-    best = max(weighted.items(), key=lambda kv: (kv[1], -kv[0]))
-    return best[0]
+    return _majority_hmc(weighted)
 
 
 def select_target(policy: str, item, amap: AddressMap) -> int:
@@ -96,11 +97,9 @@ def select_target(policy: str, item, amap: AddressMap) -> int:
 def block_traffic(all_accesses, target: int, amap: AddressMap) -> int:
     """Inter-stack line movements for a block executed on ``target``:
     every access whose owner is not the target crosses the network once."""
-    lines = np.asarray(
-        [a.line_addr for group in all_accesses for a in group],
-        dtype=np.int64)
-    owners = amap.hmc_of_lines(lines)
-    return int(np.count_nonzero(owners != target))
+    hmc_of = amap.hmc_of
+    return sum(hmc_of(a.line_addr * LINE_SIZE) != target
+               for group in all_accesses for a in group)
 
 
 def target_policy_traffic_study(

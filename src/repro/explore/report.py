@@ -15,8 +15,7 @@ import json
 import os
 import tempfile
 
-__all__ = ["format_best", "format_generations", "load_best_configs",
-           "write_best_configs"]
+__all__ = ["format_best", "format_generations", "write_best_configs"]
 
 BEST_KIND = "repro-explore-best"
 BEST_VERSION = 1
@@ -54,14 +53,6 @@ def write_best_configs(outcome, path: str) -> str:
             pass
         raise
     return path
-
-
-def load_best_configs(path: str) -> dict:
-    with open(path) as f:
-        payload = json.load(f)
-    if payload.get("kind") != BEST_KIND:
-        raise ValueError(f"{path} is not a {BEST_KIND} file")
-    return payload
 
 
 def format_generations(outcome) -> str:

@@ -21,29 +21,20 @@ LOSS_NOTIFY_DELAY = 20
 
 
 class _SpecState:
-    """Mutable per-run state of one FaultSpec: its RNG and counters."""
+    """Mutable per-run state of one FaultSpec: its RNG and event count."""
 
-    __slots__ = ("spec", "rng", "seen", "fired")
+    __slots__ = ("spec", "rng", "seen")
 
     def __init__(self, spec: FaultSpec, rng: random.Random) -> None:
         self.spec = spec
         self.rng = rng
         self.seen = 0       # events observed at the site
-        self.fired = 0      # faults actually injected
 
-    def fires(self, now: int) -> bool:
+    def fires(self) -> bool:
         self.seen += 1
         s = self.spec
-        if s.max_events and self.fired >= s.max_events:
-            return False
-        if s.window is not None and not (s.window[0] <= now < s.window[1]):
-            return False
-        hit = (self.seen in s.at_events
-               or (s.every and self.seen % s.every == 0)
-               or (s.rate and self.rng.random() < s.rate))
-        if hit:
-            self.fired += 1
-        return hit
+        return (self.seen in s.at_events
+                or (s.rate and self.rng.random() < s.rate))
 
 
 class FaultInjector:
@@ -66,10 +57,9 @@ class FaultInjector:
         states = self._by_site.get(site)
         if not states:
             return None
-        now = self.engine.now
         winner = None
         for st in states:
-            if st.fires(now) and winner is None:
+            if st.fires() and winner is None:
                 winner = st.spec
         if winner is not None:
             self.fired[(site, winner.kind)] += 1

@@ -3,10 +3,10 @@
 A :class:`FaultPlan` is a declarative description of the faults to inject
 into one simulation: which *site* misbehaves (a fabric, the vault read
 path, the NSU buffers, the credit-return channel), *how* (drop, delay,
-corrupt), and *when* (a per-event probability, a fixed cadence, exact
-event indices, or a cycle window).  Every probabilistic choice draws from
-a per-spec :class:`random.Random` seeded from the plan seed, the site and
-the spec index, so a plan replays identically across runs and processes.
+corrupt), and *when* (a per-event probability or exact event indices).
+Every probabilistic choice draws from a per-spec :class:`random.Random`
+seeded from the plan seed, the site and the spec index, so a plan replays
+identically across runs and processes.
 
 Sites
 -----
@@ -46,19 +46,14 @@ class FaultSpec:
     """One injectable fault source.
 
     A spec fires on an event at its site when the event index is listed
-    in ``at_events``, or falls on the ``every`` cadence, or wins a
-    ``rate`` coin flip -- always gated by the ``window`` cycle range and
-    the ``max_events`` budget.
+    in ``at_events`` or the event wins a ``rate`` coin flip.
     """
 
     site: str
     kind: str = "drop"
     rate: float = 0.0                 # per-event probability
-    every: int = 0                    # fire every Nth event (0 = off)
     at_events: tuple[int, ...] = ()   # exact 1-based event indices
-    window: tuple[int, int] | None = None   # (start, end) cycles, end excl.
     delay_cycles: int = 200           # for kind == "delay"
-    max_events: int = 0               # cap on fires (0 = unbounded)
 
     def __post_init__(self) -> None:
         if self.site not in SITES:
@@ -103,7 +98,6 @@ class RecoveryPolicy:
 
     ack_timeout: int = 3000     # SM cycles without progress before acting
     max_retries: int = 3        # replay attempts before inline fallback
-    enabled: bool = True
     mshr_max_retries: int = 12  # baseline fill reissues before giving up
     site_timeouts: tuple[tuple[str, int], ...] = ()  # (site, cycles) pairs
     adaptive: bool = False      # derive deadlines from observed latency

@@ -3,8 +3,7 @@
 The paper evaluates "unrestricted data placement" by mapping pages to HMCs at
 random in 4 KB granularity (Section 5).  We implement that with a stateless
 mixing hash (splitmix64) over the page number, so the mapping is reproducible
-from the seed, needs no table, and is vectorizable with numpy for the trace
-generators.
+from the seed and needs no table.
 
 Within a stack, cache lines interleave across the 16 vaults (low line bits),
 then across the 16 banks per vault, with a 4 KB row holding 32 consecutive
@@ -16,25 +15,8 @@ lines of the same (vault, bank):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from repro.config import LINE_SIZE, PAGE_SIZE, SystemConfig
 from repro.memory.backend import backend_of
-
-_U64 = np.uint64
-
-
-def _splitmix64_np(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer over uint64 arrays."""
-    z = x.astype(_U64, copy=True)
-    with np.errstate(over="ignore"):
-        z = (z + _U64(0x9E3779B97F4A7C15))
-        z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
-        z = z ^ (z >> _U64(31))
-    return z
 
 
 def _splitmix64(x: int) -> int:
@@ -42,16 +24,6 @@ def _splitmix64(x: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
     return z ^ (z >> 31)
-
-
-@dataclass(frozen=True)
-class Location:
-    """Decoded physical location of a cache line."""
-
-    hmc: int
-    vault: int
-    bank: int
-    row: int
 
 
 class AddressMap:
@@ -66,23 +38,22 @@ class AddressMap:
 
     def __init__(self, cfg: SystemConfig) -> None:
         be = backend_of(cfg)
-        self.cfg = cfg
         self.num_hmcs = cfg.num_hmcs
-        self.num_vaults = be.vaults
-        self.banks_per_vault = be.banks
-        self.lines_per_row = be.row_bytes // LINE_SIZE
         self.seed = cfg.seed
         # The working sets span a few thousand pages; memoizing the hash
         # turns the per-access page lookup into a dict hit.
         self._page_cache: dict[int, int] = {}
-        # Bit widths (vault/bank counts are powers of two in the HMC spec).
-        self._vault_bits = self.num_vaults.bit_length() - 1
-        self._bank_bits = self.banks_per_vault.bit_length() - 1
-        self._col_bits = self.lines_per_row.bit_length() - 1
-        if 2 ** self._vault_bits != self.num_vaults:
+        # Field masks and shifts of a line address (vault/bank counts are
+        # powers of two in the HMC spec).
+        self._vault_mask = be.vaults - 1
+        self._bank_mask = be.banks - 1
+        self._vault_bits = self._vault_mask.bit_length()
+        self._row_shift = (self._bank_mask.bit_length()
+                           + (be.row_bytes // LINE_SIZE).bit_length() - 1)
+        if be.vaults < 1 or be.vaults & self._vault_mask:
             raise ValueError(
                 f"{be.name}: vaults per device must be a power of two")
-        if 2 ** self._bank_bits != self.banks_per_vault:
+        if be.banks < 1 or be.banks & self._bank_mask:
             raise ValueError(
                 f"{be.name}: banks per vault must be a power of two")
 
@@ -98,32 +69,11 @@ class AddressMap:
         self._page_cache[page] = hmc
         return hmc
 
-    def hmc_of_lines(self, line_addrs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`hmc_of` over an array of line addresses."""
-        pages = (line_addrs.astype(_U64) * _U64(LINE_SIZE)) // _U64(PAGE_SIZE)
-        mixed = _splitmix64_np(pages ^ (_U64(self.seed) << _U64(32)))
-        return (mixed % _U64(self.num_hmcs)).astype(np.int64)
-
     # -- within-stack decode ------------------------------------------------
 
-    def decode_line(self, line_addr: int) -> Location:
-        """Decode a line address (``addr // LINE_SIZE``) to its location."""
-        vault = line_addr & (self.num_vaults - 1)
+    def locate(self, line_addr: int) -> tuple[int, int, int]:
+        """``(vault, bank, row)`` of a line address (``addr // LINE_SIZE``)
+        within its device."""
         rest = line_addr >> self._vault_bits
-        bank = rest & (self.banks_per_vault - 1)
-        rest >>= self._bank_bits
-        row = rest >> self._col_bits
-        hmc = self.hmc_of(line_addr * LINE_SIZE)
-        return Location(hmc=hmc, vault=vault, bank=bank, row=row)
-
-    def decode(self, addr: int) -> Location:
-        return self.decode_line(addr // LINE_SIZE)
-
-    def vault_of_line(self, line_addr: int) -> int:
-        return line_addr & (self.num_vaults - 1)
-
-    def bank_row_of_line(self, line_addr: int) -> tuple[int, int]:
-        rest = line_addr >> self._vault_bits
-        bank = rest & (self.banks_per_vault - 1)
-        row = (rest >> self._bank_bits) >> self._col_bits
-        return bank, row
+        return (line_addr & self._vault_mask, rest & self._bank_mask,
+                rest >> self._row_shift)

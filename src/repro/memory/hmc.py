@@ -71,10 +71,10 @@ class HMCStack:
         if self.amap.hmc_of(line_addr * LINE_SIZE) != self.hmc_id:
             raise ValueError(
                 f"line {line_addr:#x} does not belong to {self.name}")
-        bank, row = self.amap.bank_row_of_line(line_addr)
+        vault, bank, row = self.amap.locate(line_addr)
         if self.noc:
             self.counters.add("intra_hmc", noc_bytes)
-        self.vaults[self.amap.vault_of_line(line_addr)].submit(
+        self.vaults[vault].submit(
             DRAMRequest(line_addr, is_write, on_done, bank, row,
                         self.hop_latency, on_lost))
 

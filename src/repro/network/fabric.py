@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-import networkx as nx
-
 from repro.config import SystemConfig
 from repro.memory.backend import backend_of
 from repro.network.topology import dimension_order_path, hypercube_topology
@@ -56,13 +54,9 @@ class MemoryNetwork:
         self.engine = engine
         self.cfg = cfg
         self.faults = None   # armed by the system when a plan is active
-        self.graph: nx.Graph = hypercube_topology(cfg.num_hmcs)
         bpc = backend_of(cfg).net_bpc
         self._links: dict[tuple[int, int], Link] = {}
-        # sorted(): networkx edge order is adjacency-insertion order; a
-        # canonical construction order keeps link ids and any future
-        # iteration over _links independent of topology-builder internals.
-        for u, v in sorted(self.graph.edges):
+        for u, v in hypercube_topology(cfg.num_hmcs):
             for a, b in ((u, v), (v, u)):
                 self._links[(a, b)] = Link(
                     engine, f"net{a}->{b}", bpc, latency=HOP_LATENCY,

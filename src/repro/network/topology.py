@@ -8,22 +8,19 @@ which is minimal and deadlock-free on a hypercube.
 
 from __future__ import annotations
 
-import networkx as nx
 
-
-def hypercube_topology(num_nodes: int) -> nx.Graph:
-    """Build the n-dimensional hypercube graph for ``num_nodes`` stacks."""
+def hypercube_topology(num_nodes: int) -> list[tuple[int, int]]:
+    """The hypercube's links for ``num_nodes`` stacks: the sorted pairs
+    ``(u, u ^ 1 << d)`` with ``u`` below its peer."""
     if num_nodes < 1 or num_nodes & (num_nodes - 1):
         raise ValueError("hypercube needs a power-of-two node count")
-    g = nx.Graph()
-    g.add_nodes_from(range(num_nodes))
-    dim = num_nodes.bit_length() - 1
-    for node in range(num_nodes):
-        for d in range(dim):
-            peer = node ^ (1 << d)
-            if peer > node:
-                g.add_edge(node, peer, dim=d)
-    return g
+    links = []
+    for u in range(num_nodes):
+        for d in range(num_nodes.bit_length() - 1):
+            peer = u ^ 1 << d
+            if peer > u:
+                links.append((u, peer))
+    return sorted(links)
 
 
 def dimension_order_path(src: int, dst: int) -> list[int]:

@@ -123,7 +123,7 @@ class System:
                 nsu.faults = inj
             if self.ndp is not None:
                 self.ndp.credits.faults = inj
-            if faults.recovery is not None and faults.recovery.enabled:
+            if faults.recovery is not None:
                 # One shared tracker so the ACK watchdog (NDP) and the
                 # MSHR watchdog (baseline fills) resolve deadlines from
                 # the same policy / adaptive EWMA state.

@@ -162,6 +162,17 @@ class TestCXLDigests:
         assert digests != {self.EXPECTED[("VADD", "NDP(Dyn)")]}
 
 
+class TestOptimalPolicyPin:
+    """A whole run under the traffic-optimal target policy, on hmc."""
+
+    def test_optimal_policy_digest_pinned(self):
+        base = ci_config().with_target_policy("optimal")
+        _, result = _run("VADD", "NDP(Dyn)", base)
+        assert _digest(result) == (
+            "10df14204d219515ae094188373ffa645bacd5b6cd80824b16727724d71b0eae")
+        assert _digest(result) != HMC_PINS[("VADD", "NDP(Dyn)")]
+
+
 class TestDensePins:
     """Bench-scale digests of the paper configuration (64 SMs, seed 1).
     With the hmc STCL and MiniFE Baseline pins, which the repository

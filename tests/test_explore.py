@@ -16,7 +16,7 @@ from repro.config import paper_config
 from repro.explore.agents import (AGENTS, Agent, Evaluation, History,
                                   best_of, make_agent)
 from repro.explore.driver import FITNESS, explore
-from repro.explore.report import load_best_configs, write_best_configs
+from repro.explore.report import write_best_configs
 from repro.explore.space import (SearchSpace, default_space, resolve_space,
                                  tiny_space)
 
@@ -338,7 +338,8 @@ class TestDriver:
 class TestReport:
     def test_best_configs_round_trip(self, first_run, tmp_path):
         tmp, out = first_run
-        payload = load_best_configs(str(tmp / "run1" / "best_configs.json"))
+        with open(tmp / "run1" / "best_configs.json") as f:
+            payload = json.load(f)
         assert payload["kind"] == "repro-explore-best"
         assert payload["entries"][0]["rank"] == 1
         assert payload["entries"][0]["fitness"] == out.best[0].fitness
@@ -347,9 +348,3 @@ class TestReport:
         write_best_configs(out, str(again))
         assert (again.read_bytes()
                 == (tmp / "run1" / "best_configs.json").read_bytes())
-
-    def test_load_rejects_other_json(self, tmp_path):
-        p = tmp_path / "other.json"
-        p.write_text(json.dumps({"kind": "repro-bench"}))
-        with pytest.raises(ValueError):
-            load_best_configs(str(p))

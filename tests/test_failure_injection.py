@@ -9,11 +9,9 @@ so these tests exercise the production injection + recovery paths.
 import pytest
 
 from repro.config import ci_config
-from repro.faults import FaultPlan, FaultSpec, RecoveryPolicy
+from repro.faults import FaultPlan, FaultSpec
 from repro.sim.runner import build_system, run_workload
 from repro.sim.system import SimulationTimeout
-
-NO_RECOVERY = RecoveryPolicy(enabled=False)
 
 
 def _run(plan, config="NaiveNDP", max_cycles=200_000):
@@ -35,7 +33,7 @@ class TestWatchdog:
     def test_lost_ack_without_recovery_deadlocks(self):
         # Drop every ACK packet with recovery disabled: warps block at
         # OFLD.END forever; the deadlock detector reports it immediately.
-        plan = FaultPlan(name="ack-drop-all", seed=1, recovery=NO_RECOVERY,
+        plan = FaultPlan(name="ack-drop-all", seed=1, recovery=None,
                          specs=(FaultSpec(site="gpu_link_up", kind="drop",
                                           rate=1.0),))
         with pytest.raises(SimulationTimeout) as exc:
@@ -45,7 +43,7 @@ class TestWatchdog:
     def test_lost_rdf_response_without_recovery_deadlocks(self):
         # Swallow every memory-network packet (RDF response forwarding):
         # NSU read-data entries never complete and warps starve.
-        plan = FaultPlan(name="rdf-drop-all", seed=1, recovery=NO_RECOVERY,
+        plan = FaultPlan(name="rdf-drop-all", seed=1, recovery=None,
                          specs=(FaultSpec(site="mem_net", kind="drop",
                                           rate=1.0),))
         with pytest.raises(SimulationTimeout):
@@ -54,7 +52,7 @@ class TestWatchdog:
     def test_stuck_credit_without_recovery_deadlocks(self):
         # Drop every credit-return message: once the initial grants run
         # out, reservations queue forever.
-        plan = FaultPlan(name="credit-drop-all", seed=1, recovery=NO_RECOVERY,
+        plan = FaultPlan(name="credit-drop-all", seed=1, recovery=None,
                          specs=(FaultSpec(site="credit", kind="drop",
                                           rate=1.0),))
         with pytest.raises(SimulationTimeout):

@@ -2,14 +2,14 @@
 plan validation, seed determinism, zero-overhead arming, recovery paths
 and the chaos CLI."""
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
 from repro.config import ci_config
-from repro.faults import (FaultPlan, FaultSpec, RecoveryPolicy, get_scenario,
-                          scenario_names)
+from repro.faults import FaultPlan, FaultSpec, get_scenario, scenario_names
 from repro.faults.inject import FaultInjector
 from repro.sim.engine import Engine
 from repro.sim.runner import build_system, run_workload
@@ -158,8 +158,8 @@ class TestRecovery:
         assert result.extra["faults"]["total_fired"] > 0
 
     def test_recovery_disabled_deadlocks_fast(self):
-        plan = get_scenario("rdf-drop", rate=0.2, seed=3,
-                            recovery=RecoveryPolicy(enabled=False))
+        plan = dataclasses.replace(
+            get_scenario("rdf-drop", rate=0.2, seed=3), recovery=None)
         with pytest.raises(SimulationTimeout) as exc:
             run_with(plan)
         assert "deadlock" in str(exc.value)

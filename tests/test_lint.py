@@ -10,8 +10,6 @@ that ``repro lint src/repro`` uses.
 
 import json
 
-import pytest
-
 from repro.lint import (
     ALL_RULES,
     Project,

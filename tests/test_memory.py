@@ -2,7 +2,6 @@
 FR-FCFS vault scheduling, and the one device class behind both
 backends."""
 
-import numpy as np
 import pytest
 
 from repro.config import LINE_SIZE, PAGE_SIZE, SystemConfig, ci_config
@@ -15,6 +14,7 @@ from repro.memory import (
     VaultController,
 )
 from repro.faults import FaultInjector, get_scenario
+from repro.memory.backend import backend_of
 from repro.memory.dram import BankState
 from repro.sim.engine import Engine, LinkCounters
 
@@ -27,6 +27,13 @@ def cfg():
 @pytest.fixture
 def amap(cfg):
     return AddressMap(cfg)
+
+
+def _geometries(cfg):
+    """``cfg`` on each substrate, with the record that sets its geometry."""
+    for name in ("hmc", "cxl"):
+        on = cfg.with_backend(name)
+        yield on, backend_of(on)
 
 
 class TestAddressMap:
@@ -48,28 +55,34 @@ class TestAddressMap:
         pb = [b.hmc_of(p * PAGE_SIZE) for p in pages]
         assert pa != pb
 
-    def test_vectorized_matches_scalar(self, amap):
-        lines = np.arange(0, 4096, 7, dtype=np.int64)
-        vec = amap.hmc_of_lines(lines)
-        scalar = [amap.hmc_of(int(l) * LINE_SIZE) for l in lines]
-        assert vec.tolist() == scalar
+    def test_consecutive_lines_interleave_vaults(self, cfg):
+        for cfg_, be in _geometries(cfg):
+            amap = AddressMap(cfg_)
+            vaults = [amap.locate(l)[0] for l in range(2 * be.vaults)]
+            assert vaults == list(range(be.vaults)) * 2
 
-    def test_consecutive_lines_interleave_vaults(self, amap):
-        vaults = [amap.vault_of_line(l) for l in range(16)]
-        assert vaults == list(range(16))
+    def test_row_groups_lines(self, cfg):
+        # Lines of the same (vault, bank) row share a row number; the
+        # row's last column is followed by the next row.
+        for cfg_, be in _geometries(cfg):
+            amap = AddressMap(cfg_)
+            stride = be.vaults * be.banks          # next column, same bank
+            cols = be.row_bytes // LINE_SIZE
+            assert amap.locate(0) == amap.locate(stride) == (0, 0, 0)
+            assert amap.locate((cols - 1) * stride) == (0, 0, 0)
+            assert amap.locate(cols * stride) == (0, 0, 1)
 
-    def test_row_groups_lines(self, amap):
-        # Lines of the same (vault, bank) 4KB row share a row number.
-        loc0 = amap.decode_line(0)
-        loc_same_row = amap.decode_line(16 * 16)  # same vault0/bank0, col 1
-        assert (loc0.vault, loc0.bank, loc0.row) == (
-            loc_same_row.vault, loc_same_row.bank, loc_same_row.row)
-
-    def test_decode_matches_components(self, amap):
-        line = 0xABCDE
-        loc = amap.decode_line(line)
-        assert loc.vault == amap.vault_of_line(line)
-        assert (loc.bank, loc.row) == amap.bank_row_of_line(line)
+    def test_decode_matches_components(self, cfg):
+        # locate() is the documented bit-field split, computed here by
+        # division: vault, then bank, then column, then row.
+        for cfg_, be in _geometries(cfg):
+            amap = AddressMap(cfg_)
+            cols = be.row_bytes // LINE_SIZE
+            for line in (0, 1, 0xABCDE, 0x1234567, (1 << 40) + 3):
+                assert amap.locate(line) == (
+                    line % be.vaults,
+                    line // be.vaults % be.banks,
+                    line // (be.vaults * be.banks * cols))
 
     def test_bad_geometry_rejected(self, cfg):
         import dataclasses

@@ -1,5 +1,10 @@
 """Unit tests for the hypercube memory network and GPU links."""
 
+import os
+import subprocess
+import sys
+from collections import Counter
+
 import pytest
 
 from repro.config import SystemConfig, ci_config
@@ -15,13 +20,16 @@ from repro.sim.engine import Engine, LinkCounters
 
 class TestTopology:
     def test_8_node_hypercube_degree_3(self):
-        g = hypercube_topology(8)
-        assert all(g.degree[n] == 3 for n in g.nodes)
-        assert g.number_of_edges() == 12
+        links = hypercube_topology(8)
+        assert len(links) == 12
+        assert Counter(n for link in links for n in link) == {
+            n: 3 for n in range(8)}
 
     def test_edges_differ_in_one_bit(self):
-        g = hypercube_topology(8)
-        for u, v in g.edges:
+        links = hypercube_topology(8)
+        assert links == sorted(set(links))
+        for u, v in links:
+            assert u < v
             assert bin(u ^ v).count("1") == 1
 
     def test_non_power_of_two_rejected(self):
@@ -44,6 +52,18 @@ class TestTopology:
             for dst in range(8):
                 hops = len(dimension_order_path(src, dst)) - 1
                 assert hops == bin(src ^ dst).count("1")
+
+    def test_api_import_leaves_networkx_out(self):
+        # Topology is integer arithmetic: no process the package starts
+        # pays for a graph library.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        code = ("import sys, repro.api\n"
+                "print('networkx' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestMemoryNetwork:

@@ -13,6 +13,7 @@ from repro.core.decision import HillClimbingController
 from repro.gpu.cache import Cache, CacheStats, MSHRFile
 from repro.gpu.coalescer import coalesce
 from repro.memory.address import AddressMap
+from repro.memory.backend import backend_of
 from repro.network.topology import dimension_order_path
 from repro.sim.engine import Engine, Link
 
@@ -135,21 +136,19 @@ class TestCacheProperties:
 class TestAddressMapProperties:
     @given(st.integers(0, 1 << 45), st.integers(1, 1 << 16))
     def test_decode_is_total_and_stable(self, addr, seed):
-        amap = AddressMap(SystemConfig(num_hmcs=8, seed=seed % 100))
-        loc1 = amap.decode(addr)
-        loc2 = amap.decode(addr)
-        assert loc1 == loc2
-        assert 0 <= loc1.hmc < 8
-        assert 0 <= loc1.vault < 16
-        assert 0 <= loc1.bank < 16
-
-    @given(st.lists(st.integers(0, 1 << 30), min_size=1, max_size=64))
-    def test_vectorized_always_matches_scalar(self, lines):
-        amap = AddressMap(SystemConfig(num_hmcs=8))
-        arr = np.array(lines, dtype=np.int64)
-        vec = amap.hmc_of_lines(arr).tolist()
-        scalar = [amap.hmc_of(l * LINE_SIZE) for l in lines]
-        assert vec == scalar
+        for backend in ("hmc", "cxl"):
+            cfg = SystemConfig(num_hmcs=8, seed=seed % 100,
+                               backend=backend)
+            be = backend_of(cfg)
+            amap = AddressMap(cfg)
+            hmc = amap.hmc_of(addr)
+            vault, bank, row = amap.locate(addr // LINE_SIZE)
+            assert amap.hmc_of(addr) == hmc
+            assert amap.locate(addr // LINE_SIZE) == (vault, bank, row)
+            assert 0 <= hmc < 8
+            assert 0 <= vault < be.vaults
+            assert 0 <= bank < be.banks
+            assert 0 <= row <= addr // be.row_bytes
 
 
 class TestTopologyProperties:

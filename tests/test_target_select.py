@@ -1,5 +1,7 @@
 """Unit tests for target-NSU selection and the Figure 5 study."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,11 @@ from repro.core.target_select import (
     block_traffic,
     first_instr_target,
     optimal_target,
+    select_target,
     target_policy_traffic_study,
 )
 from repro.gpu.coalescer import MemAccess
+from repro.isa.codegen import GPUInstr
 from repro.memory.address import AddressMap
 
 
@@ -54,6 +58,20 @@ class TestPolicies:
         remote = tuple(MemAccess(l, 32, False) for l in lines_on(amap, 6, 2))
         assert block_traffic((local, remote), 4, amap) == 2
         assert block_traffic((local,), 4, amap) == 0
+
+    def test_even_split_targets_lower_id(self, amap):
+        # A load and a store, each touching one line on HMC 6 and then
+        # one on HMC 3: every policy counts a tie (CODA weights both
+        # devices' store equally), and a tie goes to the lower id.
+        hi, lo = lines_on(amap, 6, 2), lines_on(amap, 3, 2)
+        load = (MemAccess(hi[0], 32, False), MemAccess(lo[0], 32, False))
+        store = (MemAccess(hi[1], 32, False), MemAccess(lo[1], 32, False))
+        block = SimpleNamespace(gpu_code=(
+            GPUInstr("beg", -1), GPUInstr("rdf", 0), GPUInstr("wta", 1),
+            GPUInstr("end", -1)))
+        item = SimpleNamespace(mem_accesses=(load, store), block=block)
+        for policy in ("first", "optimal", "coda"):
+            assert select_target(policy, item, amap) == 3, policy
 
     def test_optimal_never_worse(self, amap):
         rng = np.random.default_rng(3)
