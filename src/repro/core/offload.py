@@ -63,7 +63,7 @@ class OffloadInstance:
         self.block = item.block
         self.target = target
         self.granted = False
-        self.deferred: list[Callable[[], None]] = []
+        self.deferred: list[tuple[Callable, object]] = []   # (fn, arg)
         self.pending_packets = 0
         self.next_seq = 0
         self.rdf_packets = 0
@@ -79,6 +79,140 @@ class OffloadInstance:
         self.reservation = None
         self.wd_token = 0
         self.progress_sig = None
+
+
+class _ReadForward:
+    """One RDF packet (Figure 6(a)), from the SM to the target NSU's read
+    buffer.  A miss crosses the GPU link to the ``owner`` stack, reads
+    its vault and is forwarded to the target; a GPU cache hit ships the
+    data (or, with the NSU read-only cache, a header) straight to the
+    target, and records the target as its owner.
+
+    Each stage is a method that rides its event as the event's argument
+    or as a bound method, as :class:`~repro.network.fabric._HopWalk`
+    does for network hops, so the chain builds no closure.
+    """
+
+    __slots__ = ("ctl", "inst", "attempt", "key", "seq", "words", "line",
+                 "owner", "target", "cacheable_line")
+
+    def __init__(self, ctl: NDPController, inst: OffloadInstance,
+                 attempt: int, key: tuple, seq: int, words: int, line: int,
+                 owner: int, cacheable_line: int | None = None) -> None:
+        self.ctl = ctl
+        self.inst = inst
+        self.attempt = attempt
+        self.key = key
+        self.seq = seq
+        self.words = words
+        self.line = line
+        self.owner = owner
+        self.target = inst.target
+        self.cacheable_line = cacheable_line
+
+    def at_owner(self) -> None:
+        """The request reached the owning stack: read the line."""
+        self.ctl.hmcs[self.owner].access_line(
+            self.line, False, self.on_read, noc_bytes=LINE_SIZE)
+
+    def on_read(self, req) -> None:
+        """DRAM completion: forward the touched words to the target."""
+        ctl = self.ctl
+        owner, target = self.owner, self.target
+        resp = PacketSizes.rdf_response(self.words)
+        if ctl.trace is not None:
+            ctl.trace.record(ctl.engine.now, "RDF_RESP", f"hmc{owner}",
+                             f"hmc{target}", resp, self.inst.uid,
+                             f"seq {self.seq}")
+        if owner == target:
+            if ctl._noc:
+                ctl.counters.add("intra_hmc", resp)
+            ctl.engine.call_after(ctl._hop_latency, _ReadForward.deliver,
+                                  self)
+        else:
+            ctl.network.send(owner, target, resp, self.deliver)
+
+    def deliver(self) -> None:
+        self.ctl._deliver_read(self)
+
+
+class _WriteAddress:
+    """One WTA packet (Figure 6(b)): a translated store address on its
+    way to the target NSU, counted in ``wta_inflight`` until the write it
+    announces is invalidated or the packet dies."""
+
+    __slots__ = ("ctl", "inst", "attempt", "key", "acc", "owner")
+
+    def __init__(self, ctl: NDPController, inst: OffloadInstance,
+                 attempt: int, key: tuple, acc: MemAccess,
+                 owner: int) -> None:
+        self.ctl = ctl
+        self.inst = inst
+        self.attempt = attempt
+        self.key = key
+        self.acc = acc
+        self.owner = owner
+
+    def deliver(self) -> None:
+        self.ctl._deliver_wta(self)
+
+    def lost(self) -> None:
+        ctl = self.ctl
+        ctl.rstats.wta_lost += 1
+        ctl._dec_wta_inflight(self.owner)
+
+
+class _NDPWrite:
+    """One NSU store routed to its owning vault (Section 4.1.2): the
+    write, the cache invalidation it sends the GPU (Section 4.2), and the
+    write acknowledgment back to the NSU."""
+
+    __slots__ = ("ctl", "nsu", "warp", "line", "owner", "size")
+
+    def __init__(self, ctl: NDPController, nsu, warp, line: int, owner: int,
+                 size: int) -> None:
+        self.ctl = ctl
+        self.nsu = nsu
+        self.warp = warp
+        self.line = line
+        self.owner = owner
+        self.size = size
+
+    def at_owner(self) -> None:
+        self.ctl.hmcs[self.owner].access_line(
+            self.line, True, self.written, noc_bytes=self.size)
+
+    def written(self, req) -> None:
+        ctl = self.ctl
+        nsu = self.nsu
+        ctl._send_invalidation(self)
+        for peer in ctl.nsus:
+            peer.ro_invalidate(self.line)
+        if self.owner == nsu.hmc_id:
+            nsu.write_done(self.warp)
+        else:
+            ctl.network.send(self.owner, nsu.hmc_id,
+                             PacketSizes.write_ack(), self.acked,
+                             lost=ctl._write_ack_lost)
+
+    def acked(self) -> None:
+        self.nsu.write_done(self.warp)
+
+    def lost(self) -> None:
+        ctl = self.ctl
+        ctl.rstats.writes_lost += 1
+        ctl._dec_wta_inflight(self.owner)
+
+    def invalidate(self) -> None:
+        """The INV reached the GPU."""
+        ctl = self.ctl
+        ctl.memsys.invalidate(self.line)
+        ctl._dec_wta_inflight(self.owner)
+
+    def inv_lost(self) -> None:
+        ctl = self.ctl
+        ctl.rstats.invs_lost += 1
+        ctl._dec_wta_inflight(self.owner)
 
 
 @dataclass
@@ -198,8 +332,9 @@ class NDPController:
         # grant may fire synchronously when credits are available.
         inst.reservation = self.credits.reserve(
             target, num_loads=block.num_loads, num_stores=block.num_stores,
+            # perf: alloc-ok -- once per block
             on_grant=lambda: self._grant(inst))
-        self._emit(inst, lambda: self._send_cmd(inst))
+        self._emit(inst, self._send_cmd, inst)
         return inst
 
     def _send_cmd(self, inst: OffloadInstance) -> None:
@@ -211,10 +346,11 @@ class NDPController:
             self.trace.record(self.engine.now, "CMD", "gpu",
                               f"hmc{inst.target}", cmd_size, inst.uid,
                               f"{len(block.send_regs)} regs")
-        self.gpu_links.to_hmc(inst.target, cmd_size,
-                              lambda: self._deliver_cmd(inst, attempt))
+        self.gpu_links.to_hmc(inst.target, cmd_size, self._deliver_cmd,
+                              arg=(inst, attempt))
 
-    def _deliver_cmd(self, inst: OffloadInstance, attempt: int) -> None:
+    def _deliver_cmd(self, sent: tuple[OffloadInstance, int]) -> None:
+        inst, attempt = sent
         if inst.completed or inst.attempt != attempt:
             self.rstats.stale_cmds += 1
             return
@@ -225,20 +361,20 @@ class NDPController:
         if self.recovery is not None:
             inst.held = [1, inst.block.num_loads, inst.block.num_stores]
         if inst.deferred:
-            for fn in inst.deferred:
-                fn()
+            for fn, arg in inst.deferred:
+                fn(arg)
             inst.deferred.clear()
         if inst.pending_packets:
             self.pending[inst.sm.sm_id] -= inst.pending_packets
             inst.pending_packets = 0
 
-    def _emit(self, inst: OffloadInstance, fn: Callable[[], None]) -> None:
-        """Run ``fn`` now if the block is granted, else park it in the SM's
-        pending packet buffer."""
+    def _emit(self, inst: OffloadInstance, fn: Callable, arg) -> None:
+        """Run ``fn(arg)`` now if the block is granted, else park the pair
+        in the SM's pending packet buffer."""
         if inst.granted:
-            fn()
+            fn(arg)
         else:
-            inst.deferred.append(fn)
+            inst.deferred.append((fn, arg))
             inst.pending_packets += 1
             p = self.pending[inst.sm.sm_id] = self.pending[inst.sm.sm_id] + 1
             self.stats.pending_peak = max(self.stats.pending_peak, p)
@@ -285,18 +421,6 @@ class NDPController:
         self.rstats.wta_lost += 1
         self._dec_wta_inflight(self.amap.hmc_of(acc.line_addr * LINE_SIZE))
 
-    def _wta_pkt_lost(self, owner: int) -> None:
-        self.rstats.wta_lost += 1
-        self._dec_wta_inflight(owner)
-
-    def _ndp_write_lost(self, owner: int) -> None:
-        self.rstats.writes_lost += 1
-        self._dec_wta_inflight(owner)
-
-    def _inv_lost(self, owner: int) -> None:
-        self.rstats.invs_lost += 1
-        self._dec_wta_inflight(owner)
-
     # -- load instructions (RDF) -----------------------------------------------
 
     def rdf(self, inst: OffloadInstance,
@@ -306,16 +430,22 @@ class NDPController:
             return False
         seq = inst.next_seq
         inst.next_seq += 1
+        self._emit(inst, self._send_reads,
+                   (inst, inst.attempt, seq, accesses))
+        return True
+
+    def _send_reads(self, batch: tuple) -> None:
+        """Emit one load instruction's RDF packets, in access order."""
+        inst, attempt, seq, accesses = batch
         key = (inst.uid, seq)
-        total_words = sum(a.words for a in accesses)
         target = inst.target
         nsu = self.nsus[target]
-        attempt = inst.attempt
-
-        def emit_one(acc: MemAccess) -> None:
+        nsu.expect_read(key, sum(a.words for a in accesses))
+        for acc in accesses:
             inst.rdf_packets += 1
             self.stats.rdf_packets += 1
-            if self.memsys.rdf_probe(inst.sm.sm_id, acc.line_addr):
+            line = acc.line_addr
+            if self.memsys.rdf_probe(inst.sm.sm_id, line):
                 # GPU cache hit: ship the cached words to the target NSU
                 # (minimizes DRAM access but costs GPU-link bandwidth --
                 # the Section 7.1 BPROP effect).  With the optional NSU
@@ -323,79 +453,46 @@ class NDPController:
                 # a header-sized "use cached copy" message.
                 inst.rdf_hits += 1
                 self.stats.rdf_hits += 1
-                if nsu.ro_cache_hit(acc.line_addr):
-                    self.gpu_links.to_hmc(
-                        target, PacketSizes.invalidation(),
-                        lambda: self._deliver_read(inst, attempt, key,
-                                                   acc.words))
-                    return
-                resp = PacketSizes.rdf_response(acc.words)
-                if self.trace is not None:
-                    self.trace.record(self.engine.now, "RDF_HIT_RESP",
-                                      "gpu", f"hmc{target}", resp,
-                                      inst.uid,
-                                      f"seq {seq}, {acc.words} words")
-                self.gpu_links.to_hmc(
-                    target, resp,
-                    lambda: self._deliver_read(inst, attempt, key, acc.words,
-                                               cacheable_line=acc.line_addr))
-                return
-            owner = self.amap.hmc_of(acc.line_addr * LINE_SIZE)
-            req = PacketSizes.rdf_request(acc.irregular, acc.words)
-            resp = PacketSizes.rdf_response(acc.words)
-
-            def at_owner() -> None:
-                self.hmcs[owner].access_line(
-                    acc.line_addr, False,
-                    lambda r: route_response(), noc_bytes=LINE_SIZE)
-
-            def route_response() -> None:
-                if self.trace is not None:
-                    self.trace.record(self.engine.now, "RDF_RESP",
-                                      f"hmc{owner}", f"hmc{target}", resp,
-                                      inst.uid, f"seq {seq}")
-                if owner == target:
-                    if self._noc:
-                        self.counters.add("intra_hmc", resp)
-                    self.engine.after(
-                        self._hop_latency,
-                        lambda: self._deliver_read(inst, attempt, key,
-                                                   acc.words))
+                if nsu.ro_cache_hit(line):
+                    size, cacheable = PacketSizes.invalidation(), None
                 else:
-                    self.network.send(
-                        owner, target, resp,
-                        lambda: self._deliver_read(inst, attempt, key,
-                                                   acc.words))
-
+                    size, cacheable = PacketSizes.rdf_response(acc.words), line
+                    if self.trace is not None:
+                        self.trace.record(self.engine.now, "RDF_HIT_RESP",
+                                          "gpu", f"hmc{target}", size,
+                                          inst.uid,
+                                          f"seq {seq}, {acc.words} words")
+                self.gpu_links.to_hmc(
+                    target, size, _ReadForward.deliver,
+                    arg=_ReadForward(self, inst, attempt, key, seq,
+                                     acc.words, line, target, cacheable))
+                continue
+            owner = self.amap.hmc_of(line * LINE_SIZE)
+            req = PacketSizes.rdf_request(acc.irregular, acc.words)
             if self.trace is not None:
                 self.trace.record(self.engine.now, "RDF", "gpu",
                                   f"hmc{owner}", req, inst.uid,
-                                  f"seq {seq}, line {acc.line_addr:#x}")
-            self.gpu_links.to_hmc(owner, req, at_owner)
+                                  f"seq {seq}, line {line:#x}")
+            self.gpu_links.to_hmc(
+                owner, req, _ReadForward.at_owner,
+                arg=_ReadForward(self, inst, attempt, key, seq, acc.words,
+                                 line, owner))
 
-        def emit_all() -> None:
-            nsu.expect_read(key, total_words)
-            for acc in accesses:
-                emit_one(acc)
-
-        self._emit(inst, emit_all)
-        return True
-
-    def _deliver_read(self, inst: OffloadInstance, attempt: int, key: tuple,
-                      words: int, cacheable_line: int | None = None) -> None:
-        if inst.completed or inst.attempt != attempt:
+    def _deliver_read(self, rf: _ReadForward) -> None:
+        inst = rf.inst
+        if inst.completed or inst.attempt != rf.attempt:
             self.rstats.stale_reads += 1
             return
-        self.nsus[inst.target].deliver_read(key, words,
-                                            cacheable_line=cacheable_line)
+        self.nsus[inst.target].deliver_read(
+            rf.key, rf.words, cacheable_line=rf.cacheable_line)
 
-    def _deliver_wta(self, inst: OffloadInstance, attempt: int, key: tuple,
-                     acc: MemAccess, owner: int) -> None:
-        if inst.completed or inst.attempt != attempt:
+    def _deliver_wta(self, wa: _WriteAddress) -> None:
+        inst = wa.inst
+        if inst.completed or inst.attempt != wa.attempt:
             self.rstats.stale_wta += 1
-            self._dec_wta_inflight(owner)
+            self._dec_wta_inflight(wa.owner)
             return
-        self.nsus[inst.target].deliver_wta(key, acc)
+        self.nsus[inst.target].deliver_wta(wa.key, wa.acc)
 
     # -- store instructions (WTA) -------------------------------------------------
 
@@ -406,30 +503,29 @@ class NDPController:
             return False
         seq = inst.next_seq
         inst.next_seq += 1
+        self._emit(inst, self._send_wtas,
+                   (inst, inst.attempt, seq, accesses))
+        return True
+
+    def _send_wtas(self, batch: tuple) -> None:
+        """Emit one store instruction's WTA packets, in access order."""
+        inst, attempt, seq, accesses = batch
         key = (inst.uid, seq)
         target = inst.target
-        nsu = self.nsus[target]
-        attempt = inst.attempt
-
-        def emit_all() -> None:
-            nsu.expect_wta(key, len(accesses))
-            for acc in accesses:
-                self.stats.wta_packets += 1
-                owner = self.amap.hmc_of(acc.line_addr * LINE_SIZE)
-                self.wta_inflight[owner] += 1
-                size = PacketSizes.wta(acc.irregular, acc.words)
-                if self.trace is not None:
-                    self.trace.record(self.engine.now, "WTA", "gpu",
-                                      f"hmc{target}", size, inst.uid,
-                                      f"seq {seq}, line {acc.line_addr:#x}")
-                self.gpu_links.to_hmc(
-                    target, size,
-                    (lambda a=acc, o=owner:
-                        self._deliver_wta(inst, attempt, key, a, o)),
-                    lost=(lambda o=owner: self._wta_pkt_lost(o)))
-
-        self._emit(inst, emit_all)
-        return True
+        self.nsus[target].expect_wta(key, len(accesses))
+        for acc in accesses:
+            self.stats.wta_packets += 1
+            owner = self.amap.hmc_of(acc.line_addr * LINE_SIZE)
+            self.wta_inflight[owner] += 1
+            size = PacketSizes.wta(acc.irregular, acc.words)
+            if self.trace is not None:
+                self.trace.record(self.engine.now, "WTA", "gpu",
+                                  f"hmc{target}", size, inst.uid,
+                                  f"seq {seq}, line {acc.line_addr:#x}")
+            self.gpu_links.to_hmc(
+                target, size, _WriteAddress.deliver,
+                lost=_WriteAddress.lost,
+                arg=_WriteAddress(self, inst, attempt, key, acc, owner))
 
     # -- OFLD.END -------------------------------------------------------------------
 
@@ -438,7 +534,7 @@ class NDPController:
         if inst.ack_arrived:
             # The NSU finished before the GPU-side code did (no-store
             # blocks with fast cache-hit data): resume next cycle.
-            self.engine.after(1, lambda: self._complete(inst))
+            self.engine.call_after(1, self._complete, inst)
 
     def send_ack(self, nsu, inst: OffloadInstance) -> None:
         size = PacketSizes.offload_ack(len(inst.block.ret_regs),
@@ -448,12 +544,12 @@ class NDPController:
             self.trace.record(self.engine.now, "ACK", f"hmc{nsu.hmc_id}",
                               "gpu", size, inst.uid,
                               f"{len(inst.block.ret_regs)} regs")
-        self.gpu_links.to_gpu(nsu.hmc_id, size,
-                              lambda: self._ack(inst, attempt))
+        self.gpu_links.to_gpu(nsu.hmc_id, size, self._ack,
+                              arg=(inst, attempt))
 
-    def _ack(self, inst: OffloadInstance, attempt: int | None = None) -> None:
-        if inst.completed or (attempt is not None
-                              and inst.attempt != attempt):
+    def _ack(self, sent: tuple[OffloadInstance, int]) -> None:
+        inst, attempt = sent
+        if inst.completed or inst.attempt != attempt:
             self.rstats.stale_acks += 1
             return
         inst.ack_arrived = True
@@ -494,49 +590,27 @@ class NDPController:
             self.trace.record(self.engine.now, "WRITE", f"hmc{nsu.hmc_id}",
                               f"hmc{owner}", size, warp.inst.uid,
                               f"line {acc.line_addr:#x}")
-
-        def do_write() -> None:
-            self.hmcs[owner].access_line(
-                acc.line_addr, True, lambda r: on_written(),
-                noc_bytes=size)
-
-        def on_written() -> None:
-            self._send_invalidation(owner, acc.line_addr)
-            for peer in self.nsus:
-                peer.ro_invalidate(acc.line_addr)
-            if owner == nsu.hmc_id:
-                nsu.write_done(warp)
-            else:
-                self.network.send(owner, nsu.hmc_id,
-                                  PacketSizes.write_ack(),
-                                  lambda: nsu.write_done(warp),
-                                  lost=self._write_ack_lost)
-
+        write = _NDPWrite(self, nsu, warp, acc.line_addr, owner, size)
         if owner == nsu.hmc_id:
-            do_write()
+            write.at_owner()
         else:
-            self.network.send(nsu.hmc_id, owner, size, do_write,
-                              lost=lambda: self._ndp_write_lost(owner))
+            self.network.send(nsu.hmc_id, owner, size, write.at_owner,
+                              lost=write.lost)
 
     def _write_ack_lost(self) -> None:
         # The write landed and was invalidated; only the NSU warp's
         # completion signal died.  Recovery replays the block.
         self.rstats.write_acks_lost += 1
 
-    def _send_invalidation(self, owner: int, line_addr: int) -> None:
+    def _send_invalidation(self, write: _NDPWrite) -> None:
         size = PacketSizes.invalidation()
         self.stats.invalidations_sent += 1
         self.memsys.count_invalidation_bytes(size)
         if self.trace is not None:
-            self.trace.record(self.engine.now, "INV", f"hmc{owner}", "gpu",
-                              size, None, f"line {line_addr:#x}")
-        self.gpu_links.to_gpu(
-            owner, size, lambda: self._apply_invalidation(owner, line_addr),
-            lost=lambda: self._inv_lost(owner))
-
-    def _apply_invalidation(self, owner: int, line_addr: int) -> None:
-        self.memsys.invalidate(line_addr)
-        self._dec_wta_inflight(owner)
+            self.trace.record(self.engine.now, "INV", f"hmc{write.owner}",
+                              "gpu", size, None, f"line {write.line:#x}")
+        self.gpu_links.to_gpu(write.owner, size, _NDPWrite.invalidate,
+                              lost=_NDPWrite.inv_lost, arg=write)
 
     # -- dynamic memory management guard (Section 4.1.1) ------------------------------
 
@@ -617,6 +691,7 @@ class NDPController:
         inst.reservation = self.credits.reserve(
             inst.target, num_loads=block.num_loads,
             num_stores=block.num_stores,
+            # perf: alloc-ok -- recovery only
             on_grant=lambda: self._grant(inst))
         inst.progress_sig = self._progress_sig(inst)
         self._arm_watchdog(inst)
@@ -632,6 +707,7 @@ class NDPController:
         inst.reservation = self.credits.reserve(
             inst.target, num_loads=block.num_loads,
             num_stores=block.num_stores,
+            # perf: alloc-ok -- recovery only
             on_grant=lambda: self._replay(inst, attempt))
         inst.progress_sig = self._progress_sig(inst)
         self._arm_watchdog(inst)

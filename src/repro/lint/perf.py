@@ -12,12 +12,15 @@ of conventional.
 Rule:
 
 * **PERF001** -- a ``lambda``, nested ``def`` or ``functools.partial``
-  constructed inside a hot-path function: any method of ``Engine`` or
-  ``Link`` in :mod:`repro.sim.engine` (the event loop and the per-packet
-  send path), or any method named ``tick`` on the simulation path.
-  Cold-path exceptions are **allow-listed via annotation**::
+  constructed inside a hot-path function: any method of a class in
+  :data:`_HOT_CLASSES` (the event loop, the per-packet send path, and
+  every packet chain: the offload controller, the GPU memory system,
+  the fabrics, the memory device and its vaults, and their packet
+  records), or any method named ``tick`` on the simulation path.
+  Sites that run once per block or only under recovery are
+  **allow-listed via annotation**::
 
-      self.waiters.append(lambda: self._fill(sm, line))  # perf: alloc-ok -- one per L2 miss, not per event
+      on_grant=lambda: self._grant(inst))  # perf: alloc-ok -- once per block
 
   The reason after ``--`` is mandatory, mirroring the ``guarded-by``
   and suppression syntaxes; an ``alloc-ok`` without a reason is reported
@@ -39,9 +42,18 @@ from repro.lint.core import FileContext, Rule
 
 __all__ = ["PERF_RULES", "HotPathAllocationRule", "parse_alloc_annotations"]
 
-#: Classes in ``repro.sim.engine`` whose every method is hot-path: the
-#: event loop itself and the per-packet link send.
-_HOT_ENGINE_CLASSES = {"Engine", "Link"}
+#: Module -> classes whose every method is hot-path: the event loop and
+#: the per-packet link send, and each class a packet chain runs through,
+#: with the records that carry its packets.
+_HOT_CLASSES = {
+    "repro.sim.engine": {"Engine", "Link"},
+    "repro.core.offload": {"NDPController", "_ReadForward",
+                           "_WriteAddress", "_NDPWrite"},
+    "repro.sim.memsys": {"GPUMemSystem", "_L2Fill"},
+    "repro.network.fabric": {"MemoryNetwork", "GPULinks", "_HopWalk"},
+    "repro.memory.hmc": {"HMCStack"},
+    "repro.memory.vault": {"VaultController"},
+}
 
 #: Method name treated as hot-path wherever it appears on the sim path.
 _HOT_METHOD = "tick"
@@ -99,9 +111,9 @@ class HotPathAllocationRule(Rule):
     id = "PERF001"
     severity = "error"
     description = ("closure/lambda/partial constructed on the simulator "
-                   "hot path (engine event loop, Link.send, tick() "
-                   "methods); bind arguments into the event entry "
-                   "(call_at/call_after/Link.send arg) or "
+                   "hot path (engine event loop, Link.send, the packet "
+                   "chains, tick() methods); bind arguments into the "
+                   "event entry (call_at/call_after/Link.send arg) or "
                    "annotate the site '# perf: alloc-ok -- why'")
     scope = ("repro.sim", "repro.gpu", "repro.memory", "repro.network",
              "repro.core")
@@ -119,11 +131,11 @@ class HotPathAllocationRule(Rule):
             self._check_body(ctx, fn, allowed)
 
     def _hot_functions(self, ctx: FileContext):
-        engine_module = ctx.module == "repro.sim.engine"
+        hot_classes = _HOT_CLASSES.get(ctx.module, ())
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
-            hot_class = engine_module and node.name in _HOT_ENGINE_CLASSES
+            hot_class = node.name in hot_classes
             for item in node.body:
                 if not isinstance(item, (ast.FunctionDef,
                                          ast.AsyncFunctionDef)):

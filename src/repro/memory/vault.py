@@ -117,7 +117,9 @@ class VaultController:
                 and self._wakeup_scheduled_at >= self.engine.now):
             return
         self._wakeup_scheduled_at = time
-        self.engine.at(time, self._service)
+        # The unbound function with the vault as its argument: a wake-up
+        # allocates no bound method.
+        self.engine.call_at(time, VaultController._service, self)
 
     def _pick_index(self, now: int) -> tuple[int | None, int]:
         """FR-FCFS over the scheduler window: oldest row-hit with a free

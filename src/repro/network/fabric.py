@@ -15,12 +15,13 @@ callback that fires when their packet dies in flight.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from repro.config import SystemConfig
 from repro.memory.backend import backend_of
 from repro.network.topology import dimension_order_path, hypercube_topology
-from repro.sim.engine import Engine, Link, LinkCounters
+from repro.sim.engine import _NOARG, Engine, Link, LinkCounters
 
 #: Per-hop router pipeline latency (SM cycles).
 HOP_LATENCY = 6
@@ -37,7 +38,7 @@ class _HopWalk:
 
     __slots__ = ("path", "hop", "size", "deliver")
 
-    def __init__(self, path: list[int], size: int,
+    def __init__(self, path: tuple[int, ...], size: int,
                  deliver: Callable[[], None]) -> None:
         self.path = path
         self.hop = 0
@@ -61,9 +62,12 @@ class MemoryNetwork:
                 self._links[(a, b)] = Link(
                     engine, f"net{a}->{b}", bpc, latency=HOP_LATENCY,
                     traffic_class="mem_net", counters=counters)
-
-    def link(self, src: int, dst: int) -> Link:
-        return self._links[(src, dst)]
+        # Every (src, dst) route, built once: a routed packet shares its
+        # pair's tuple instead of building a path list.
+        nodes = range(cfg.num_hmcs)
+        self._routes: dict[tuple[int, int], tuple[int, ...]] = {
+            (s, d): tuple(dimension_order_path(s, d))
+            for s in nodes for d in nodes}
 
     def send(self, src: int, dst: int, size_bytes: int,
              deliver: Callable[[], None],
@@ -87,8 +91,12 @@ class MemoryNetwork:
         if src == dst:
             self.engine.at(self.engine.now, deliver)
             return
-        self._step(_HopWalk(dimension_order_path(src, dst), size_bytes,
-                            deliver))
+        try:
+            path = self._routes[(src, dst)]
+        except KeyError:
+            raise ValueError(f"no memory-network node pair ({src}, {dst}) "
+                             f"among {self.cfg.num_hmcs} stacks") from None
+        self._step(_HopWalk(path, size_bytes, deliver))
 
     def _step(self, walk: _HopWalk) -> None:
         """Advance one hop; the link arrival re-enters here with the same
@@ -101,9 +109,6 @@ class MemoryNetwork:
         link = self._links[(path[hop], path[hop + 1])]
         walk.hop = hop + 1
         link.send(walk.size, self._step, walk)
-
-    def hops(self, src: int, dst: int) -> int:
-        return len(dimension_order_path(src, dst)) - 1
 
     def total_bytes(self) -> int:
         return sum(l.bytes_sent for l in self._links.values())
@@ -150,23 +155,41 @@ class GPULinks:
                                 traffic_class="gpu_link",
                                 counters=counters))
 
-    def to_hmc(self, hmc: int, size_bytes: int,
-               deliver: Callable[[], None],
-               lost: Callable[[], None] | None = None) -> None:
+    def to_hmc(self, hmc: int, size_bytes: int, deliver: Callable,
+               lost: Callable | None = None, arg=_NOARG) -> None:
+        """Send ``size_bytes`` down link ``hmc``; ``deliver`` fires on
+        arrival, ``lost`` instead if an armed fault plan kills the packet.
+        ``arg``, when given, is passed to both: hot senders bind their
+        packet record instead of building a closure per packet."""
         if self.faults is not None:
+            if arg is not _NOARG:
+                deliver, lost, arg = self._bind(deliver, lost, arg)
             deliver = self.faults.packet("gpu_link_down", deliver, lost)
             if deliver is None:
                 return
-        self.down[hmc].send(size_bytes, deliver)
+        self.down[hmc].send(size_bytes, deliver, arg)
 
-    def to_gpu(self, hmc: int, size_bytes: int,
-               deliver: Callable[[], None],
-               lost: Callable[[], None] | None = None) -> None:
+    def to_gpu(self, hmc: int, size_bytes: int, deliver: Callable,
+               lost: Callable | None = None, arg=_NOARG) -> None:
+        """Send ``size_bytes`` up link ``hmc``; as :meth:`to_hmc`."""
         if self.faults is not None:
+            if arg is not _NOARG:
+                deliver, lost, arg = self._bind(deliver, lost, arg)
             deliver = self.faults.packet("gpu_link_up", deliver, lost)
             if deliver is None:
                 return
-        self.up[hmc].send(size_bytes, deliver)
+        self.up[hmc].send(size_bytes, deliver, arg)
+
+    @staticmethod
+    def _bind(deliver: Callable, lost: Callable | None, arg):
+        """Bind ``arg`` into both callbacks, so the fault injector sees
+        the zero-argument callables it schedules."""
+        # perf: alloc-ok -- armed fault plans only
+        deliver = partial(deliver, arg)
+        if lost is not None:
+            # perf: alloc-ok -- armed fault plans only
+            lost = partial(lost, arg)
+        return deliver, lost, _NOARG
 
     def bytes_down(self) -> int:
         return sum(l.bytes_sent for l in self.down)

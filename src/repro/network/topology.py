@@ -38,8 +38,3 @@ def dimension_order_path(src: int, dst: int) -> list[int]:
         diff >>= 1
         d += 1
     return path
-
-
-def links_per_node(num_nodes: int) -> int:
-    """Memory-network links each stack contributes (= hypercube dimension)."""
-    return num_nodes.bit_length() - 1

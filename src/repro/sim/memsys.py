@@ -51,6 +51,47 @@ class _FetchState:
         self.wd_token = 0
 
 
+class _L2Fill:
+    """The packet record of one L2 fill issue (``_issue_fetch``).  Each
+    stage is a method that rides its event as the event's argument or as
+    a bound method, so the chain builds no closure.  ``attempt`` is None
+    unless a recovery policy is armed; then every packet also carries
+    the ``lost`` stage.
+    """
+
+    __slots__ = ("ms", "part", "line", "attempt")
+
+    def __init__(self, ms: "GPUMemSystem", part: int, line: int,
+                 attempt: int | None) -> None:
+        self.ms = ms
+        self.part = part
+        self.line = line
+        self.attempt = attempt
+
+    def at_hmc(self) -> None:
+        self.ms.hmcs[self.part].access_line(
+            self.line, False, self.send_response,
+            on_lost=None if self.attempt is None else self.dram_lost)
+
+    def send_response(self, req: DRAMRequest) -> None:
+        self.ms.gpu_links.to_gpu(
+            self.part, PacketSizes.mem_read_response(), _L2Fill.fill,
+            lost=None if self.attempt is None else _L2Fill.lost, arg=self)
+
+    def fill(self) -> None:
+        self.ms._fill_l2(self.part, self.line)
+
+    def lost(self) -> None:
+        self.ms._fetch_lost(self.part, self.line, self.attempt)
+
+    def dram_lost(self, req: DRAMRequest) -> None:
+        self.lost()
+
+
+def _ignore(req: DRAMRequest) -> None:
+    """Completion of a write-through store: nothing waits for it."""
+
+
 class GPUMemSystem:
     """Caches + links + DRAM plumbing for baseline and inline execution."""
 
@@ -167,6 +208,7 @@ class GPUMemSystem:
                                    sm_id, line)
             return
         status = self.l2_mshr[part].allocate(
+            # perf: alloc-ok -- one per L2 miss; MSHR waiters take no argument
             line, lambda: self._fill_l1(sm_id, line))
         if status == "full":
             # Park in the partition's miss queue; retried on fills.
@@ -190,31 +232,14 @@ class GPUMemSystem:
         notifies us and a notification for a superseded attempt is
         ignored, and the fill's watchdog is armed after the sends."""
         self.dram_read_requests += 1
-        lost = on_lost = None
+        attempt = lost = None
         if st is not None:
             self.rstats.fetch_attempts += 1
             st.issued_at = self.engine.now
-            attempt = st.attempt
-
-            def lost() -> None:
-                self._fetch_lost(part, line, attempt)
-
-            def on_lost(req: DRAMRequest) -> None:
-                lost()
-
-        resp_size = PacketSizes.mem_read_response()
-
-        def at_hmc() -> None:
-            self.hmcs[part].access_line(line, False, send_response,
-                                        on_lost=on_lost)
-
-        def send_response(req: DRAMRequest) -> None:
-            self.gpu_links.to_gpu(part, resp_size,
-                                  lambda: self._fill_l2(part, line),
-                                  lost=lost)
-
-        self.gpu_links.to_hmc(part, PacketSizes.mem_read_request(), at_hmc,
-                              lost=lost)
+            attempt, lost = st.attempt, _L2Fill.lost
+        self.gpu_links.to_hmc(part, PacketSizes.mem_read_request(),
+                              _L2Fill.at_hmc, lost=lost,
+                              arg=_L2Fill(self, part, line, attempt))
         if st is not None:
             self._arm_watchdog(part, line, st)
 
@@ -310,10 +335,12 @@ class GPUMemSystem:
         self.l2[part].touch_write(line)
         size = PacketSizes.mem_write(access.words)
         self.store_bytes += size
-        self.gpu_links.to_hmc(
-            part, size,
-            lambda: self.hmcs[part].access_line(line, True, lambda r: None,
-                                                noc_bytes=size))
+        self.gpu_links.to_hmc(part, size, self._write_line,
+                              arg=(part, line, size))
+
+    def _write_line(self, packet: tuple[int, int, int]) -> None:
+        part, line, size = packet
+        self.hmcs[part].access_line(line, True, _ignore, noc_bytes=size)
 
     # -- NDP hooks ---------------------------------------------------------------------
 

@@ -414,6 +414,24 @@ class TestHotPathAllocation:
                        "PERF001")
         assert any("without a reason" in f.message for f in hits)
 
+    CONTROLLER_LAMBDA = (
+        "class NDPController:\n"
+        "    def send_ack(self, inst):\n"
+        "        self.links.to_gpu(0, 8, lambda: self._ack(inst))\n")
+
+    def test_packet_chain_method_lambda_flagged(self, tmp_path):
+        hits = by_rule(lint_pkg(
+            tmp_path, {"core/offload.py": self.CONTROLLER_LAMBDA}),
+            "PERF001")
+        assert len(hits) == 1
+        assert "send_ack" in hits[0].message
+
+    def test_packet_chain_annotation_allows(self, tmp_path):
+        src = self.CONTROLLER_LAMBDA.replace(
+            "inst))\n", "inst))  # perf: alloc-ok -- once per block\n")
+        assert not by_rule(lint_pkg(
+            tmp_path, {"core/offload.py": src}), "PERF001")
+
     def test_cold_functions_and_modules_unflagged(self, tmp_path):
         # non-hot method in the engine module's other classes, and a
         # tick() outside the sim path, are both fine

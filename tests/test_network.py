@@ -8,13 +8,14 @@ from collections import Counter
 import pytest
 
 from repro.config import SystemConfig, ci_config
+from repro.faults.inject import LOSS_NOTIFY_DELAY, FaultInjector
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.network import (
     GPULinks,
     MemoryNetwork,
     dimension_order_path,
     hypercube_topology,
 )
-from repro.network.topology import links_per_node
 from repro.sim.engine import Engine, LinkCounters
 
 
@@ -35,10 +36,6 @@ class TestTopology:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
             hypercube_topology(6)
-
-    def test_links_per_node(self):
-        assert links_per_node(8) == 3
-        assert links_per_node(4) == 2
 
     def test_dimension_order_path_minimal(self):
         path = dimension_order_path(0b000, 0b111)
@@ -116,10 +113,19 @@ class TestMemoryNetwork:
         assert counters.get("mem_net") > 0
         assert counters.get("gpu_link") == 0
 
-    def test_hops_helper(self):
+    @pytest.mark.parametrize("num_hmcs", [1, 2, 4, 8, 16])
+    def test_route_table_is_dimension_order(self, num_hmcs):
+        _, net = self._net(num_hmcs)
+        nodes = range(num_hmcs)
+        assert net._routes == {
+            (s, d): tuple(dimension_order_path(s, d))
+            for s in nodes for d in nodes}
+
+    @pytest.mark.parametrize("src,dst", [(0, 8), (8, 0), (-1, 3)])
+    def test_unknown_node_rejected(self, src, dst):
         _, net = self._net()
-        assert net.hops(0, 7) == 3
-        assert net.hops(2, 2) == 0
+        with pytest.raises(ValueError):
+            net.send(src, dst, 64, lambda: None)
 
 
 class TestGPULinks:
@@ -160,6 +166,43 @@ class TestGPULinks:
         assert links.bytes_down() == 100
         assert links.bytes_up() == 50
         assert c.get("gpu_link") == 150
+
+    @staticmethod
+    def _send_one(direction, kind=None, **arg):
+        """One 96-byte packet on link 1, with every packet of the
+        direction faulted by ``kind`` when given; returns what its
+        callbacks saw: ``(callback, *args, cycle)``."""
+        e = Engine()
+        links = GPULinks(e, ci_config(), LinkCounters())
+        if kind is not None:
+            specs = tuple(FaultSpec(site=site, kind=kind, rate=1.0,
+                                    delay_cycles=50)
+                          for site in ("gpu_link_down", "gpu_link_up"))
+            links.faults = FaultInjector(
+                FaultPlan(name=kind, specs=specs), e)
+        got = []
+        getattr(links, direction)(
+            1, 96, lambda *a: got.append(("deliver", *a, e.now)),
+            lost=lambda *a: got.append(("lost", *a, e.now)), **arg)
+        e.drain()
+        return got
+
+    @pytest.mark.parametrize("direction", ["to_hmc", "to_gpu"])
+    def test_arg_form_lands_with_closure_form(self, direction):
+        [(_, cycle)] = self._send_one(direction)
+        assert self._send_one(direction, arg="rec") == [
+            ("deliver", "rec", cycle)]
+
+    @pytest.mark.parametrize("direction", ["to_hmc", "to_gpu"])
+    def test_armed_drop_passes_arg_to_lost(self, direction):
+        assert self._send_one(direction, "drop", arg="rec") == [
+            ("lost", "rec", LOSS_NOTIFY_DELAY)]
+
+    @pytest.mark.parametrize("direction", ["to_hmc", "to_gpu"])
+    def test_armed_delay_passes_arg(self, direction):
+        [(_, cycle)] = self._send_one(direction)
+        assert self._send_one(direction, "delay", arg="rec") == [
+            ("deliver", "rec", cycle + 50)]
 
     def test_paper_bandwidth_ratio(self):
         # Aggregate DRAM bandwidth (8 stacks x ~320 GB/s) must exceed GPU

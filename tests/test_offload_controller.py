@@ -2,6 +2,7 @@
 
 
 from repro.config import LINE_SIZE, ci_config
+from repro.core.offload import _ReadForward, _WriteAddress
 from repro.core.target_select import first_instr_target
 from repro.gpu.coalescer import MemAccess
 from repro.gpu.trace import DynBlock
@@ -146,3 +147,42 @@ class TestSeqNumbers:
         assert off.next_seq == 2
         system.ndp.wta(off, item.mem_accesses[2])
         assert off.next_seq == 3
+
+
+class TestDeferredPackets:
+    def test_flush_in_program_order_with_call_time_attempt(
+            self, monkeypatch):
+        system, inst = build_system()
+        ndp = system.ndp
+        grants = []
+        monkeypatch.setattr(
+            ndp.credits, "reserve",
+            lambda hmc, *, num_loads, num_stores, on_grant:
+                grants.append(on_grant))
+        sent = []
+        to_hmc = system.gpu_links.to_hmc
+
+        def record(*args, **kwargs):
+            sent.append(kwargs["arg"])
+            to_hmc(*args, **kwargs)
+
+        monkeypatch.setattr(system.gpu_links, "to_hmc", record)
+        item = mk_dynblock(system, inst, hmc=0)
+        off = ndp.start_block(FakeSM(), FakeWarp(), item)
+        assert ndp.rdf(off, item.mem_accesses[0])
+        off.attempt = 1       # only the WTA is called under attempt 1
+        assert ndp.wta(off, item.mem_accesses[2])
+        assert not off.granted and sent == []
+        assert off.pending_packets == 3 and ndp.pending[0] == 3
+
+        (on_grant,) = grants
+        on_grant()
+        cmd, rdf, wta = sent
+        assert cmd == (off, 1)
+        assert isinstance(rdf, _ReadForward)
+        assert (rdf.key, rdf.attempt) == ((off.uid, 0), 0)
+        assert isinstance(wta, _WriteAddress)
+        assert (wta.key, wta.attempt) == ((off.uid, 1), 1)
+        assert off.pending_packets == 0 and ndp.pending[0] == 0
+        system.engine.drain()
+        assert ndp.rstats.stale_reads == 1 and ndp.rstats.stale_wta == 0
