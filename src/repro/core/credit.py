@@ -114,17 +114,11 @@ class BufferCreditManager:
         if (self.faults is not None
                 and self.faults.decide("credit") is not None):
             return False
-
-        def apply() -> None:
-            bank = self._credits[hmc]
-            bank.cmd += cmd
-            bank.read_data += read_data
-            bank.write_addr += write_addr
-            self._drain(hmc)
+        counts = (cmd, read_data, write_addr)
         if delay:
-            self.engine.after(delay, apply)
+            self.engine.call_after(delay, self._restore, hmc, counts)
         else:
-            apply()
+            self._restore(hmc, counts)
         return True
 
     def reconcile(self, hmc: int, *, cmd: int = 0, read_data: int = 0,
@@ -135,11 +129,7 @@ class BufferCreditManager:
         or aborts with unreturned entries (dropped credit messages or
         purged buffer state): the GPU-side manager knows exactly what the
         block reserved, so it can reconstruct the ledger on timeout."""
-        bank = self._credits[hmc]
-        bank.cmd += cmd
-        bank.read_data += read_data
-        bank.write_addr += write_addr
-        self._drain(hmc)
+        self._restore(hmc, (cmd, read_data, write_addr))
 
     def cancel(self, res: Reservation) -> bool:
         """Remove a still-queued reservation (recovery retry/fallback).
@@ -152,6 +142,16 @@ class BufferCreditManager:
         self.reservations_cancelled += 1
         self._drain(res.hmc)
         return True
+
+    def _restore(self, hmc: int, counts: tuple[int, int, int]) -> None:
+        """Add returned ``(cmd, read_data, write_addr)`` entries to
+        ``hmc``'s bank and grant what the queue head now fits."""
+        bank = self._credits[hmc]
+        cmd, read_data, write_addr = counts
+        bank.cmd += cmd
+        bank.read_data += read_data
+        bank.write_addr += write_addr
+        self._drain(hmc)
 
     def _drain(self, hmc: int) -> None:
         bank = self._credits[hmc]

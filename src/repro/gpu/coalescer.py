@@ -5,8 +5,8 @@ The coalescer turns the 32 per-thread addresses of a warp memory instruction
 into unique cache-line accesses, remembering how many distinct words each
 line actually provides.  The word count is what lets the NDP path send only
 touched data in RDF response packets (Section 4.4) while the baseline always
-moves whole 128 B lines.  Trace generation hands it a whole warp at once:
-one row per memory instruction, coalesced in a single array pass.
+moves whole 128 B lines.  Trace generation hands it a group of warps at
+once: one row per memory instruction, coalesced in a single array pass.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ def coalesce(addrs: np.ndarray, active: np.ndarray | None = None,
     Parameters
     ----------
     addrs:
-        int64 per-thread byte addresses: one row of lanes (1-D), or a
-        warp's memory instructions as an ``(N, width)`` array, one row
-        per instruction.
+        int64 per-thread byte addresses: one row of lanes (1-D), or
+        memory instructions as an ``(N, width)`` array, one row per
+        instruction.
     active:
         optional boolean mask of active lanes, shaped like ``addrs``.
     word_size:

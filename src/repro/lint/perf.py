@@ -14,9 +14,10 @@ Rule:
 * **PERF001** -- a ``lambda``, nested ``def`` or ``functools.partial``
   constructed inside a hot-path function: any method of a class in
   :data:`_HOT_CLASSES` (the event loop, the per-packet send path, and
-  every packet chain: the offload controller, the GPU memory system,
-  the fabrics, the memory device and its vaults, and their packet
-  records), or any method named ``tick`` on the simulation path.
+  every packet chain: the offload controller and its credit manager,
+  the GPU memory system, the fabrics, the memory device and its vaults,
+  and their packet records), or any method named ``tick`` on the
+  simulation path.
   Sites that run once per block or only under recovery are
   **allow-listed via annotation**::
 
@@ -49,6 +50,7 @@ _HOT_CLASSES = {
     "repro.sim.engine": {"Engine", "Link"},
     "repro.core.offload": {"NDPController", "_ReadForward",
                            "_WriteAddress", "_NDPWrite"},
+    "repro.core.credit": {"BufferCreditManager"},
     "repro.sim.memsys": {"GPUMemSystem", "_L2Fill"},
     "repro.network.fabric": {"MemoryNetwork", "GPULinks", "_HopWalk"},
     "repro.memory.hmc": {"HMCStack"},

@@ -84,6 +84,11 @@ class MemoryNetwork:
         synchronously from inside another component's tick
         (invariant I3, docs/performance.md).
         """
+        try:
+            path = self._routes[(src, dst)]
+        except KeyError:
+            raise ValueError(f"no memory-network node pair ({src}, {dst}) "
+                             f"among {self.cfg.num_hmcs} stacks") from None
         if self.faults is not None:
             deliver = self.faults.packet("mem_net", deliver, lost)
             if deliver is None:
@@ -91,11 +96,6 @@ class MemoryNetwork:
         if src == dst:
             self.engine.at(self.engine.now, deliver)
             return
-        try:
-            path = self._routes[(src, dst)]
-        except KeyError:
-            raise ValueError(f"no memory-network node pair ({src}, {dst}) "
-                             f"among {self.cfg.num_hmcs} stacks") from None
         self._step(_HopWalk(path, size_bytes, deliver))
 
     def _step(self, walk: _HopWalk) -> None:

@@ -5,9 +5,9 @@ A :class:`WorkloadModel` authors one kernel in the IR and implements
 addresses of every dynamic memory instruction.  The base class runs the
 static analyzer once, lays the kernel out into *segments* (plain
 instructions vs. offload blocks), and unrolls ``iters`` loop iterations per
-warp into a :class:`~repro.gpu.trace.WarpTrace`, coalescing all of the
-warp's memory instructions in one pass (addresses are generated and
-coalesced on the GPU in both execution modes, Section 4.1).
+warp into a :class:`~repro.gpu.trace.WarpTrace`, coalescing the memory
+instructions of :data:`WARP_GROUP` warps in one pass (addresses are
+generated and coalesced on the GPU in both execution modes, Section 4.1).
 
 Input problems are scaled down from Table 1 (the simulator is cycle-level
 Python, not a farm of GPGPU-sim machines); every workload keeps the *shape*
@@ -18,7 +18,7 @@ reuse distance -- while the ``Scale`` presets set the total footprint.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +46,11 @@ SCALES = {
     "bench": Scale("bench", num_warps=512, iters=6),
     "paper": Scale("paper", num_warps=1024, iters=8),
 }
+
+#: Warps whose address rows share one ``coalesce`` call.  Larger groups
+#: make fewer calls but keep more rows and sort intermediates alive at
+#: once; docs/performance.md ("Why 16 warps") has the measured trade-off.
+WARP_GROUP = 16
 
 
 class ArrayLayout:
@@ -78,13 +83,28 @@ class ArrayLayout:
 
 @dataclass
 class MemCtx:
-    """Context handed to :meth:`WorkloadModel.mem_addrs`."""
+    """Context handed to :meth:`WorkloadModel.mem_addrs`.
+
+    One context serves a warp's prologue and every iteration (``it``
+    advances in place), so its random stream runs on across them.  The
+    stream is built from ``seed`` at its first draw: seven of the ten
+    models never draw, and a generator takes tens of microseconds to
+    build."""
 
     warp: int
     it: int
     lanes: np.ndarray          # 0..31
-    rng: np.random.Generator
     scale: Scale
+    seed: int | tuple[int, ...]
+    _rng: np.random.Generator | None = field(default=None, init=False,
+                                             repr=False)
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The warp's random stream, ``np.random.default_rng(seed)``."""
+        if self._rng is None:
+            self._rng = np.random.default_rng(self.seed)
+        return self._rng
 
     @property
     def flat(self) -> np.ndarray:
@@ -172,16 +192,50 @@ class WorkloadModel:
         arrays = self.layout(scale)
         prologue = [_instr_segment(instr) for instr in self.prologue()]
         body = self._segments(analyzed)
-        mem = (_mem_instrs(prologue), _mem_instrs(body))
-        lanes = np.arange(cfg.gpu.warp_width, dtype=np.int64)
+        prologue_mem, body_mem = _mem_instrs(prologue), _mem_instrs(body)
+        width = cfg.gpu.warp_width
+        lanes = np.arange(width, dtype=np.int64)
         # crc32, not hash(): hash() of a str varies with PYTHONHASHSEED,
         # which made trace digests differ across processes (DET004).
         name_key = zlib.crc32(self.name.encode()) & 0xFFFF
+        # Each warp writes one row per memory instruction, in program
+        # order (the RNG draws follow it), into a group's shared buffers;
+        # one coalesce call then serves the whole group.
+        n_rows = len(prologue_mem) + scale.iters * len(body_mem)
+        group = min(WARP_GROUP, scale.num_warps)
+        addr_rows = np.empty((group * n_rows, width), dtype=np.int64)
+        mask_rows = np.empty((group * n_rows, width), dtype=bool)
         traces = []
-        for w in range(scale.num_warps):
-            rng = np.random.default_rng((cfg.seed, name_key, w))
-            traces.append(self._warp_trace(w, scale, prologue, body, mem,
-                                           arrays, lanes, rng))
+        for first in range(0, scale.num_warps, group):
+            warps = range(first, min(first + group, scale.num_warps))
+            actives = []
+            row = 0
+            for w in warps:
+                mask_rows[row:row + n_rows] = True
+                ctx = MemCtx(warp=w, it=0, lanes=lanes, scale=scale,
+                             seed=(cfg.seed, name_key, w))
+                row = self._fill_rows(prologue_mem, ctx, arrays,
+                                      addr_rows, mask_rows, row)
+                warp_actives = []
+                for it in range(scale.iters):
+                    ctx.it = it
+                    mask = self.warp_active_mask(ctx)
+                    warp_actives.append(
+                        int(mask.sum()) if mask is not None else width)
+                    row = self._fill_rows(body_mem, ctx, arrays,
+                                          addr_rows, mask_rows, row)
+                actives.append(warp_actives)
+            groups = coalesce(addr_rows[:row], mask_rows[:row])
+            if not all(groups):
+                empty = groups.index(())
+                w, r = first + empty // n_rows, empty % n_rows
+                instr = (prologue_mem + body_mem * scale.iters)[r]
+                raise AssertionError(
+                    f"{self.name}: memory instruction '{_text(instr)}' of "
+                    f"warp {w} produced no accesses (empty active mask?)")
+            for j, warp_actives in enumerate(actives):
+                traces.append(_assemble_trace(
+                    prologue, body, groups, j * n_rows, warp_actives, width))
         return WorkloadInstance(self.name, analyzed, traces, scale)
 
     def _segments(self, analyzed: AnalyzedKernel):
@@ -207,67 +261,30 @@ class WorkloadModel:
                     i += 1
         return segs
 
-    def _warp_trace(self, warp: int, scale: Scale, prologue, body, mem,
-                    arrays, lanes, rng) -> WarpTrace:
-        """One warp's trace: the prologue segments once, then the body
-        segments ``scale.iters`` times.  Addresses and masks are generated
-        in program order (the RNG draws follow it) into one row per
-        memory instruction; the rows are then coalesced in one call."""
-        width = lanes.size
-        prologue_mem, body_mem = mem
-        n_rows = len(prologue_mem) + scale.iters * len(body_mem)
-        addr_rows = np.empty((n_rows, width), dtype=np.int64)
-        mask_rows = np.ones((n_rows, width), dtype=bool)
-        row = 0
-
-        def add_rows(instrs, ctx):
-            nonlocal row
-            for instr in instrs:
-                addrs = self.mem_addrs(instr, arrays, ctx)
-                mask = self.active_lanes(instr, ctx)
-                if np.shape(addrs) != (width,):
-                    self._wrong_width(instr, "mem_addrs", addrs, width)
-                addr_rows[row] = addrs
-                if mask is not None:
-                    if np.shape(mask) != (width,):
-                        self._wrong_width(instr, "active_lanes", mask, width)
-                    mask_rows[row] = mask
-                row += 1
-
-        add_rows(prologue_mem,
-                 MemCtx(warp=warp, it=0, lanes=lanes, rng=rng, scale=scale))
-        actives = []
-        for it in range(scale.iters):
-            ctx = MemCtx(warp=warp, it=it, lanes=lanes, rng=rng, scale=scale)
-            mask = self.warp_active_mask(ctx)
-            actives.append(int(mask.sum()) if mask is not None else width)
-            add_rows(body_mem, ctx)
-        groups = coalesce(addr_rows, mask_rows)
-        if not all(groups):
-            instr = (prologue_mem + body_mem * scale.iters)[groups.index(())]
-            raise AssertionError(
-                f"{self.name}: memory instruction {instr} produced no "
-                "accesses (empty active mask?)")
-
-        trace: WarpTrace = []
-        k = 0
-        for segments, active in [(prologue, width)] + [
-                (body, a) for a in actives]:
-            for kind, payload, instrs in segments:
-                n = len(instrs)
-                if kind == "instr":
-                    trace.append(DynInstr(payload, groups[k] if n else ()))
-                else:
-                    trace.append(DynBlock(payload, groups[k:k + n], active))
-                k += n
-        return trace
+    def _fill_rows(self, instrs, ctx: MemCtx, arrays, addr_rows,
+                   mask_rows, row: int) -> int:
+        """Write the addresses and mask of each of ``instrs`` into the
+        rows from ``row`` on; return the next free row."""
+        width = ctx.lanes.size
+        for instr in instrs:
+            addrs = self.mem_addrs(instr, arrays, ctx)
+            mask = self.active_lanes(instr, ctx)
+            if np.shape(addrs) != (width,):
+                self._wrong_width(instr, "mem_addrs", addrs, width)
+            addr_rows[row] = addrs
+            if mask is not None:
+                if np.shape(mask) != (width,):
+                    self._wrong_width(instr, "active_lanes", mask, width)
+                mask_rows[row] = mask
+            row += 1
+        return row
 
     def _wrong_width(self, instr, source, row, width):
         shape = np.shape(row)
         got = f"{shape[0]} lanes" if len(shape) == 1 else f"shape {shape}"
         raise ValueError(
             f"{self.name}: {source} returned {got} for "
-            f"'{' '.join(str(instr).split())}', but the warp width is {width}")
+            f"'{_text(instr)}', but the warp width is {width}")
 
 
 def _instr_segment(instr: Instr):
@@ -278,3 +295,26 @@ def _instr_segment(instr: Instr):
 def _mem_instrs(segments) -> tuple[Instr, ...]:
     """The segments' memory instructions, one per coalesced row."""
     return tuple(instr for _, _, mem in segments for instr in mem)
+
+
+def _text(instr: Instr) -> str:
+    """An instruction as one line with single spaces, for messages."""
+    return " ".join(str(instr).split())
+
+
+def _assemble_trace(prologue, body, groups, k: int, actives: list[int],
+                    width: int) -> WarpTrace:
+    """One warp's trace: the prologue segments once, then the body
+    segments once per iteration, taking the coalesced rows ``groups[k:]``
+    in program order."""
+    trace: WarpTrace = []
+    for segments, active in [(prologue, width)] + [
+            (body, a) for a in actives]:
+        for kind, payload, instrs in segments:
+            n = len(instrs)
+            if kind == "instr":
+                trace.append(DynInstr(payload, groups[k] if n else ()))
+            else:
+                trace.append(DynBlock(payload, groups[k:k + n], active))
+            k += n
+    return trace

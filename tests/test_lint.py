@@ -426,6 +426,15 @@ class TestHotPathAllocation:
         assert len(hits) == 1
         assert "send_ack" in hits[0].message
 
+    def test_credit_manager_method_lambda_flagged(self, tmp_path):
+        src = ("class BufferCreditManager:\n"
+               "    def release(self, hmc):\n"
+               "        self.engine.after(10, lambda: self._drain(hmc))\n")
+        hits = by_rule(lint_pkg(tmp_path, {"core/credit.py": src}),
+                       "PERF001")
+        assert len(hits) == 1
+        assert "'release'" in hits[0].message
+
     def test_packet_chain_annotation_allows(self, tmp_path):
         src = self.CONTROLLER_LAMBDA.replace(
             "inst))\n", "inst))  # perf: alloc-ok -- once per block\n")

@@ -121,7 +121,8 @@ class TestMemoryNetwork:
             (s, d): tuple(dimension_order_path(s, d))
             for s in nodes for d in nodes}
 
-    @pytest.mark.parametrize("src,dst", [(0, 8), (8, 0), (-1, 3)])
+    @pytest.mark.parametrize("src,dst", [(0, 8), (8, 0), (-1, 3), (8, 8),
+                                         (-1, -1)])
     def test_unknown_node_rejected(self, src, dst):
         _, net = self._net()
         with pytest.raises(ValueError):

@@ -20,8 +20,7 @@ from repro.workloads.patterns import (
 
 def mk_ctx(warp=0, it=0, seed=0):
     return MemCtx(warp=warp, it=it, lanes=np.arange(32, dtype=np.int64),
-                  rng=np.random.default_rng(seed),
-                  scale=Scale("t", 8, 4))
+                  scale=Scale("t", 8, 4), seed=seed)
 
 
 @pytest.fixture

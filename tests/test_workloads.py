@@ -8,7 +8,7 @@ import pytest
 
 from repro.config import LINE_SIZE, ci_config
 from repro.gpu.trace import DynBlock, DynInstr
-from repro.workloads import SCALES, Scale, get_workload, workload_names
+from repro.workloads import SCALES, Scale, base, get_workload, workload_names
 from repro.workloads.vadd import VADD
 
 CFG = ci_config()
@@ -220,6 +220,56 @@ class TestWarpWidthRows:
         assert msg.startswith(f"{model.name}: {source} returned 16 lanes")
         assert "'ld R4 <- [A@R0]'" in msg
         assert "warp width is 32" in msg
+
+
+class DarkWarp(VADD):
+    """VADD whose warp 1 reads B with no active lane in iteration 1."""
+
+    name = "DARK"
+
+    def active_lanes(self, instr, ctx):
+        if ctx.warp == 1 and ctx.it == 1 and instr.array == "B":
+            return np.zeros(ctx.lanes.size, dtype=bool)
+        return None
+
+
+class TestWarpGroups:
+    """``build`` coalesces the rows of ``base.WARP_GROUP`` warps in one
+    call and slices the result back per warp."""
+
+    G = base.WARP_GROUP
+
+    @pytest.mark.parametrize("name", sorted(TABLE1))
+    def test_partial_last_group_matches_one_warp_groups(self, name,
+                                                        monkeypatch):
+        scale = Scale("t", 2 * self.G + 3, 2)
+        grouped = get_workload(name).build(CFG, scale)
+        assert grouped.num_warps % self.G != 0
+        monkeypatch.setattr(base, "WARP_GROUP", 1)
+        single = get_workload(name).build(CFG, scale)
+        assert trace_digest(grouped) == trace_digest(single)
+
+    def test_empty_row_names_model_instruction_and_warp(self):
+        with pytest.raises(AssertionError) as err:
+            DarkWarp().build(CFG, Scale("t", 4, 2))
+        msg = str(err.value)
+        assert msg.startswith("DARK: memory instruction 'ld R5 <- [B@R1]")
+        assert "of warp 1 produced no accesses" in msg
+
+    @pytest.mark.parametrize("name, per_warp", [("VADD", 0), ("BFS", 1)])
+    def test_generator_built_at_first_draw(self, name, per_warp,
+                                           monkeypatch):
+        seeds = []
+        real = np.random.default_rng
+
+        def counting(seed=None):
+            seeds.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        inst = get_workload(name).build(CFG, Scale("t", 2 * self.G + 3, 2))
+        assert len(seeds) == per_warp * inst.num_warps
+        assert len(set(seeds)) == len(seeds)
 
 
 class TestScaling:
