@@ -689,8 +689,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="bind port; 0 picks an ephemeral one "
                          "(default 8787)")
     pv.add_argument("--shards", type=int, default=2,
-                    help="shard workers; jobs route to a shard by store "
-                         "key (default 2)")
+                    help="shard workers; each pulls its next job from "
+                         "the fair queue when free (default 2)")
     pv.add_argument("--job-timeout", type=float, default=900.0,
                     help="per-job worker deadline in seconds "
                          "(default 900)")
@@ -698,8 +698,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="per-request wait on the shared job future "
                          "(default 900)")
     pv.add_argument("--queue-depth", type=int, default=256,
-                    help="job queue bound; excess requests get a 503 "
-                         "(default 256)")
+                    help="bound on jobs waiting for a free shard; excess "
+                         "requests get a 503 (default 256)")
     pv.add_argument("--rate", type=float, default=0.0,
                     help="per-client token-bucket refill, requests/sec "
                          "(default 0 = unlimited)")

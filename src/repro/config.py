@@ -15,7 +15,6 @@ Two scale presets are provided:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 #: Cache line size used throughout the system (bytes).
@@ -80,11 +79,6 @@ class DRAMTiming:
     # tREFI to 0 to disable refresh modelling.
     tREFI: int = 5200
     tRFC: int = 174
-
-    def to_sm_cycles(self, dram_cycles: float, sm_clock_mhz: float) -> float:
-        """Convert a DRAM-cycle count to (fractional) SM cycles."""
-        ns = dram_cycles * self.tck_ns
-        return ns * sm_clock_mhz * 1e-6 * 1e3  # ns * cycles/ns
 
 
 @dataclass(frozen=True)
@@ -329,10 +323,6 @@ class SystemConfig:
         if self.backend not in BACKEND_NAMES:
             raise ValueError(f"unknown memory backend {self.backend!r}; "
                              f"choose from {', '.join(BACKEND_NAMES)}")
-
-    @property
-    def hypercube_dim(self) -> int:
-        return int(math.log2(self.num_hmcs))
 
     @property
     def dram_cycles_per_sm_cycle(self) -> float:

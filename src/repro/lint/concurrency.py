@@ -1,8 +1,8 @@
 """Concurrency rules: lock discipline for the thread-shared serve stack.
 
 The serve daemon is the one place in the tree where many threads mutate
-shared state (admission threads, the dispatcher, shard loops, the stop
-thread), so its lock discipline is a checked contract, not a convention.
+shared state (admission threads, shard loops, the stop thread), so its
+lock discipline is a checked contract, not a convention.
 The analyzer builds a per-class **lock model** for every class that owns
 a ``threading.Lock``/``RLock``/``Condition`` attribute:
 

@@ -224,9 +224,5 @@ class Rule:
         """Run once over the cross-file model (default: nothing)."""
 
 
-def unbaselined(findings: list[Finding]) -> list[Finding]:
-    return [f for f in findings if not f.baselined]
-
-
 def mark_baselined(finding: Finding) -> Finding:
     return replace(finding, baselined=True)

@@ -65,9 +65,6 @@ class BankState:
         self.busy_until: int = 0
         self.activated_at: int = -(10 ** 9)
 
-    def is_hit(self, row: int) -> bool:
-        return self.open_row == row
-
     def access(self, row: int, is_write: bool, now: int,
                t: DRAMTimingSM) -> tuple[int, bool]:
         """Perform an access; returns (data_ready_cycle, activated).

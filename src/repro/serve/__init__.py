@@ -4,11 +4,12 @@ The package turns the :mod:`repro.api` facade into a long-running HTTP
 service with a shared evaluation cache:
 
 * :mod:`repro.serve.daemon`   -- the :class:`ServeDaemon` (admission,
-  warm cache, dispatcher) and :class:`ServeConfig`;
-* :mod:`repro.serve.jobs`     -- the fair :class:`JobQueue` and the
-  request :class:`Coalescer`;
-* :mod:`repro.serve.pool`     -- the :class:`ShardPool` of replaceable
-  workers and the picklable job executors;
+  warm cache, completion) and :class:`ServeConfig`;
+* :mod:`repro.serve.jobs`     -- the bounded, fair :class:`JobQueue`
+  and the request :class:`Coalescer`;
+* :mod:`repro.serve.pool`     -- the :class:`ShardPool` of shard threads
+  that pull jobs from the queue into replaceable workers, and the
+  picklable job executors;
 * :mod:`repro.serve.limiter`  -- per-client :class:`TokenBucket` rate
   limiting;
 * :mod:`repro.serve.client`   -- :class:`ServeClient` / :class:`ServeError`;

@@ -8,8 +8,9 @@ the full tour):
   synchronously without queueing;
 * the :class:`~repro.serve.jobs.Coalescer`: identical keys attach to the
   in-flight job's future instead of re-queueing;
-* the fair :class:`~repro.serve.jobs.JobQueue` and a dispatcher thread
-  feeding the :class:`~repro.serve.pool.ShardPool`;
+* the bounded, fair :class:`~repro.serve.jobs.JobQueue`, which the
+  :class:`~repro.serve.pool.ShardPool`'s shard threads pop whenever
+  their worker is free;
 * an LRU **hot set** of recent run responses (``hot_set`` entries);
 * ``serve.*`` metrics in a :class:`~repro.sim.metrics.MetricsRegistry`,
   exported as the standard JSONL stream on shutdown.
@@ -93,11 +94,12 @@ class _HotSet:
 
 
 class ServeDaemon:
-    """The long-running service.  ``start()`` binds and spins up the
-    server + dispatcher threads; ``stop()`` drains and shuts everything
-    down (idempotent).  ``worker`` and ``executor_factory`` are test
-    seams forwarded to the :class:`ShardPool` (defaults: the real
-    :func:`~repro.serve.pool.execute_job` in worker processes)."""
+    """The long-running service.  Building it starts the shard threads,
+    which wait on the job queue; ``start()`` binds and spins up the
+    server thread; ``stop()`` fails the queued jobs and shuts
+    everything down (idempotent).  ``worker`` and ``executor_factory``
+    are test seams forwarded to the :class:`ShardPool` (defaults: the
+    real :func:`~repro.serve.pool.execute_job` in worker processes)."""
 
     def __init__(self, config: ServeConfig | None = None,
                  worker=None, executor_factory=None) -> None:
@@ -110,18 +112,18 @@ class ServeDaemon:
         self.queue = JobQueue(max_depth=self.config.queue_depth)
         self.coalescer = Coalescer()
         self.hot = _HotSet(self.config.hot_set)
-        self.pool = ShardPool(shards=self.config.shards,
-                              job_timeout=self.config.job_timeout,
-                              worker=worker,
-                              on_counter=self._count,
-                              executor_factory=executor_factory)
         self.store = None
         if self.config.use_store and self.config.store:
             from repro.sim.store import ResultStore
             self.store = ResultStore(self.config.store)
+        self.pool = ShardPool(self.queue, self._job_done,
+                              shards=self.config.shards,
+                              job_timeout=self.config.job_timeout,
+                              worker=worker,
+                              on_counter=self._count,
+                              executor_factory=executor_factory)
         self._server: _Server | None = None
         self._server_thread: threading.Thread | None = None
-        self._dispatcher: threading.Thread | None = None
         # _stopping is an Event (not a lock-guarded bool) so healthz/stats
         # snapshots read it without taking _stop_lock; _stop_lock only
         # serializes the shutdown sequence itself.
@@ -151,9 +153,6 @@ class ServeDaemon:
             target=self._server.serve_forever, kwargs={"poll_interval": 0.1},
             daemon=True, name="serve-http")
         self._server_thread.start()
-        self._dispatcher = threading.Thread(
-            target=self._dispatch, daemon=True, name="serve-dispatch")
-        self._dispatcher.start()
         return self
 
     def wait(self) -> None:
@@ -185,9 +184,7 @@ class ServeDaemon:
         if self._server is not None:
             self._server.shutdown()
             self._server.server_close()
-        if self._dispatcher is not None:
-            self._dispatcher.join(timeout=5.0)
-        self.pool.shutdown()
+        self.pool.stop()
         from repro.lint import sanitize
         if sanitize.installed():
             for name, n in sorted(sanitize.counters().items()):
@@ -199,17 +196,7 @@ class ServeDaemon:
             self.registry.export_jsonl(self.config.metrics_out)
         self._stopped.set()
 
-    # -- dispatch + completion ----------------------------------------------
-
-    def _dispatch(self) -> None:
-        while True:
-            try:
-                job = self.queue.pop(timeout=0.5)
-            except QueueClosed:
-                return
-            if job is None:
-                continue
-            self.pool.submit(job, self._job_done)
+    # -- completion ----------------------------------------------------------
 
     def _job_done(self, job: Job, value, error) -> None:
         if error is None:
@@ -283,8 +270,7 @@ class ServeDaemon:
                 if cached is not None:
                     self._count("serve.warm.hits")
                     from repro.serve.pool import _stored_dict
-                    body = _stored_dict(cached, key, str(self.store.root),
-                                        "store")
+                    body = _stored_dict(cached, key, str(self.store.root))
                     self.hot.put(key, body)
                     return (200, {**body, "coalesced": False}), None
 
@@ -384,7 +370,6 @@ class ServeDaemon:
             "coalesce_hits": self.coalescer.hits,
             "rate_limited": self.limiter.rejections,
             "worker_restarts": self.pool.restarts,
-            "shard_queue_depths": self.pool.queue_depths(),
             "hot_set": len(self.hot),
             "counters": {k: c.value for k, c in
                          sorted(self.registry.counters.items())},

@@ -4,9 +4,9 @@ A :class:`Job` is one unit of simulation work (a run, a sweep, a chaos
 grid or an explore call) identified by a content-derived key.
 Two structures route jobs between the HTTP threads and the shard pool:
 
-* :class:`JobQueue` -- a blocking queue with **round-robin client
-  fairness**: each client gets its own FIFO lane and the dispatcher
-  cycles through lanes, so one chatty client cannot starve the rest.
+* :class:`JobQueue` -- a bounded blocking queue with **round-robin
+  client fairness**: each client gets its own FIFO lane and the shards
+  pop lanes in rotation, so one chatty client cannot starve the rest.
   FIFO order *within* a client is preserved.
 * :class:`Coalescer` -- the in-flight registry keyed by job key.
   Admitting a key that is already queued or running attaches the caller
@@ -100,17 +100,15 @@ class JobQueue:
             self._ready.notify()
             return self._depth
 
-    def pop(self, timeout: float | None = None) -> Job | None:
-        """Next job by round-robin fairness; None on timeout.  Raises
-        :class:`QueueClosed` once closed *and* drained."""
+    def pop(self) -> Job:
+        """Next job by round-robin fairness, blocking until one is
+        queued.  Raises :class:`QueueClosed` once closed *and* drained."""
         with self._ready:
-            while True:
-                if self._depth:
-                    return self._pop_locked()
+            while not self._depth:
                 if self._closed:
                     raise QueueClosed("job queue is shut down")
-                if not self._ready.wait(timeout=timeout):
-                    return None
+                self._ready.wait()
+            return self._pop_locked()
 
     def _pop_locked(self) -> Job:
         n = len(self._order)

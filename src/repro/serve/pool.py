@@ -1,12 +1,11 @@
 """The serve daemon's shard-worker pool and the picklable job executors.
 
-N **shards** each own a FIFO of jobs and one long-lived single-worker
+N **shards** each own one thread and one long-lived single-worker
 :class:`~repro.executor.CellExecutor` -- the same deadline-and-retry
-executor every ``ExperimentRunner`` grid uses.  Jobs are routed to a
-shard by their content-derived key (``int(key[:8], 16) % shards`` --
-never ``hash()``, which is per-process salted), so repeated requests for
-the same cell land on the same shard and duplicate work serializes
-naturally even without coalescing.
+executor every ``ExperimentRunner`` grid uses.  A shard pops its next
+job from the daemon's fair :class:`~repro.serve.jobs.JobQueue` only when
+its worker is free, so the queue's bound and its per-client round-robin
+order hold for every job that waits.
 
 The executor's policy is the service's: a job that misses the per-job
 deadline or kills its worker gets the worker replaced
@@ -18,18 +17,14 @@ without touching the worker.
 
 Everything below ``execute_job`` runs *inside* the worker process and
 must stay picklable/module-level, exactly like ``figures._run_cell``.
-Run jobs follow the store reservation protocol
-(:meth:`repro.sim.store.ResultStore.reserve`): the winner simulates and
-publishes, losers wait for the entry -- so even two *daemons* sharing a
-store simulate a cell once.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 
 from repro.executor import CellExecutor, WorkerLost
+from repro.serve.jobs import QueueClosed, job_fingerprint
 
 __all__ = ["ShardPool", "execute_job", "run_key"]
 
@@ -45,105 +40,75 @@ RUN_FIELDS = ("workload", "config", "scale", "sms", "nsu_mhz", "ro_cache",
 
 
 class ShardPool:
-    """N shards, each a FIFO + one replaceable worker.
+    """N shards, each a thread that pulls jobs from ``queue`` into one
+    replaceable worker.
 
-    ``submit(job, on_done)`` routes ``job`` to its shard;  the shard
-    thread executes ``worker(job.kind, job.payload)`` in the shard's
-    executor with a ``job_timeout`` deadline and calls
-    ``on_done(job, value, error)`` exactly once.  ``on_counter`` (if
-    given) receives ``serve.*`` counter increments.
+    A shard thread pops a job, executes ``worker(job.kind, job.payload)``
+    in its executor with a ``job_timeout`` deadline and calls
+    ``on_done(job, value, error)`` exactly once; once the queue is
+    closed and drained it closes its executor and exits.  ``on_counter``
+    (if given) receives ``serve.*`` counter increments.
     ``executor_factory`` builds each shard's worker pool (see
     :class:`~repro.executor.CellExecutor`; tests pass thread pools).
     """
 
-    def __init__(self, shards: int = 2, job_timeout: float = 900.0,
-                 worker=None, on_counter=None,
+    def __init__(self, queue, on_done, shards: int = 2,
+                 job_timeout: float = 900.0, worker=None, on_counter=None,
                  executor_factory=None) -> None:
+        self.queue = queue
+        self.on_done = on_done
         self.job_timeout = float(job_timeout)
         self.worker = worker or execute_job
-        self.executor_factory = executor_factory
         self._count = on_counter or (lambda name, n=1: None)
-        self._shards = [_Shard(i, self) for i in range(max(1, int(shards)))]
+        self._cells = [CellExecutor(1, self.job_timeout,
+                                    factory=executor_factory,
+                                    on_count=self._worker_count)
+                       for _ in range(max(1, int(shards)))]
+        self._threads = [threading.Thread(target=self._loop, args=(cells,),
+                                          daemon=True,
+                                          name=f"serve-shard-{i}")
+                         for i, cells in enumerate(self._cells)]
+        for t in self._threads:
+            t.start()
 
     @property
     def shards(self) -> int:
-        return len(self._shards)
+        return len(self._cells)
 
     @property
     def restarts(self) -> int:
         """Worker replacements across all shards (each shard's executor
         counts its own, so no lock is needed to sum them)."""
-        return sum(s.cells.restarts for s in self._shards)
+        return sum(cells.restarts for cells in self._cells)
 
-    def shard_of(self, key: str) -> int:
-        """Stable shard index from the leading key bytes (content-derived
-        keys are hex SHA-256, uniformly distributed)."""
-        try:
-            return int(key[:8], 16) % len(self._shards)
-        except ValueError:
-            return sum(key.encode()) % len(self._shards)
-
-    def submit(self, job, on_done) -> int:
-        idx = self.shard_of(job.key)
-        self._shards[idx].submit(job, on_done)
-        return idx
-
-    def queue_depths(self) -> list[int]:
-        """Per-shard FIFO depths (approximate -- Queue.qsize), surfaced
-        by ``GET /v1/stats`` so clients can see routing skew."""
-        return [s._q.qsize() for s in self._shards]
-
-    def shutdown(self, wait_seconds: float = 5.0) -> None:
-        for s in self._shards:
-            s.stop()
-        for s in self._shards:
-            s.join(wait_seconds / max(1, len(self._shards)))
+    def stop(self) -> None:
+        """Close the queue and join the shards, 5 s in all: a shard
+        still running a job finishes it as a daemon thread."""
+        self.queue.close()
+        for t in self._threads:
+            t.join(5.0 / len(self._threads))
 
     def _worker_count(self, name: str, n: int) -> None:
         self._count(f"serve.worker.{name}", n)
 
-
-class _Shard:
-    """One FIFO + one single-worker executor, replaced on timeout/crash."""
-
-    def __init__(self, index: int, pool: ShardPool) -> None:
-        self.index = index
-        self.pool = pool
-        self._q: queue.Queue = queue.Queue()
-        self.cells = CellExecutor(1, pool.job_timeout,
-                                  factory=pool.executor_factory,
-                                  on_count=pool._worker_count)
-        self._thread = threading.Thread(
-            target=self._loop, daemon=True, name=f"serve-shard-{index}")
-        self._thread.start()
-
-    def submit(self, job, on_done) -> None:
-        self._q.put((job, on_done))
-
-    def stop(self) -> None:
-        self._q.put(None)
-
-    def join(self, timeout: float) -> None:
-        self._thread.join(timeout)
-
-    def _loop(self) -> None:
+    def _loop(self, cells: CellExecutor) -> None:
         while True:
-            item = self._q.get()
-            if item is None:
-                self.cells.close()
+            try:
+                job = self.queue.pop()
+            except QueueClosed:
+                cells.close()
                 return
-            job, on_done = item
-            [(value, error)] = self.cells.starmap(
-                self.pool.worker, [(job.kind, job.payload)])
+            [(value, error)] = cells.starmap(
+                self.worker, [(job.kind, job.payload)])
             if isinstance(error, WorkerLost) and error.timed_out:
                 error = TimeoutError(
                     f"job {job.label()} exceeded the "
-                    f"{self.pool.job_timeout:g}s worker deadline")
+                    f"{self.job_timeout:g}s worker deadline")
             elif isinstance(error, WorkerLost):
                 error = RuntimeError(
                     f"worker crashed running job {job.label()}")
             try:
-                on_done(job, value, error)
+                self.on_done(job, value, error)
             except Exception:  # pragma: no cover - resolver must not kill us
                 pass
 
@@ -158,7 +123,6 @@ def run_key(payload: dict) -> str:
     the plain store).  Raises ``KeyError``/``ValueError``/``TypeError``
     for malformed payloads -- the daemon maps those to a 400 *before*
     anything is queued."""
-    from repro.serve.jobs import job_fingerprint
     from repro.sim.store import cell_key
 
     req = _run_request(payload)
@@ -185,14 +149,14 @@ def _run_request(payload: dict):
     return api.RunRequest(**kwargs)
 
 
-def _outcome_dict(outcome, source: str) -> dict:
+def _outcome_dict(outcome) -> dict:
     from repro.sim.serialize import result_to_dict
 
     return {
         "kind": "run",
         "outcome": outcome.outcome,
         "ok": outcome.ok,
-        "source": source,
+        "source": "store" if outcome.from_store else "simulated",
         "from_store": outcome.from_store,
         "store_key": outcome.store_key,
         "store_root": outcome.store_root,
@@ -203,46 +167,20 @@ def _outcome_dict(outcome, source: str) -> dict:
     }
 
 
-def _stored_dict(result, key: str, root: str, source: str) -> dict:
+def _stored_dict(result, key: str, root: str) -> dict:
     from repro.sim.serialize import result_to_dict
 
-    return {"kind": "run", "outcome": "clean", "ok": True, "source": source,
+    return {"kind": "run", "outcome": "clean", "ok": True, "source": "store",
             "from_store": True, "store_key": key, "store_root": root,
             "error": None, "audit_failures": [],
             "result": result_to_dict(result)}
 
 
 def _exec_run(payload: dict) -> dict:
-    """One simulation with cross-process exactly-once semantics."""
+    """One simulation; ``api.run`` answers from the store when it can."""
     from repro import api
 
-    req = _run_request(payload)
-    store = req.resolved_store()
-    plan = req.resolved_plan()
-    if store is None or plan is not None or req.audit:
-        out = api.run(req)
-        return _outcome_dict(out, "store" if out.from_store else "simulated")
-    from repro.sim.store import cell_key
-    key = cell_key(req.workload, req.config, req.resolved_config(),
-                   req.scale, req.max_cycles)
-    root = str(store.root)
-    cached = store.get(key)
-    if cached is not None:
-        return _stored_dict(cached, key, root, "store")
-    with store.reserve(key) as claim:
-        if claim.acquired:
-            # api.run re-checks the store before simulating (the prior
-            # holder may have published between our miss and the lock).
-            out = api.run(req)
-            return _outcome_dict(out,
-                                 "store" if out.from_store else "simulated")
-    waited = store.wait(key, timeout=float(payload.get("wait_timeout", 900.0)))
-    if waited is not None:
-        return _stored_dict(waited, key, root, "waited")
-    # Holder vanished without publishing; simulate anyway -- the atomic
-    # store put keeps a duplicate harmless.
-    out = api.run(req)
-    return _outcome_dict(out, "store" if out.from_store else "simulated")
+    return _outcome_dict(api.run(_run_request(payload)))
 
 
 def _grid_kwargs(payload: dict) -> dict:

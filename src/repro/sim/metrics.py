@@ -71,14 +71,6 @@ KNOWN_METRICS = frozenset({
 })
 
 
-def is_known_metric(name: str) -> bool:
-    """True when ``name`` is registered, verbatim or via a pattern."""
-    if name in KNOWN_METRICS:
-        return True
-    return any(p.endswith(".*") and name.startswith(p[:-1])
-               for p in KNOWN_METRICS)
-
-
 @dataclass
 class Counter:
     """A cumulative metric.  ``add`` increments; ``set`` records the

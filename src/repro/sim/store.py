@@ -21,11 +21,6 @@ Corrupted or stale-schema entries are treated as misses and deleted.
 Concurrent writers are safe by construction: the write-then-rename means a
 reader either sees no entry or a complete one, and two processes racing
 the same key converge on identical bytes (the simulator is deterministic).
-To avoid paying for the duplicate simulation at all, :meth:`ResultStore.
-reserve` hands out a cross-process key reservation (an ``O_EXCL`` lock
-file): the winner simulates and publishes, losers :meth:`ResultStore.wait`
-for the entry to appear.  The ``repro serve`` shard workers run this
-protocol on every cell.
 
 The simulator is deterministic (seeded RNG, integer-time engine), so a
 stored cell is byte-for-byte equivalent to re-simulating it.
@@ -124,10 +119,9 @@ class ResultStore:
         self.root = os.path.abspath(os.path.expanduser(str(root)))
         os.makedirs(self.root, exist_ok=True)
         # Concurrency contract: stores are shared *across processes* via
-        # atomic renames and O_EXCL reservation files, never via
-        # in-process locks -- each thread/process binds its own
-        # ResultStore.  The counters below are per-instance diagnostics,
-        # not shared state.
+        # atomic renames, never via locks -- each thread/process binds
+        # its own ResultStore.  The counters below are per-instance
+        # diagnostics, not shared state.
         self.hits = 0     # guarded-by: none -- per-instance diagnostic
         self.misses = 0   # guarded-by: none -- per-instance diagnostic
         self.corrupt = 0  # guarded-by: none -- per-instance diagnostic
@@ -194,68 +188,6 @@ class ResultStore:
             raise
         return path
 
-    # -- cross-process key reservation --------------------------------------
-
-    def reserve(self, key: str,
-                stale_after: float = 3600.0) -> "StoreReservation":
-        """Claim the right to simulate ``key`` across processes.
-
-        Returns a :class:`StoreReservation` context manager; exactly one
-        concurrent caller gets ``acquired=True`` (an ``O_EXCL`` lock file
-        next to the entry).  Losers should :meth:`wait` for the entry, or
-        simulate anyway -- the atomic :meth:`put` keeps duplicates
-        harmless.  A lock older than ``stale_after`` seconds is presumed
-        abandoned (crashed holder) and stolen once.
-
-        Callers that acquire the reservation must re-check :meth:`get`
-        before simulating: the previous holder may have published between
-        our miss and our acquisition (double-checked locking).
-        """
-        lock = self._path(key) + ".lock"
-        os.makedirs(os.path.dirname(lock), exist_ok=True)
-        for attempt in (0, 1):
-            try:
-                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                if attempt:
-                    break
-                try:
-                    # lint: ignore[DET005] -- lock-staleness bookkeeping
-                    # only; never reaches a result or a key
-                    age = time.time() - os.path.getmtime(lock)
-                except OSError:
-                    continue       # holder released between EXCL and stat
-                if age <= stale_after:
-                    break
-                # Presumed-dead holder; steal the lock and retry once.
-                try:
-                    os.remove(lock)
-                except OSError:
-                    break
-            else:
-                with os.fdopen(fd, "w") as f:
-                    f.write(str(os.getpid()))
-                return StoreReservation(self, key, lock, acquired=True)
-        return StoreReservation(self, key, lock, acquired=False)
-
-    def wait(self, key: str, timeout: float = 300.0,
-             poll: float = 0.05) -> RunResult | None:
-        """Block until ``key`` has an entry (another process is
-        publishing it) or ``timeout`` elapses; returns the result or
-        None.  Misses during the wait are not counted in :attr:`misses`
-        -- only the final outcome is."""
-        # lint: ignore[DET005] -- host-side wait deadline; the simulated
-        # result is whatever the publishing process stored
-        deadline = time.monotonic() + timeout
-        while True:
-            path = self._path(key)
-            if os.path.exists(path):
-                return self.get(key)
-            # lint: ignore[DET005] -- same host-side deadline check
-            if time.monotonic() >= deadline:
-                return None
-            time.sleep(poll)
-
     # -- maintenance --------------------------------------------------------
 
     def _entry_paths(self) -> list[str]:
@@ -301,33 +233,3 @@ class ResultStore:
         return (f"ResultStore({self.root!r}, entries={len(self)}, "
                 f"hits={self.hits}, misses={self.misses})")
 
-
-class StoreReservation:
-    """One cross-process claim on a store key (see
-    :meth:`ResultStore.reserve`).  Use as a context manager so the lock
-    file is released even when the simulation raises."""
-
-    def __init__(self, store: ResultStore, key: str, lock_path: str,
-                 acquired: bool) -> None:
-        self.store = store
-        self.key = key
-        self.lock_path = lock_path
-        self.acquired = acquired
-
-    def release(self) -> None:
-        if self.acquired:
-            self.acquired = False
-            try:
-                os.remove(self.lock_path)
-            except OSError:
-                pass
-
-    def __enter__(self) -> "StoreReservation":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.release()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"StoreReservation({self.key[:12]}..., "
-                f"acquired={self.acquired})")

@@ -1,6 +1,7 @@
 """The runtime lock sanitizer (repro.lint.sanitize)."""
 
 import concurrent.futures as cf
+import time
 
 import pytest
 
@@ -90,9 +91,14 @@ class TestGuardChecks:
         from repro.serve.jobs import Job, JobQueue
         q = JobQueue()
         assert isinstance(q._lock, SanitizedLock)
-        assert q.pop(timeout=0.01) is None   # wait path over the proxy
-        q.push(Job(kind="run", key="a" * 64, payload={}, client="c"))
-        job = q.pop(timeout=1.0)
+        with cf.ThreadPoolExecutor(1) as pool:
+            popped = pool.submit(q.pop)
+            deadline = time.monotonic() + 5.0
+            while not q._ready._waiters:     # wait path over the proxy
+                assert time.monotonic() < deadline, "pop never waited"
+                time.sleep(0.001)
+            q.push(Job(kind="run", key="a" * 64, payload={}, client="c"))
+            job = popped.result(timeout=5.0)
         assert job is not None and job.key == "a" * 64
         assert q.depth == 0
 

@@ -13,6 +13,8 @@ import concurrent.futures as cf
 import contextlib
 import http.client
 import json
+import queue
+import sys
 import threading
 import time
 
@@ -154,6 +156,22 @@ def run_payload(max_cycles=5_000_000, **overrides):
     return payload
 
 
+def post_in_thread(client, payload):
+    """POST ``payload`` to ``/v1/run`` from a fresh thread; returns a
+    future of the response body (a non-2xx raises :class:`ServeError`
+    from ``result()``)."""
+    fut = cf.Future()
+
+    def post():
+        try:
+            fut.set_result(client.run(**payload))
+        except Exception as e:
+            fut.set_exception(e)
+
+    threading.Thread(target=post, daemon=True).start()
+    return fut
+
+
 def wait_until(predicate, timeout=10.0, interval=0.01):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -220,7 +238,7 @@ class TestJobQueue:
         for key in ("k1", "k2", "k3"):
             q.push(make_job("a", key))
         q.push(make_job("b", "k4"))
-        order = [q.pop(timeout=0) for _ in range(4)]
+        order = [q.pop() for _ in range(4)]
         assert [j.client for j in order] == ["a", "b", "a", "a"]
         # FIFO within a lane is preserved.
         assert [j.key for j in order if j.client == "a"] == ["k1", "k2", "k3"]
@@ -239,9 +257,9 @@ class TestJobQueue:
         with pytest.raises(QueueClosed):
             q.push(make_job("a", "k2"))
         # Queued work is still served before the closed signal.
-        assert q.pop(timeout=0).key == "k1"
+        assert q.pop().key == "k1"
         with pytest.raises(QueueClosed):
-            q.pop(timeout=0)
+            q.pop()
 
     def test_drain_empties_every_lane(self):
         q = JobQueue()
@@ -250,9 +268,6 @@ class TestJobQueue:
         drained = q.drain()
         assert {j.key for j in drained} == {"k1", "k2"}
         assert q.depth == 0
-
-    def test_pop_timeout_returns_none(self):
-        assert JobQueue().pop(timeout=0.01) is None
 
 
 class TestCoalescer:
@@ -291,34 +306,23 @@ class TestCoalescer:
 # ---------------------------------------------------------------------------
 
 
-def _pool_run(pool, job):
-    done = threading.Event()
-    box = {}
-
-    def on_done(j, value, error):
-        box["value"], box["error"] = value, error
-        done.set()
-
-    pool.submit(job, on_done)
-    assert done.wait(30.0), "job never completed"
-    return box["value"], box["error"]
+@contextlib.contextmanager
+def shard_pool(**kw):
+    """A :class:`ShardPool` reading its own :class:`JobQueue`; yields
+    ``(pool, jobs, done)``: push jobs into ``jobs``, and each callback
+    lands in the ``done`` queue as ``(key, value, error)``.  The pool is
+    stopped on exit."""
+    jobs, done = JobQueue(), queue.Queue()
+    pool = ShardPool(jobs, lambda job, value, error: done.put(
+        (job.key, value, error)), executor_factory=cf.ThreadPoolExecutor,
+        **kw)
+    try:
+        yield pool, jobs, done
+    finally:
+        pool.stop()
 
 
 class TestShardPool:
-    def test_shard_routing_is_stable_and_hashless(self):
-        pool = ShardPool(shards=4, worker=stub_worker,
-                         executor_factory=cf.ThreadPoolExecutor)
-        try:
-            assert pool.shard_of("00000000" + "f" * 56) == 0
-            assert pool.shard_of("00000007" + "f" * 56) == 3
-            # Same key, same shard, every time (no per-process hash salt).
-            key = "deadbeef" + "0" * 56
-            assert pool.shard_of(key) == pool.shard_of(key)
-            # Non-hex keys fall back to a byte sum, still in range.
-            assert 0 <= pool.shard_of("not-hex!") < 4
-        finally:
-            pool.shutdown()
-
     def test_timeout_replaces_worker_and_retries_once(self):
         counts = {}
 
@@ -326,31 +330,26 @@ class TestShardPool:
             counts[name] = counts.get(name, 0) + n
 
         flaky = FlakyWorker(hang_calls=1, hang_seconds=3.0)
-        pool = ShardPool(shards=1, job_timeout=0.2, worker=flaky,
-                         on_counter=on_counter,
-                         executor_factory=cf.ThreadPoolExecutor)
-        try:
-            value, error = _pool_run(pool, make_job())
+        with shard_pool(shards=1, job_timeout=0.2, worker=flaky,
+                        on_counter=on_counter) as (pool, jobs, done):
+            jobs.push(make_job())
+            _, value, error = done.get(timeout=30.0)
             assert error is None
             assert value["attempt"] == 2
             assert pool.restarts == 1
             assert counts["serve.worker.restarts"] == 1
             assert counts["serve.worker.retries"] == 1
-        finally:
-            pool.shutdown()
 
     def test_timeout_on_both_attempts_fails_the_job(self):
         flaky = FlakyWorker(hang_calls=2, hang_seconds=3.0)
-        pool = ShardPool(shards=1, job_timeout=0.2, worker=flaky,
-                         executor_factory=cf.ThreadPoolExecutor)
-        try:
-            value, error = _pool_run(pool, make_job())
+        with shard_pool(shards=1, job_timeout=0.2,
+                        worker=flaky) as (pool, jobs, done):
+            jobs.push(make_job())
+            _, value, error = done.get(timeout=30.0)
             assert value is None
             assert isinstance(error, TimeoutError)
             assert "worker deadline" in str(error)
             assert pool.restarts == 2
-        finally:
-            pool.shutdown()
 
     def test_application_error_returned_without_worker_restart(self):
         calls = []
@@ -359,16 +358,42 @@ class TestShardPool:
             calls.append(kind)
             raise KeyError("unknown workload 'NOPE'")
 
-        pool = ShardPool(shards=1, worker=bad_request,
-                         executor_factory=cf.ThreadPoolExecutor)
-        try:
-            value, error = _pool_run(pool, make_job())
+        with shard_pool(shards=1, worker=bad_request) as (pool, jobs, done):
+            jobs.push(make_job())
+            _, value, error = done.get(timeout=30.0)
             assert value is None
             assert isinstance(error, KeyError)
             assert len(calls) == 1              # no retry
             assert pool.restarts == 0           # worker kept
+
+    def test_shards_share_the_queue_without_losing_jobs(self):
+        # More shards than cores pop one queue while four producers push
+        # into it under a short switch interval: every job must run
+        # exactly once, and the depth counter must end at zero.
+        keys = [f"{p}-{i}" for p in range(4) for i in range(50)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with shard_pool(shards=8,
+                            worker=stub_worker) as (pool, jobs, done):
+                def produce(p):
+                    for i in range(50):
+                        jobs.push(make_job(client=f"c{p}", key=f"{p}-{i}"))
+
+                producers = [threading.Thread(target=produce, args=(p,),
+                                              daemon=True) for p in range(4)]
+                for t in producers:
+                    t.start()
+                for t in producers:
+                    t.join(timeout=30.0)
+                    assert not t.is_alive()
+                got = [done.get(timeout=30.0) for _ in keys]
         finally:
-            pool.shutdown()
+            sys.setswitchinterval(interval)
+        assert sorted(k for k, _, _ in got) == sorted(keys)
+        assert all(error is None for _, _, error in got)
+        assert done.empty()                  # no job ran twice
+        assert jobs.depth == 0
 
     @pytest.mark.parametrize("kind", ["frobnicate", "bench"])
     def test_execute_job_unknown_kind(self, kind):
@@ -519,20 +544,28 @@ class TestDaemonErrors:
             assert exc.value.retry_after > 0
             assert daemon.stats()["rate_limited"] == 1
 
-    def test_queue_full_is_503(self, monkeypatch):
-        # The dispatcher drains the queue into the shard FIFOs as fast
-        # as requests arrive, so force the overflow at the push seam and
-        # assert the daemon's 503 mapping + coalescer cleanup.
-        with serve_daemon(worker=stub_worker) as (daemon, client):
-            def full(job):
-                raise OverflowError("job queue full (forced)")
-
-            monkeypatch.setattr(daemon.queue, "push", full)
+    def test_queue_full_is_503(self):
+        # One gated shard: request 1 runs, requests 2 and 3 fill the
+        # queue, and request 4 finds it full.
+        gated = GatedWorker()
+        with serve_daemon(worker=gated, shards=1,
+                          queue_depth=2) as (daemon, client):
+            posts = [post_in_thread(client, run_payload(max_cycles=5_000_001))]
+            assert wait_until(lambda: len(gated.calls) == 1)
+            posts.append(post_in_thread(client,
+                                        run_payload(max_cycles=5_000_002)))
+            assert wait_until(lambda: daemon.queue.depth == 1)
+            posts.append(post_in_thread(client,
+                                        run_payload(max_cycles=5_000_003)))
+            assert wait_until(lambda: daemon.queue.depth == 2)
             with pytest.raises(ServeError) as exc:
-                client.run(**run_payload())
+                client.run(**run_payload(max_cycles=5_000_004))
             assert exc.value.status == 503
             assert exc.value.body["error"] == "OverflowError"
-            assert daemon.coalescer.inflight() == 0  # job was retired
+            assert daemon.queue.depth == 2
+            assert daemon.coalescer.inflight() == 3  # request 4 was retired
+            gated.gate.set()
+            assert [p.result(timeout=30)["ok"] for p in posts] == [True] * 3
 
     def test_requests_after_queue_close_are_503(self):
         with serve_daemon(worker=stub_worker) as (daemon, client):
@@ -541,6 +574,29 @@ class TestDaemonErrors:
                 client.run(**run_payload())
             assert exc.value.status == 503
             assert exc.value.body["error"] == "QueueClosed"
+
+
+class TestDaemonFairness:
+    def test_queued_jobs_start_round_robin_by_client(self):
+        # One gated shard runs A1 while A2-A4 and then B1 queue; B1 must
+        # start before A's backlog, not after it.
+        gated = GatedWorker()
+        with serve_daemon(worker=gated, shards=1) as (daemon, _):
+            a = ServeClient(daemon.address, client_id="A")
+            b = ServeClient(daemon.address, client_id="B")
+            posts = [post_in_thread(a, run_payload(max_cycles=5_000_001))]
+            assert wait_until(lambda: len(gated.calls) == 1)
+            for depth, cycles in enumerate((5_000_002, 5_000_003,
+                                            5_000_004), start=1):
+                posts.append(post_in_thread(a, run_payload(max_cycles=cycles)))
+                assert wait_until(
+                    lambda depth=depth: daemon.queue.depth == depth)
+            posts.append(post_in_thread(b, run_payload(max_cycles=5_000_101)))
+            assert wait_until(lambda: daemon.queue.depth == 4)
+            gated.gate.set()
+            assert all(p.result(timeout=30)["ok"] for p in posts)
+            assert gated.calls == [5_000_001, 5_000_002, 5_000_101,
+                                   5_000_003, 5_000_004]
 
 
 class TestDaemonCoalescing:
@@ -658,19 +714,6 @@ class TestDaemonBatch:
             assert statuses.count(200) == 2      # burst allowance
             assert statuses.count(429) == 2      # charged per item
             assert resp["ok"] == 2
-
-    def test_stats_exposes_shard_queue_depths(self):
-        gated = GatedWorker()
-        with serve_daemon(worker=gated, shards=2) as (daemon, client):
-            t = threading.Thread(target=lambda: client.run(**run_payload()),
-                                 daemon=True)
-            t.start()
-            assert wait_until(lambda: len(gated.calls) == 1)
-            depths = daemon.stats()["shard_queue_depths"]
-            assert depths == [0, 0]              # popped, now in-flight
-            assert len(depths) == 2
-            gated.gate.set()
-            t.join(timeout=30)
 
 
 # ---------------------------------------------------------------------------

@@ -272,88 +272,3 @@ class TestParallelPrefetchHardening:
         assert r.stats.worker_failures == 0
         assert r.stats.serial_fallbacks == 0
 
-
-# -- cross-process key reservation (the serve shard-worker protocol) --------
-
-def _hammer_one_key(args):
-    """Module-level worker (must be picklable): run the reserve -> re-check
-    -> simulate -> put -> release protocol on one shared key.  Returns
-    ("simulated"|"waited"|"cached", cycles)."""
-    root, key = args
-    store = ResultStore(root)
-    cached = store.get(key)
-    if cached is not None:
-        return "cached", cached.cycles
-    with store.reserve(key) as claim:
-        if claim.acquired:
-            # Double-check: the prior holder may have published between
-            # our miss and our acquisition.
-            cached = store.get(key)
-            if cached is not None:
-                return "cached", cached.cycles
-            result = run_workload("VADD", "Baseline", base=ci_config(),
-                                  scale="ci", max_cycles=5_000_000)
-            store.put(key, result)
-            return "simulated", result.cycles
-    got = store.wait(key, timeout=120.0)
-    assert got is not None, "reservation holder never published"
-    return "waited", got.cycles
-
-
-class TestStoreReservation:
-    def test_single_process_acquire_release(self, tmp_path):
-        store = ResultStore(str(tmp_path))
-        key = cell_key("VADD", "Baseline", ci_config(), "ci", 1000)
-        with store.reserve(key) as claim:
-            assert claim.acquired
-            with store.reserve(key) as second:
-                assert not second.acquired
-        # released: a fresh reservation wins again
-        with store.reserve(key) as third:
-            assert third.acquired
-        assert not os.path.exists(store._path(key) + ".lock")
-
-    def test_stale_lock_is_stolen(self, tmp_path):
-        store = ResultStore(str(tmp_path))
-        key = cell_key("VADD", "Baseline", ci_config(), "ci", 1000)
-        lock = store._path(key) + ".lock"
-        os.makedirs(os.path.dirname(lock), exist_ok=True)
-        with open(lock, "w") as f:
-            f.write("99999")
-        old = time.time() - 7200
-        os.utime(lock, (old, old))
-        with store.reserve(key) as claim:
-            assert claim.acquired  # stale holder presumed dead
-
-    def test_fresh_lock_is_respected(self, tmp_path):
-        store = ResultStore(str(tmp_path))
-        key = cell_key("VADD", "Baseline", ci_config(), "ci", 1000)
-        lock = store._path(key) + ".lock"
-        os.makedirs(os.path.dirname(lock), exist_ok=True)
-        with open(lock, "w") as f:
-            f.write("99999")
-        with store.reserve(key) as claim:
-            assert not claim.acquired
-
-    def test_wait_times_out_without_publisher(self, tmp_path):
-        store = ResultStore(str(tmp_path))
-        key = cell_key("VADD", "Baseline", ci_config(), "ci", 1000)
-        assert store.wait(key, timeout=0.2, poll=0.01) is None
-
-    def test_cross_process_hammer_simulates_exactly_once(self, tmp_path):
-        """Eight processes race one key; the reservation protocol must
-        yield exactly one simulation, identical cycles everywhere, and a
-        clean (untorn) store entry."""
-        key = cell_key("VADD", "Baseline", ci_config(), "ci", 5_000_000)
-        args = [(str(tmp_path), key)] * 8
-        with cf.ProcessPoolExecutor(max_workers=4) as pool:
-            outcomes = list(pool.map(_hammer_one_key, args))
-        sources = [s for s, _ in outcomes]
-        assert sources.count("simulated") == 1
-        assert len({c for _, c in outcomes}) == 1
-        # The published entry is complete and parses.
-        store = ResultStore(str(tmp_path))
-        entry = store.get(key)
-        assert entry is not None
-        assert entry.cycles == outcomes[0][1]
-        assert len(store) == 1
