@@ -490,7 +490,7 @@ def cmd_loadtest(args) -> int:
     print(f"sources  : " + ", ".join(
         f"{k}={v}" for k, v in sorted(report["sources"].items())))
     print(f"latency  : p50 {lat['p50']:.0f} ms, p90 {lat['p90']:.0f} ms, "
-          f"p99 {lat['p99']:.0f} ms (mean {lat['mean']:.0f})")
+          f"p99 {lat['p99']:.0f} ms (mean {lat['mean']:.0f}) served")
     print(f"rate     : {report['throughput_rps']:.1f} req/s over "
           f"{report['wall_seconds']:.1f} s")
     if args.out:

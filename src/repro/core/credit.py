@@ -28,15 +28,22 @@ from repro.sim.engine import Engine
 CREDIT_RETURN_DELAY = 10
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class Reservation:
-    """One pending/granted buffer reservation for an offload block."""
+    """One pending/granted buffer reservation for an offload block.
+
+    ``on_grant`` is dropped once it fires or the reservation is
+    cancelled: the callback holds the offload instance, which holds this
+    reservation, and that cycle would keep every finished block (and the
+    trace it reaches) alive until a full collection.  Reservations
+    compare by identity, so :meth:`BufferCreditManager.cancel` removes
+    exactly the one given."""
 
     hmc: int
     cmd: int
     read_data: int
     write_addr: int
-    on_grant: Callable[[], None]
+    on_grant: Callable[[], None] | None
     granted: bool = False
 
 
@@ -95,6 +102,7 @@ class BufferCreditManager:
         if not bank.waiting and bank.can_grant(res):
             bank.take(res)
             res.granted = True
+            res.on_grant = None
             self.reservations_granted += 1
             on_grant()
         else:
@@ -139,6 +147,7 @@ class BufferCreditManager:
             bank.waiting.remove(res)
         except ValueError:
             return False
+        res.on_grant = None
         self.reservations_cancelled += 1
         self._drain(res.hmc)
         return True
@@ -159,8 +168,9 @@ class BufferCreditManager:
             res = bank.waiting.popleft()
             bank.take(res)
             res.granted = True
+            on_grant, res.on_grant = res.on_grant, None
             self.reservations_granted += 1
-            res.on_grant()
+            on_grant()
 
     # -- introspection -----------------------------------------------------------
 

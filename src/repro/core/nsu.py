@@ -13,6 +13,7 @@ in SM cycles.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 
 from repro.config import LINE_SIZE, SystemConfig
@@ -54,7 +55,10 @@ class NSU:
         self.engine = engine
         self.cfg = cfg
         self.hmc_id = hmc_id
-        self.controller = controller   # NDPController: write routing, ACKs
+        # NDPController: write routing, ACKs.  A weak proxy, because the
+        # controller holds its NSUs: the System owns both, and a cycle
+        # would keep a finished system alive until a full collection.
+        self.controller = weakref.proxy(controller)
         self.faults = None   # armed by the system when a plan is active
         n = cfg.nsu
         self.num_slots = n.num_warp_slots

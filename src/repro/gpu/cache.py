@@ -9,7 +9,6 @@ which surfaces as an ExecUnitBusy structural stall at the SM.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,6 +35,10 @@ class Cache:
     """Tag array with true-LRU replacement; write-through, no write-allocate.
 
     The cache stores *line addresses* (already divided by the line size).
+    Each set is a plain dict in LRU order, oldest first: a hit re-inserts
+    its line at the end, and an eviction removes the first key.  With int
+    keys and ``None`` values the sets stay untracked by the garbage
+    collector.
     """
 
     def __init__(self, size_bytes: int, assoc: int, line_size: int,
@@ -47,18 +50,19 @@ class Cache:
         if self.num_sets & (self.num_sets - 1):
             raise ValueError("number of sets must be a power of two")
         self._set_mask = self.num_sets - 1
-        self._sets: list[OrderedDict[int, None]] = [
-            OrderedDict() for _ in range(self.num_sets)]
+        self._sets: list[dict[int, None]] = [
+            {} for _ in range(self.num_sets)]
         self.stats = stats if stats is not None else CacheStats()
 
-    def _set_of(self, line_addr: int) -> OrderedDict:
+    def _set_of(self, line_addr: int) -> dict[int, None]:
         return self._sets[line_addr & self._set_mask]
 
     def lookup(self, line_addr: int) -> bool:
         """Demand lookup: updates LRU and hit/miss statistics."""
         s = self._set_of(line_addr)
         if line_addr in s:
-            s.move_to_end(line_addr)
+            del s[line_addr]
+            s[line_addr] = None
             self.stats.hits += 1
             return True
         self.stats.misses += 1
@@ -70,7 +74,8 @@ class Cache:
         s = self._set_of(line_addr)
         self.stats.accesses_probe += 1
         if line_addr in s:
-            s.move_to_end(line_addr)
+            del s[line_addr]
+            s[line_addr] = None
             return True
         return False
 
@@ -85,12 +90,12 @@ class Cache:
         costs no traffic; the return value exists for tests/diagnostics.
         """
         s = self._set_of(line_addr)
-        if line_addr in s:
-            s.move_to_end(line_addr)
-            return None
         victim = None
-        if len(s) >= self.assoc:
-            victim, _ = s.popitem(last=False)
+        if line_addr in s:
+            del s[line_addr]
+        elif len(s) >= self.assoc:
+            victim = next(iter(s))
+            del s[victim]
         s[line_addr] = None
         return victim
 
@@ -107,7 +112,8 @@ class Cache:
         """Write-through store: update the line if present (no allocate)."""
         s = self._set_of(line_addr)
         if line_addr in s:
-            s.move_to_end(line_addr)
+            del s[line_addr]
+            s[line_addr] = None
 
     @property
     def occupancy(self) -> int:

@@ -11,16 +11,19 @@ once: one row per memory instruction, coalesced in a single array pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.config import LINE_SIZE, WORD_SIZE
 
 
-@dataclass(frozen=True, slots=True)
-class MemAccess:
-    """One coalesced line access of a warp memory instruction."""
+class MemAccess(NamedTuple):
+    """One coalesced line access of a warp memory instruction.
+
+    A named tuple: set-up builds one per coalesced line, and a tuple is
+    built without the per-field ``object.__setattr__`` of a frozen
+    dataclass."""
 
     line_addr: int      # address // LINE_SIZE
     words: int          # distinct words touched by active threads

@@ -10,13 +10,15 @@ some unique slots for sweep/chaos/explore requests to exercise every
 endpoint.  Cells are distinguished by their ``max_cycles`` (part of the
 store key), so unique cells cost the same wall-clock as duplicates.
 
-The report is one JSON-able dict: throughput, latency percentiles
-(measured client-side), per-source response counts, the coalesce-hit and
-rate-limit deltas read from ``/v1/stats``, and the raw per-request
-records.  ``expected_duplicates`` is ``shared * (clients - 1)`` -- with
-a cold store every one of those must be served without a fresh
-simulation (coalesced, or warm from the hot set/store if it arrived
-after the first completion).
+The report is one JSON-able dict: throughput, client-side latency
+percentiles (``latency_ms`` over served requests and
+``rejected_latency_ms`` over rejected ones, so a run that sheds load does
+not report its fast 503s as its typical latency), per-source response
+counts, the coalesce-hit and rate-limit deltas read from ``/v1/stats``,
+and the raw per-request records.  ``expected_duplicates`` is
+``shared * (clients - 1)`` -- with a cold store every one of those must
+be served without a fresh simulation (coalesced, or warm from the hot
+set/store if it arrived after the first completion).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import time
 
 from repro.serve.client import ServeClient, ServeError
 
-__all__ = ["build_schedule", "run_loadtest"]
+__all__ = ["build_schedule", "latency_split", "run_loadtest"]
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -36,6 +38,27 @@ def _percentile(sorted_values: list[float], q: float) -> float:
         return 0.0
     idx = max(0, math.ceil(q / 100.0 * len(sorted_values)) - 1)
     return sorted_values[min(idx, len(sorted_values) - 1)]
+
+
+def _latency_summary(values: list[float]) -> dict:
+    lat = sorted(values)
+    return {
+        "p50": _percentile(lat, 50), "p90": _percentile(lat, 90),
+        "p99": _percentile(lat, 99),
+        "mean": (sum(lat) / len(lat)) if lat else 0.0,
+        "max": lat[-1] if lat else 0.0,
+    }
+
+
+def latency_split(records: list[dict]) -> dict:
+    """Latency percentiles of the served (``ok``) records as
+    ``latency_ms``, and of the rejected ones as ``rejected_latency_ms``."""
+    return {
+        "latency_ms": _latency_summary(
+            [r["latency_ms"] for r in records if r["ok"]]),
+        "rejected_latency_ms": _latency_summary(
+            [r["latency_ms"] for r in records if not r["ok"]]),
+    }
 
 
 def _grid_payloads(scale: str, max_cycles: int) -> dict:
@@ -186,7 +209,6 @@ def run_loadtest(*, url: str, clients: int = 8, requests: int = 4,
                           and not r.get("coalesced"))
     distinct_cells = len({r.get("store_key") for r in run_ok
                           if r.get("store_key")})
-    lat = sorted(r["latency_ms"] for r in flat)
     coalesce_hits = (stats_after.get("coalesce_hits", 0)
                      - stats_before.get("coalesce_hits", 0))
     rate_limited = (stats_after.get("rate_limited", 0)
@@ -205,12 +227,7 @@ def run_loadtest(*, url: str, clients: int = 8, requests: int = 4,
         "worker_restarts": stats_after.get("worker_restarts", 0),
         "throughput_rps": len(completed) / wall,
         "wall_seconds": wall,
-        "latency_ms": {
-            "p50": _percentile(lat, 50), "p90": _percentile(lat, 90),
-            "p99": _percentile(lat, 99),
-            "mean": (sum(lat) / len(lat)) if lat else 0.0,
-            "max": lat[-1] if lat else 0.0,
-        },
+        **latency_split(flat),
         "sources": sources,
         "records": flat,
     }

@@ -106,13 +106,6 @@ class MemCtx:
             self._rng = np.random.default_rng(self.seed)
         return self._rng
 
-    @property
-    def flat(self) -> np.ndarray:
-        """Global element indices for streaming patterns:
-        (warp * iters + it) * 32 + lane."""
-        base = (self.warp * self.scale.iters + self.it) * self.lanes.size
-        return base + self.lanes
-
 
 @dataclass
 class WorkloadInstance:

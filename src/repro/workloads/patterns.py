@@ -11,8 +11,11 @@ from repro.workloads.base import ArrayLayout, MemCtx
 def streaming(arrays: ArrayLayout, name: str, ctx: MemCtx,
               offset: int = 0) -> np.ndarray:
     """Perfectly coalesced streaming: each warp instruction touches a fresh
-    consecutive 128-byte line; no reuse."""
-    return arrays.base(name) + (ctx.flat + offset) * WORD_SIZE
+    consecutive 128-byte line; no reuse.  Lane ``i`` reads element
+    ``(warp * iters + it) * 32 + i + offset``."""
+    first = ((ctx.warp * ctx.scale.iters + ctx.it) * ctx.lanes.size
+             + offset) * WORD_SIZE + arrays.base(name)
+    return ctx.lanes * WORD_SIZE + first
 
 
 def strided(arrays: ArrayLayout, name: str, ctx: MemCtx,

@@ -115,6 +115,38 @@ class TestCreditManager:
         with pytest.raises(AssertionError):
             m.assert_conserved()
 
+    def test_granted_reservation_drops_its_callback(self):
+        # The callback holds the offload instance, which holds the
+        # reservation: keeping it after the grant would form a cycle.
+        e, m = mk_mgr(rd=1)
+        now = m.reserve(0, num_loads=1, num_stores=0, on_grant=lambda: None)
+        later = m.reserve(0, num_loads=1, num_stores=0,
+                          on_grant=lambda: None)
+        assert now.granted and now.on_grant is None
+        assert not later.granted and later.on_grant is not None
+        m.release(0, read_data=1, delay=0)
+        assert later.granted and later.on_grant is None
+
+    def test_cancel_removes_the_given_reservation(self):
+        # Two queued reservations with equal fields: cancel must remove
+        # the one it is given, not the first equal one.
+        e, m = mk_mgr(rd=1)
+        order = []
+        m.reserve(0, num_loads=1, num_stores=0, on_grant=lambda: None)
+
+        def grant():
+            order.append("granted")
+
+        first = m.reserve(0, num_loads=1, num_stores=0, on_grant=grant)
+        second = m.reserve(0, num_loads=1, num_stores=0, on_grant=grant)
+        assert m.cancel(second)
+        assert m.queue_depth(0) == 1
+        m.release(0, read_data=1, delay=0)
+        assert first.granted and not second.granted
+        assert order == ["granted"]
+        assert second.on_grant is None
+        assert not m.cancel(second)
+
     def test_grant_consumes_cmd_credit(self):
         e, m = mk_mgr(cmd=1)
         got = []

@@ -1,6 +1,9 @@
 """Unit tests for the cache and MSHR models."""
 
+from collections import OrderedDict
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.gpu.cache import Cache, CacheStats, MSHRFile
 
@@ -76,6 +79,92 @@ class TestCache:
         c.lookup(1)
         c.lookup(2)
         assert c.stats.hit_rate == pytest.approx(0.5)
+
+
+class LRUModel:
+    """True-LRU reference: one ``OrderedDict`` per set, oldest first."""
+
+    def __init__(self, num_sets, assoc):
+        self.assoc = assoc
+        self.sets = [OrderedDict() for _ in range(num_sets)]
+        self.stats = CacheStats()
+
+    def _set(self, line):
+        return self.sets[line % len(self.sets)]
+
+    def lookup(self, line):
+        s = self._set(line)
+        if line in s:
+            s.move_to_end(line)
+            self.stats.hits += 1
+            return True
+        self.stats.misses += 1
+        return False
+
+    def probe(self, line):
+        s = self._set(line)
+        self.stats.accesses_probe += 1
+        if line in s:
+            s.move_to_end(line)
+            return True
+        return False
+
+    def contains(self, line):
+        return line in self._set(line)
+
+    def insert(self, line):
+        s = self._set(line)
+        if line in s:
+            s.move_to_end(line)
+            return None
+        victim = None
+        if len(s) >= self.assoc:
+            victim, _ = s.popitem(last=False)
+        s[line] = None
+        return victim
+
+    def invalidate(self, line):
+        s = self._set(line)
+        if line in s:
+            del s[line]
+            self.stats.invalidations += 1
+            return True
+        return False
+
+    def touch_write(self, line):
+        s = self._set(line)
+        if line in s:
+            s.move_to_end(line)
+
+
+CACHE_OPS = ("lookup", "probe", "insert", "invalidate", "touch_write",
+             "contains")
+
+
+@st.composite
+def cache_runs(draw):
+    """A cache geometry and a call sequence over a few more lines than
+    the cache holds, so hits, misses and evictions all happen."""
+    num_sets = draw(st.sampled_from([1, 2, 4]))
+    assoc = draw(st.sampled_from([1, 2, 4, 8]))
+    lines = st.integers(0, num_sets * (assoc + 2) - 1)
+    ops = draw(st.lists(st.tuples(st.sampled_from(CACHE_OPS), lines),
+                        min_size=60, max_size=300))
+    return num_sets, assoc, ops
+
+
+class TestCacheAgainstLRUModel:
+    @settings(max_examples=200, deadline=None)
+    @given(cache_runs())
+    def test_same_results_victims_and_stats(self, run):
+        num_sets, assoc, ops = run
+        cache = Cache(num_sets * assoc * 128, assoc, 128)
+        model = LRUModel(num_sets, assoc)
+        for op, line in ops:
+            assert getattr(cache, op)(line) == getattr(model, op)(line), \
+                (op, line)
+        assert cache.stats == model.stats
+        assert cache.occupancy == sum(len(s) for s in model.sets)
 
 
 class TestMSHR:

@@ -36,7 +36,7 @@ from repro.serve import (
     run_loadtest,
 )
 from repro.serve.daemon import _HotSet
-from repro.serve.loadtest import build_schedule
+from repro.serve.loadtest import build_schedule, latency_split
 from repro.sim.serialize import result_to_dict
 
 # ---------------------------------------------------------------------------
@@ -771,6 +771,31 @@ class TestDaemonSimulation:
         assert meta["role"] == "serve"
 
 
+class TestLatencySplit:
+    def test_rejected_records_do_not_set_served_percentiles(self):
+        # A run that sheds load: four slow served requests and twelve
+        # fast 503s.  Over every record, p50 would read a 503's latency.
+        served = [100.0, 150.0, 180.0, 222.0]
+        shed = [20.0 + i for i in range(12)]
+        records = ([{"ok": True, "status": 200, "latency_ms": v}
+                    for v in served]
+                   + [{"ok": False, "status": 503, "latency_ms": v}
+                      for v in shed])
+        split = latency_split(records)
+        lat, rej = split["latency_ms"], split["rejected_latency_ms"]
+        assert (lat["p50"], lat["p90"], lat["p99"]) == (150.0, 222.0, 222.0)
+        assert lat["mean"] == pytest.approx(163.0)
+        assert lat["max"] == 222.0
+        assert (rej["p50"], rej["max"]) == (25.0, 31.0)
+        assert rej["mean"] == pytest.approx(25.5)
+
+    def test_empty_side_reads_zero(self):
+        split = latency_split([{"ok": True, "latency_ms": 5.0}])
+        assert split["latency_ms"]["p50"] == 5.0
+        assert split["rejected_latency_ms"] == {
+            "p50": 0.0, "p90": 0.0, "p99": 0.0, "mean": 0.0, "max": 0.0}
+
+
 # ---------------------------------------------------------------------------
 # loadtest acceptance
 # ---------------------------------------------------------------------------
@@ -837,6 +862,8 @@ class TestLoadtest:
         assert limited
         assert all(r["error"] == "rate-limited" for r in limited)
         assert all(r["retry_after"] > 0 for r in limited)
+        assert report["rejected_latency_ms"]["max"] == max(
+            r["latency_ms"] for r in report["records"] if not r["ok"])
         # Admitted + rejected must still account for every request.
         assert (report["completed"] + sum(report["rejected"].values())
                 == report["total_requests"])

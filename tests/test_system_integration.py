@@ -6,10 +6,14 @@ conservation invariants rather than performance numbers (shape assertions
 live in benchmarks/, at a larger scale).
 """
 
+import contextlib
+import gc
+
 import pytest
 
 from repro.config import ci_config
-from repro.sim.runner import make_config, run_workload
+from repro.core.offload import OffloadInstance
+from repro.sim.runner import build_system, make_config, run_workload
 from repro.sim.system import System
 from repro.workloads import get_workload
 
@@ -192,3 +196,42 @@ class TestAllWorkloadsRun:
         inst = get_workload(name).build(base, "ci")
         assert r.warps_completed == inst.num_warps
         assert r.cycles > 0
+
+
+@contextlib.contextmanager
+def collector_off():
+    """Collect what earlier code left, then keep the cyclic collector off
+    for the block: what the block frees, reference counting freed."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+class TestFreedByReferenceCounting:
+    """A finished offload block, and a finished system, hold no reference
+    cycle: a cycle would keep them, and the traces they reach, alive
+    until the next full collection, which then runs in a later cell."""
+
+    def test_no_offload_instance_outlives_run(self):
+        with collector_off():
+            system = build_system("FWT", "NaiveNDP", scale="ci")
+            system.run()
+            assert system.ndp.stats.offloads > 0
+            alive = sum(1 for o in gc.get_objects()
+                        if type(o) is OffloadInstance)
+        assert alive == 0
+
+    @pytest.mark.parametrize("workload,config", [
+        ("FWT", "NaiveNDP"), ("KMN", "NDP(Dyn)")])
+    def test_dropped_system_leaves_no_cyclic_garbage(self, workload,
+                                                     config):
+        with collector_off():
+            system = build_system(workload, config, scale="ci")
+            system.run()
+            del system
+            assert gc.collect() == 0
