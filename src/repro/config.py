@@ -61,6 +61,12 @@ class CacheConfig:
                 f"cache size {self.size_bytes} not divisible by "
                 f"assoc*line ({self.assoc}*{self.line_size})"
             )
+        # With no MSHR entry every miss is rejected forever, and a hit
+        # must land in a later cycle (Engine.after needs a positive delay).
+        for name in ("mshr_entries", "hit_latency"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -117,6 +123,13 @@ class GPUConfig:
     # counted in the Section 7.5 on-chip storage total.
     const_cache_bytes: int = 8 * 1024
     tex_cache_bytes: int = 24 * 1024
+
+    def __post_init__(self) -> None:
+        # A warp allowed no load in flight can never issue one.
+        if self.max_inflight_loads_per_warp < 1:
+            raise ValueError(
+                "max_inflight_loads_per_warp must be at least 1, got "
+                f"{self.max_inflight_loads_per_warp}")
 
     @property
     def link_bytes_per_sm_cycle(self) -> float:

@@ -10,7 +10,6 @@ which surfaces as an ExecUnitBusy structural stall at the SM.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 
 @dataclass
@@ -123,39 +122,36 @@ class Cache:
 class MSHRFile:
     """Miss-status holding registers: merge misses to the same line.
 
-    ``allocate`` returns:
+    An entry holds the waiters of one outstanding line, in arrival
+    order; the owner decides what a waiter is (the L1's are load
+    replays, the L2's SM ids).  ``allocate`` returns:
 
     * ``"new"``   -- primary miss, the caller must send the fill request;
-    * ``"merged"``-- secondary miss, the callback rides the existing entry;
+    * ``"merged"``-- secondary miss, the waiter joins the existing entry;
     * ``"full"``  -- no entry available (structural stall).
     """
 
     def __init__(self, num_entries: int, stats: CacheStats) -> None:
         self.num_entries = num_entries
-        self._entries: dict[int, list[Callable[[], None]]] = {}
+        self._entries: dict[int, list] = {}
         self.stats = stats
-        self.peak = 0
 
-    def allocate(self, line_addr: int, on_fill: Callable[[], None]) -> str:
+    def allocate(self, line_addr: int, waiter) -> str:
         entry = self._entries.get(line_addr)
         if entry is not None:
-            entry.append(on_fill)
+            entry.append(waiter)
             self.stats.mshr_merges += 1
             return "merged"
         if len(self._entries) >= self.num_entries:
             self.stats.mshr_rejects += 1
             return "full"
-        self._entries[line_addr] = [on_fill]
-        self.peak = max(self.peak, len(self._entries))
+        self._entries[line_addr] = [waiter]
         return "new"
 
-    def fill(self, line_addr: int) -> int:
-        """Complete a miss: fire all merged callbacks.  Returns the number
-        of waiters served."""
-        waiters = self._entries.pop(line_addr, [])
-        for cb in waiters:
-            cb()
-        return len(waiters)
+    def fill(self, line_addr: int) -> list:
+        """Complete a miss: free the entry and return its waiters, in
+        arrival order (empty if the line had no entry)."""
+        return self._entries.pop(line_addr, [])
 
     def outstanding(self, line_addr: int) -> bool:
         return line_addr in self._entries

@@ -9,9 +9,11 @@ probing for the offload path.
 
 Interfaces expected from the system:
 
-* ``memsys.load(sm, access, on_done) -> bool`` -- baseline/inline load
-  of one line; ``False`` means a structural reject (L1 MSHR file full)
-  and the load retries next cycle from the rejected line.
+* ``memsys.load(sm, replay) -> bool`` -- baseline/inline load: sends
+  the :class:`_MemReplay`'s lines from its first unsent one until the
+  L1 MSHR file rejects one; ``False`` means that structural reject, and
+  the load retries next cycle from the rejected line.  Each sent line
+  completes through ``replay.line_done``.
 * ``memsys.store(sm, access)`` -- write-through store of one line; it
   always goes out (no MSHR), so a store never retries.
 * ``ndp.start_block / rdf / wta / end_block`` -- partitioned execution
@@ -246,7 +248,16 @@ class SM:
     def _try_issue(self, warp: Warp) -> str:
         """One attempt: ``"issued"``, ``"blocked"``, ``"done"``, the
         offload path's ``"struct"``, or a load's ``"mshr_full"`` (L1
-        MSHR file full) or ``"cap_spin"`` (per-warp inflight cap)."""
+        MSHR file full) or ``"cap_spin"`` (per-warp inflight cap).
+
+        A warp with a load mid-replay retries only that load.  The walk
+        below would reach the same replay with no side effect on the
+        way: the warp's block mode is already set, and its sources were
+        ready when the replay began and only its own issues change
+        them.  Once the last line is out, the walk commits the load."""
+        replay = self._replays.get(warp.wid)
+        if replay is not None and not self.memsys.load(self, replay):
+            return "mshr_full"
         item = warp.current_item()
         if item is None:
             self._finish_warp(warp)
@@ -431,19 +442,18 @@ class SM:
             warp.set_reg_ready(instr.dst, self.engine.now + self.alu_latency)
             self._retire(warp)
             return "issued"
-        replay = self._replays.get(warp.wid)
+        # A replay here has sent its last line (``_try_issue``).
+        replay = self._replays.pop(warp.wid, None)
         if replay is None:
             if warp.inflight_loads >= self.max_inflight_loads:
                 return "cap_spin"
             replay = _MemReplay(warp, instr.dst, accesses)
-            self._replays[warp.wid] = replay
             warp.inflight_loads += 1
-        sent_all = replay.pump(self)
-        if not sent_all:
-            return "mshr_full"
+            if not self.memsys.load(self, replay):
+                self._replays[warp.wid] = replay
+                return "mshr_full"
         # All line requests of this load are out.
-        del self._replays[warp.wid]
-        replay.commit(self)
+        replay.commit()
         self._retire(warp)
         return "issued"
 
@@ -463,37 +473,33 @@ class _MemReplay:
     """Replay state of one load whose line requests span several attempts.
 
     Structural rejects (MSHR full) can interrupt a divergent load midway;
-    the replay object keeps the not-yet-sent accesses and the completion
-    count so retries neither duplicate requests nor lose responses.
+    ``sent`` indexes the first line not yet sent and ``outstanding``
+    counts sent lines still in flight, so retries neither duplicate
+    requests nor lose responses.  The memory system sends the lines
+    (``GPUMemSystem.load``) and completes each one with
+    :meth:`line_done`: an L1 hit as the event's argument, a miss from
+    the L1 MSHR entry the replay waits in.
     """
 
-    __slots__ = ("warp", "dst", "remaining", "outstanding", "committed")
+    __slots__ = ("warp", "dst", "accesses", "sent", "outstanding",
+                 "committed")
 
     def __init__(self, warp: Warp, dst: int, accesses) -> None:
         self.warp = warp
         self.dst = dst
-        self.remaining = list(accesses)
+        self.accesses = accesses
+        self.sent = 0
         self.outstanding = 0
         self.committed = False
 
-    def pump(self, sm: SM) -> bool:
-        """Send as many line requests as the hierarchy accepts."""
-        while self.remaining:
-            acc = self.remaining[0]
-            if not sm.memsys.load(sm, acc, self._on_done):
-                return False
-            self.remaining.pop(0)
-            self.outstanding += 1
-        return True
-
-    def commit(self, sm: SM) -> None:
+    def commit(self) -> None:
         self.committed = True
         if self.outstanding == 0:
             self._finish()
         else:
             self.warp.mark_inflight(self.dst)
 
-    def _on_done(self) -> None:
+    def line_done(self) -> None:
         self.outstanding -= 1
         if self.committed and self.outstanding == 0:
             self._finish()

@@ -13,11 +13,12 @@ Rule:
 
 * **PERF001** -- a ``lambda``, nested ``def`` or ``functools.partial``
   constructed inside a hot-path function: any method of a class in
-  :data:`_HOT_CLASSES` (the event loop, the per-packet send path, and
-  every packet chain: the offload controller and its credit manager,
-  the GPU memory system, the fabrics, the memory device and its vaults,
-  and their packet records), or any method named ``tick`` on the
-  simulation path.
+  :data:`_HOT_CLASSES` (the event loop, the per-packet send path, the
+  SM's issue path with its load replays and the caches and MSHR files
+  they go through, and every packet chain: the offload controller and
+  its credit manager, the GPU memory system, the fabrics, the memory
+  device and its vaults, and their packet records), or any method named
+  ``tick`` on the simulation path.
   Sites that run once per block or only under recovery are
   **allow-listed via annotation**::
 
@@ -44,10 +45,13 @@ from repro.lint.core import FileContext, Rule
 __all__ = ["PERF_RULES", "HotPathAllocationRule", "parse_alloc_annotations"]
 
 #: Module -> classes whose every method is hot-path: the event loop and
-#: the per-packet link send, and each class a packet chain runs through,
-#: with the records that carry its packets.
+#: the per-packet link send, the SM's issue path and the L1/L2 it loads
+#: through, and each class a packet chain runs through, with the records
+#: that carry its packets.
 _HOT_CLASSES = {
     "repro.sim.engine": {"Engine", "Link"},
+    "repro.gpu.sm": {"SM", "_MemReplay"},
+    "repro.gpu.cache": {"Cache", "MSHRFile"},
     "repro.core.offload": {"NDPController", "_ReadForward",
                            "_WriteAddress", "_NDPWrite"},
     "repro.core.credit": {"BufferCreditManager"},

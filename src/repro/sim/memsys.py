@@ -20,6 +20,7 @@ from repro.core.packets import PacketSizes
 from repro.faults.recovery import BaselineRecoveryStats
 from repro.gpu.cache import Cache, CacheStats, MSHRFile
 from repro.gpu.coalescer import MemAccess
+from repro.gpu.sm import _MemReplay
 from repro.memory.address import AddressMap
 from repro.memory.hmc import HMCStack
 from repro.memory.vault import DRAMRequest
@@ -125,10 +126,8 @@ class GPUMemSystem:
         # Per-slice crossbar ingress port occupancy (one request per xbar
         # cycle): requests queue behind earlier arrivals at a hot slice.
         self._xbar_free = [0.0] * cfg.num_hmcs
-        self.xbar_queue_cycles = 0
         self.invalidation_bytes = 0
         self.dram_read_requests = 0
-        self.store_bytes = 0
         # Baseline-path recovery (repro.faults): the system arms these
         # together with the fault injector.  ``recovery`` is the plan's
         # RecoveryPolicy and ``timeouts`` the TimeoutTracker shared with
@@ -149,29 +148,43 @@ class GPUMemSystem:
 
     # -- baseline / inline loads --------------------------------------------------
 
-    def load(self, sm, access: MemAccess, on_done: Callable[[], None]) -> bool:
-        """One coalesced line load from SM ``sm``.  Returns False on a
-        structural reject (L1 MSHR full)."""
+    def load(self, sm, replay: _MemReplay) -> bool:
+        """Send the line loads of ``replay`` from SM ``sm``, from its
+        first unsent line on, until the L1 MSHR file rejects one.
+        Returns False on that structural reject, True once every line
+        is out.  A hit completes the line ``l1_latency`` cycles later;
+        a miss parks the replay in the line's L1 MSHR entry, and the
+        fill completes it (:meth:`_fill_l1`)."""
         sm_id = sm.sm_id
-        line = access.line_addr
         l1 = self.l1[sm_id]
-        if l1.lookup(line):
-            self.engine.after(self.l1_latency, on_done)
-            return True
-        status = self.l1_mshr[sm_id].allocate(line, on_done)
-        if status == "full":
-            return False
-        if status == "merged":
-            return True
-        # Primary L1 miss: cross the interconnect to the owning L2 slice,
-        # queueing behind earlier requests at the slice's ingress port.
-        part = self.amap.hmc_of(line * LINE_SIZE)
-        now = self.engine.now
-        start = max(float(now), self._xbar_free[part])
-        self._xbar_free[part] = start + XBAR_SLOT
-        delay = int(start) - now + XBAR_LATENCY
-        self.xbar_queue_cycles += int(start) - now
-        self.engine.call_after(delay, self._l2_access, sm_id, line)
+        mshr = self.l1_mshr[sm_id]
+        accesses = replay.accesses
+        sent = first = replay.sent
+        n = len(accesses)
+        while sent < n:
+            line = accesses[sent].line_addr
+            if l1.lookup(line):
+                self.engine.call_after(self.l1_latency, _MemReplay.line_done,
+                                       replay)
+            else:
+                status = mshr.allocate(line, replay)
+                if status == "full":
+                    replay.sent = sent
+                    replay.outstanding += sent - first
+                    return False
+                if status == "new":
+                    # Primary miss: cross the interconnect to the owning
+                    # L2 slice, queueing behind earlier requests at the
+                    # slice's ingress port.
+                    part = self.amap.hmc_of(line * LINE_SIZE)
+                    now = self.engine.now
+                    start = max(float(now), self._xbar_free[part])
+                    self._xbar_free[part] = start + XBAR_SLOT
+                    self.engine.call_after(int(start) - now + XBAR_LATENCY,
+                                           self._l2_access, sm_id, line)
+            sent += 1
+        replay.sent = sent
+        replay.outstanding += sent - first
         return True
 
     def l1_would_reject(self, sm_id: int, line: int) -> bool:
@@ -207,9 +220,7 @@ class GPUMemSystem:
             self.engine.call_after(self.l2_latency, self._fill_l1,
                                    sm_id, line)
             return
-        status = self.l2_mshr[part].allocate(
-            # perf: alloc-ok -- one per L2 miss; MSHR waiters take no argument
-            line, lambda: self._fill_l1(sm_id, line))
+        status = self.l2_mshr[part].allocate(line, sm_id)
         if status == "full":
             # Park in the partition's miss queue; retried on fills.
             self._l2_waiters[part].append((sm_id, line))
@@ -298,9 +309,10 @@ class GPUMemSystem:
             self.rstats.fills += 1
             self.timeouts.observe("mshr", self.engine.now - st.issued_at)
         self.l2[part].insert(line)
-        self.l2_mshr[part].fill(line)
-        waiters = self._l2_waiters[part]
         mshr = self.l2_mshr[part]
+        for sm_id in mshr.fill(line):
+            self._fill_l1(sm_id, line)
+        waiters = self._l2_waiters[part]
         # Admit parked requests while MSHR capacity remains; hits and
         # merges don't consume entries, so keep draining until the file
         # is full again or the queue empties (avoids stranding a waiter
@@ -322,7 +334,8 @@ class GPUMemSystem:
         if self.sm_waker is not None:
             self.sm_waker(sm_id)
         self.l1[sm_id].insert(line)
-        self.l1_mshr[sm_id].fill(line)
+        for replay in self.l1_mshr[sm_id].fill(line):
+            replay.line_done()
 
     # -- baseline / inline stores ---------------------------------------------------
 
@@ -334,7 +347,6 @@ class GPUMemSystem:
         part = self.amap.hmc_of(line * LINE_SIZE)
         self.l2[part].touch_write(line)
         size = PacketSizes.mem_write(access.words)
-        self.store_bytes += size
         self.gpu_links.to_hmc(part, size, self._write_line,
                               arg=(part, line, size))
 

@@ -153,10 +153,11 @@ def _attempt_cost(sm, warp, now: int) -> int | None:
     if replay is None:
         if warp.inflight_loads >= sm.max_inflight_loads:
             return 0                   # cap spin: rejected pre-counters
-        return None                    # would create a replay and pump
-    if sm.memsys.l1_would_reject(sm.sm_id, replay.remaining[0].line_addr):
+        return None                    # would create a replay and send
+    if sm.memsys.l1_would_reject(sm.sm_id,
+                                 replay.accesses[replay.sent].line_addr):
         return 1                       # MSHR-full retry: miss + reject
-    return None                        # the pump would make progress
+    return None                        # the load would make progress
 
 
 def struct_park_cost(sm) -> int | None:

@@ -200,31 +200,40 @@ class TestUnarmedDigests:
     #: Cells on which ``System.run`` must replay the reference stepper:
     #: the four pinned cells (BFS stresses dependency stalls, KMN with the
     #: cache filter the offload/suppress path), the cxl expander, a
-    #: 1-entry L1 MSHR file that forces structural parking, and the cells
+    #: 1-entry L1 MSHR file that forces structural parking, the cells
     #: that struct-park at the default MSHR size: STCL and MiniFE on
-    #: MSHR-full retries, STN on inflight-cap spins alone.
+    #: MSHR-full retries, STN on inflight-cap spins alone, and those two
+    #: retry-bound cells again with faults armed (rate 0.05, seed 1), so
+    #: that lost fills are reissued while MSHR waiters queue.
     DIFFERENTIAL = [
-        *(pytest.param(w, c, ci_config(), id=f"{w}-{c}")
+        *(pytest.param(w, c, ci_config(), None, id=f"{w}-{c}")
           for w, c in sorted(EXPECTED)),
         pytest.param("VADD", "NDP(Dyn)", ci_config().with_backend("cxl"),
-                     id="VADD-NDP(Dyn)-cxl"),
-        pytest.param("VADD", "Baseline", _starved_mshr(ci_config()),
+                     None, id="VADD-NDP(Dyn)-cxl"),
+        pytest.param("VADD", "Baseline", _starved_mshr(ci_config()), None,
                      id="VADD-Baseline-mshr1"),
-        *(pytest.param(w, "Baseline", ci_config(), id=f"{w}-Baseline")
+        *(pytest.param(w, "Baseline", ci_config(), None, id=f"{w}-Baseline")
           for w in ("STCL", "MiniFE", "STN")),
+        *(pytest.param(w, "Baseline", ci_config(), s, id=f"{w}-Baseline-{s}")
+          for w, s in (("STCL", "vault-read-loss"),
+                       ("MiniFE", "link-corrupt"))),
     ]
 
-    @pytest.mark.parametrize("workload,config,base", DIFFERENTIAL)
+    @pytest.mark.parametrize("workload,config,base,scenario", DIFFERENTIAL)
     def test_schedulers_agree_beyond_the_digest(self, workload, config,
-                                                base):
+                                                base, scenario):
         # System.run parks SMs that cannot issue and settles their idle
         # cycles in bulk; the reference stepper ticks every SM on every
         # stepped cycle.  The digest covers RunResult; the stall breakdown
         # and phase accounting also feed figures and the metrics stream,
         # so they must agree too.
-        system = build_system(workload, config, base=base, scale="ci")
+        plan = (None if scenario is None
+                else get_scenario(scenario, rate=0.05, seed=1))
+        system = build_system(workload, config, base=base, scale="ci",
+                              faults=plan)
         result = system.run(max_cycles=20_000_000)
-        ref_system = build_system(workload, config, base=base, scale="ci")
+        ref_system = build_system(workload, config, base=base, scale="ci",
+                                  faults=plan)
         ref = reference_stepper.step(ref_system, max_cycles=20_000_000)
         assert _digest(result) == _digest(ref)
         assert result.stalls.as_dict() == ref.stalls.as_dict()
@@ -241,6 +250,11 @@ class TestUnarmedDigests:
             assert stats["struct_parks"] > 0
             assert stats["struct_replayed"] > 0
             assert stats["sm_ticks"] < ref_system.sched_stats["sm_ticks"]
+        if plan is not None:
+            # The armed cells recover lost fills while SMs struct-park.
+            assert system.fault_injector.total_fired > 0
+            assert system.memsys.rstats.mshr_reissues > 0
+            assert system.sched_stats["struct_parks"] > 0
 
     #: Cells whose SMs struct-park at ci scale and seed 1.
     PARKING = [

@@ -6,6 +6,7 @@ import pytest
 
 from repro.config import (
     CacheConfig,
+    GPUConfig,
     NDPConfig,
     OffloadMode,
     SystemConfig,
@@ -105,6 +106,26 @@ class TestCacheConfig:
     def test_indivisible_rejected(self):
         with pytest.raises(ValueError):
             CacheConfig(1000, 3)
+
+    # Below 1, an L2 hit latency failed mid-run in Engine.after, and no
+    # MSHR entry spun the run to its cycle budget.
+    @pytest.mark.parametrize("field", ["mshr_entries", "hit_latency"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_unrunnable_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CacheConfig(32 * 1024, 4, **{field: value})
+
+
+class TestGPUConfig:
+    # A cap of 0 spun every load to the cycle budget.
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_zero_inflight_load_cap_rejected(self, value):
+        with pytest.raises(ValueError, match="max_inflight_loads_per_warp"):
+            GPUConfig(max_inflight_loads_per_warp=value)
+
+    def test_inflight_load_cap_of_one_accepted(self):
+        assert GPUConfig(
+            max_inflight_loads_per_warp=1).max_inflight_loads_per_warp == 1
 
 
 class TestStorageOverhead:

@@ -171,39 +171,31 @@ class TestMSHR:
     def test_new_then_merge(self):
         stats = CacheStats()
         m = MSHRFile(4, stats)
-        calls = []
-        assert m.allocate(5, lambda: calls.append("a")) == "new"
-        assert m.allocate(5, lambda: calls.append("b")) == "merged"
+        assert m.allocate(5, "a") == "new"
+        assert m.allocate(5, "b") == "merged"
         assert stats.mshr_merges == 1
-        assert m.fill(5) == 2
-        assert calls == ["a", "b"]
+        assert m.fill(5) == ["a", "b"]
 
     def test_full_rejects(self):
         stats = CacheStats()
         m = MSHRFile(2, stats)
-        assert m.allocate(1, lambda: None) == "new"
-        assert m.allocate(2, lambda: None) == "new"
-        assert m.allocate(3, lambda: None) == "full"
+        assert m.allocate(1, 0) == "new"
+        assert m.allocate(2, 0) == "new"
+        assert m.allocate(3, 0) == "full"
         assert stats.mshr_rejects == 1
 
     def test_merge_allowed_when_full(self):
         stats = CacheStats()
         m = MSHRFile(1, stats)
-        m.allocate(1, lambda: None)
-        assert m.allocate(1, lambda: None) == "merged"
+        m.allocate(1, 0)
+        assert m.allocate(1, 0) == "merged"
 
     def test_fill_frees_entry(self):
         m = MSHRFile(1, CacheStats())
-        m.allocate(1, lambda: None)
+        m.allocate(1, 0)
         m.fill(1)
-        assert m.allocate(2, lambda: None) == "new"
+        assert m.allocate(2, 0) == "new"
 
     def test_fill_unknown_line_noop(self):
         m = MSHRFile(1, CacheStats())
-        assert m.fill(42) == 0
-
-    def test_peak_tracking(self):
-        m = MSHRFile(8, CacheStats())
-        for i in range(5):
-            m.allocate(i, lambda: None)
-        assert m.peak == 5
+        assert m.fill(42) == []

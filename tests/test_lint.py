@@ -435,6 +435,25 @@ class TestHotPathAllocation:
         assert len(hits) == 1
         assert "'release'" in hits[0].message
 
+    def test_issue_path_and_cache_methods_flagged(self, tmp_path):
+        sm = ("class _MemReplay:\n"
+              "    def commit(self):\n"
+              "        self.warp.sm.engine.after(1, lambda: self._finish())\n"
+              "class SM:\n"
+              "    def _exec_load(self, warp):\n"
+              "        self.cb = lambda: warp\n")
+        cache = ("class MSHRFile:\n"
+                 "    def fill(self, line):\n"
+                 "        return [lambda: w for w in self._entries.pop(line)]\n"
+                 "class Cache:\n"
+                 "    def lookup(self, line):\n"
+                 "        self.cb = lambda: line\n")
+        hits = by_rule(lint_pkg(tmp_path, {"gpu/sm.py": sm,
+                                           "gpu/cache.py": cache}),
+                       "PERF001")
+        assert sorted(h.message.split("'")[1] for h in hits) == [
+            "_exec_load", "commit", "fill", "lookup"]
+
     def test_packet_chain_annotation_allows(self, tmp_path):
         src = self.CONTROLLER_LAMBDA.replace(
             "inst))\n", "inst))  # perf: alloc-ok -- once per block\n")

@@ -1,8 +1,13 @@
 """Unit tests for the GPU memory hierarchy glue (repro.sim.memsys)."""
 
+import dataclasses
+from types import SimpleNamespace
+
+from hypothesis import given, settings, strategies as st
 
 from repro.config import LINE_SIZE, ci_config
 from repro.gpu.coalescer import MemAccess
+from repro.gpu.sm import _MemReplay
 from repro.memory.address import AddressMap
 from repro.memory.hmc import HMCStack
 from repro.network.fabric import GPULinks
@@ -30,11 +35,37 @@ def acc(line, words=32):
     return MemAccess(line, words, False)
 
 
+class StubWarp:
+    """The warp side of a load: the replay's completion resolves its
+    destination register, which calls ``on_done``."""
+
+    def __init__(self, engine, on_done):
+        self.sm = SimpleNamespace(waker=None, engine=engine)
+        self.inflight_loads = 1
+        self.on_done = on_done
+
+    def mark_inflight(self, reg):
+        pass
+
+    def resolve_reg(self, reg, now):
+        self.on_done()
+
+
+def load(mem, sm, line, on_done):
+    """One coalesced line load of ``line`` from ``sm`` through a replay
+    record, committed once sent; returns False on a structural reject."""
+    replay = _MemReplay(StubWarp(mem.engine, on_done), 0, (acc(line),))
+    ok = mem.load(sm, replay)
+    if ok:
+        replay.commit()
+    return ok
+
+
 class TestLoadPath:
     def test_cold_load_goes_to_dram_and_fills(self):
         e, mem = mk_memsys()
         done = []
-        assert mem.load(FakeSM(), acc(100), lambda: done.append(e.now))
+        assert load(mem, FakeSM(), 100, lambda: done.append(e.now))
         e.drain()
         assert len(done) == 1
         assert done[0] > 50                    # full DRAM round trip
@@ -44,22 +75,22 @@ class TestLoadPath:
 
     def test_l1_hit_is_fast(self):
         e, mem = mk_memsys()
-        mem.load(FakeSM(), acc(5), lambda: None)
+        load(mem, FakeSM(), 5, lambda: None)
         e.drain()
         t0 = e.now
         done = []
-        mem.load(FakeSM(), acc(5), lambda: done.append(e.now - t0))
+        load(mem, FakeSM(), 5, lambda: done.append(e.now - t0))
         e.drain()
         assert done == [mem.l1_latency]
 
     def test_l2_hit_skips_dram(self):
         e, mem = mk_memsys()
         # SM 0 fetches; SM 1 then hits in the shared L2.
-        mem.load(FakeSM(0), acc(9), lambda: None)
+        load(mem, FakeSM(0), 9, lambda: None)
         e.drain()
         reads_before = sum(h.stats.reads for h in mem.hmcs)
         done = []
-        mem.load(FakeSM(1), acc(9), lambda: done.append(1))
+        load(mem, FakeSM(1), 9, lambda: done.append(1))
         e.drain()
         assert done
         assert sum(h.stats.reads for h in mem.hmcs) == reads_before
@@ -68,7 +99,7 @@ class TestLoadPath:
         e, mem = mk_memsys()
         done = []
         for _ in range(4):
-            mem.load(FakeSM(), acc(7), lambda: done.append(1))
+            load(mem, FakeSM(), 7, lambda: done.append(1))
         e.drain()
         assert len(done) == 4
         assert sum(h.stats.reads for h in mem.hmcs) == 1
@@ -77,8 +108,8 @@ class TestLoadPath:
         e, mem = mk_memsys()
         cap = mem.l1_mshr[0].num_entries
         for i in range(cap):
-            assert mem.load(FakeSM(), acc(1000 + i), lambda: None)
-        assert not mem.load(FakeSM(), acc(5000), lambda: None)
+            assert load(mem, FakeSM(), 1000 + i, lambda: None)
+        assert not load(mem, FakeSM(), 5000, lambda: None)
 
     def test_l2_mshr_full_parks_and_drains(self):
         e, mem = mk_memsys()
@@ -89,12 +120,53 @@ class TestLoadPath:
         done = []
         n = mem.l2_mshr[part].num_entries + 20
         for i, l in enumerate(lines[:n]):
-            ok = mem.load(FakeSM(i % len(mem.l1)), acc(l),
-                          lambda: done.append(1))
+            ok = load(mem, FakeSM(i % len(mem.l1)), l,
+                      lambda: done.append(1))
             assert ok   # L1 MSHRs spread across SMs; L2 parks overflow
         e.drain()
         assert len(done) == n
         assert all(len(wq) == 0 for wq in mem._l2_waiters)
+
+
+class TestRejectProbe:
+    """``l1_would_reject`` is the test oracle's view of :meth:`load`'s
+    admission path (``reference_stepper.struct_park_cost`` prices a
+    parked SM's retries with it), so the two must agree."""
+
+    LINES = st.integers(0, 511)     # twice the ci L1's 256 lines
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_probe_agrees_with_load(self, data):
+        e, mem = mk_memsys()
+        l1, mshr = mem.l1[0], mem.l1_mshr[0]
+        for line in data.draw(st.lists(self.LINES, max_size=300)):
+            l1.insert(line)
+        full = mshr.num_entries
+        n = data.draw(st.sampled_from([full, full - 1])
+                      | st.integers(0, full))
+        pending = data.draw(st.lists(self.LINES, min_size=n, max_size=n,
+                                     unique=True))
+        for line in pending:
+            mshr.allocate(line, None)
+        line = data.draw(st.sampled_from(pending) | self.LINES
+                         if pending else self.LINES)
+        before = data.draw(st.lists(self.LINES, max_size=3))
+        after = data.draw(st.lists(self.LINES, max_size=3))
+
+        stats = dataclasses.replace(mem.l1_stats)
+        lru = [list(s) for s in l1._sets]
+        would_reject = mem.l1_would_reject(0, line)
+        assert mem.l1_stats == stats          # the probe counts nothing
+        assert [list(s) for s in l1._sets] == lru   # nor ages a line
+
+        # A replay mid-way whose next unsent line is ``line``.
+        replay = _MemReplay(StubWarp(e, lambda: None), 0,
+                            tuple(acc(l) for l in before + [line] + after))
+        replay.sent = len(before)
+        ok = mem.load(FakeSM(0), replay)
+        rejected_at_line = not ok and replay.sent == len(before)
+        assert rejected_at_line == would_reject
 
 
 class TestStorePath:

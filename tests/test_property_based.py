@@ -123,7 +123,7 @@ class TestCacheProperties:
         outstanding = set()
         for is_alloc, line in ops:
             if is_alloc:
-                res = m.allocate(line, lambda: None)
+                res = m.allocate(line, 0)
                 if res == "new":
                     outstanding.add(line)
                 assert len(m) <= 8

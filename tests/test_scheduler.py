@@ -10,8 +10,11 @@ class RecordingMemSys:
         self.engine = engine
         self.latency = latency
 
-    def load(self, sm, access, on_done):
-        self.engine.after(self.latency, on_done)
+    def load(self, sm, replay):
+        for _ in range(replay.sent, len(replay.accesses)):
+            self.engine.after(self.latency, replay.line_done)
+        replay.outstanding += len(replay.accesses) - replay.sent
+        replay.sent = len(replay.accesses)
         return True
 
     def store(self, sm, access):

@@ -18,12 +18,15 @@ class FakeMemSys:
         self.loads = []
         self.stores = []
 
-    def load(self, sm, access, on_done):
-        if self.rejects > 0:
-            self.rejects -= 1
-            return False
-        self.loads.append(access)
-        self.engine.after(self.latency, on_done)
+    def load(self, sm, replay):
+        while replay.sent < len(replay.accesses):
+            if self.rejects > 0:
+                self.rejects -= 1
+                return False
+            self.loads.append(replay.accesses[replay.sent])
+            self.engine.after(self.latency, replay.line_done)
+            replay.sent += 1
+            replay.outstanding += 1
         return True
 
     def store(self, sm, access):
