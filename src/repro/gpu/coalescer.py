@@ -11,6 +11,7 @@ once: one row per memory instruction, coalesced in a single array pass.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -28,10 +29,6 @@ class MemAccess(NamedTuple):
     line_addr: int      # address // LINE_SIZE
     words: int          # distinct words touched by active threads
     irregular: bool     # True when per-thread offsets must ride the packet
-
-    @property
-    def bytes_touched(self) -> int:
-        return self.words * WORD_SIZE
 
 
 #: Sort key of an inactive lane: sorts after every active address.
@@ -96,16 +93,14 @@ def coalesce(addrs: np.ndarray, active: np.ndarray | None = None,
     lane_k = np.cumsum(mask, axis=1) - 1
     in_place = ~mask | (rows % LINE_SIZE == lane_k * word_size)
     aligned = (lines_per_row == 1) & in_place.all(axis=1)
-    accesses = list(map(MemAccess, line[starts].tolist(), words.tolist(),
-                        (~aligned[row_of[starts]]).tolist()))
+    # tuple.__new__ builds each record in C; the named tuple's own
+    # __new__ is a Python function.
+    accesses = tuple(map(tuple.__new__, repeat(MemAccess), zip(
+        line[starts].tolist(), words.tolist(),
+        (~aligned[row_of[starts]]).tolist())))
     per_row = []
     stop = 0
     for n in lines_per_row.tolist():
-        per_row.append(tuple(accesses[stop:stop + n]))
+        per_row.append(accesses[stop:stop + n])
         stop += n
     return per_row[0] if addrs.ndim == 1 else tuple(per_row)
-
-
-def access_stats(accesses: tuple[MemAccess, ...]) -> tuple[int, int]:
-    """(number of lines, total words touched) for a coalesced instruction."""
-    return len(accesses), sum(a.words for a in accesses)

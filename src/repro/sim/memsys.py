@@ -13,6 +13,7 @@ The NDP path uses :meth:`rdf_probe` (a tag probe of L1+L2 without fill) and
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import Callable
 
 from repro.config import LINE_SIZE, SystemConfig
@@ -120,9 +121,10 @@ class GPUMemSystem:
         self.l1_latency = g.l1d.hit_latency
         self.l2_latency = g.l2.hit_latency
         # Requests parked while an L2 slice's MSHR file is full; retried
-        # as fills free entries (a real GPU's memory-partition miss queue).
-        self._l2_waiters: list[list[tuple[int, int]]] = [
-            [] for _ in range(cfg.num_hmcs)]
+        # in arrival order as fills free entries (a real GPU's
+        # memory-partition miss queue; hundreds deep on dense baselines).
+        self._l2_waiters: list[deque[tuple[int, int]]] = [
+            deque() for _ in range(cfg.num_hmcs)]
         # Per-slice crossbar ingress port occupancy (one request per xbar
         # cycle): requests queue behind earlier arrivals at a hot slice.
         self._xbar_free = [0.0] * cfg.num_hmcs
@@ -318,7 +320,7 @@ class GPUMemSystem:
         # is full again or the queue empties (avoids stranding a waiter
         # behind a request that turned into a late hit).
         while waiters and len(mshr) < mshr.num_entries:
-            sm_id, wline = waiters.pop(0)
+            sm_id, wline = waiters.popleft()
             self._l2_access(sm_id, wline)
 
     def _fill_l1(self, sm_id: int, line: int) -> None:

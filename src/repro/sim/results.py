@@ -79,9 +79,13 @@ class RunResult:
     dram_reads: int              # bytes
     dram_writes: int             # bytes
     l1_hits: int = 0
+    # Misses count lookup attempts, not lines: every MSHR-full structural
+    # retry is one more (the L1's include the ones replay_struct_rejects
+    # settles for parked SMs; an L2 request that parks counts again when
+    # it leaves the miss queue).
     l1_misses: int = 0
     l2_hits: int = 0
-    l2_misses: int = 0
+    l2_misses: int = 0           # attempts, like l1_misses
     rdf_packets: int = 0
     rdf_cache_hits: int = 0
     offloads_issued: int = 0

@@ -8,6 +8,9 @@ instructions vs. offload blocks), and unrolls ``iters`` loop iterations per
 warp into a :class:`~repro.gpu.trace.WarpTrace`, coalescing the memory
 instructions of :data:`WARP_GROUP` warps in one pass (addresses are
 generated and coalesced on the GPU in both execution modes, Section 4.1).
+A regular memory instruction gets its rows for a whole warp group from one
+``mem_addrs`` call; only ``indirect`` loads, the ones that draw random
+numbers, are asked one row at a time.
 
 Input problems are scaled down from Table 1 (the simulator is cycle-level
 Python, not a farm of GPGPU-sim machines); every workload keeps the *shape*
@@ -74,28 +77,32 @@ class ArrayLayout:
     def size(self, name: str) -> int:
         return self._sizes[name]
 
-    def element(self, name: str, index) -> np.ndarray:
-        """Byte addresses of 4-byte elements ``index`` (array or scalar)."""
-        idx = np.asarray(index, dtype=np.int64)
-        size = self._sizes[name]
-        return self._bases[name] + (idx * 4) % max(4, size)
+
+class NoStreamError(RuntimeError):
+    """A model read ``rng`` from a block context, which has no stream."""
 
 
 @dataclass
 class MemCtx:
     """Context handed to :meth:`WorkloadModel.mem_addrs`.
 
-    One context serves a warp's prologue and every iteration (``it``
-    advances in place), so its random stream runs on across them.  The
-    stream is built from ``seed`` at its first draw: seven of the ten
-    models never draw, and a generator takes tens of microseconds to
-    build."""
+    A *scalar* context stands for one warp: ``warp`` and ``it`` are ints.
+    One serves a warp's prologue and every iteration (``it`` advances in
+    place), so its random stream runs on across them.  The stream is
+    built from ``seed`` at its first draw: seven of the ten models never
+    draw, and a generator takes tens of microseconds to build.
 
-    warp: int
-    it: int
+    A *block* context stands for many rows of one regular instruction:
+    ``warp`` and ``it`` are ``(R, 1)`` int64 columns, so arithmetic on
+    them and on ``lanes`` gives ``(R, width)`` rows.  Its ``seed`` is
+    ``None``, and reading its ``rng`` raises :class:`NoStreamError`:
+    only ``indirect`` loads may draw, and they get scalar contexts."""
+
+    warp: int | np.ndarray
+    it: int | np.ndarray
     lanes: np.ndarray          # 0..31
     scale: Scale
-    seed: int | tuple[int, ...]
+    seed: int | tuple[int, ...] | None
     _rng: np.random.Generator | None = field(default=None, init=False,
                                              repr=False)
 
@@ -103,6 +110,10 @@ class MemCtx:
     def rng(self) -> np.random.Generator:
         """The warp's random stream, ``np.random.default_rng(seed)``."""
         if self._rng is None:
+            if self.seed is None:
+                raise NoStreamError(
+                    "a block context has no random stream; only indirect "
+                    "loads may draw from ctx.rng")
             self._rng = np.random.default_rng(self.seed)
         return self._rng
 
@@ -132,8 +143,7 @@ class WorkloadModel:
     name: str = ""
     #: Table 1 expected per-block NSU instruction counts, for verification.
     table1_nsu_counts: tuple[int, ...] = ()
-    #: Scale multipliers: workloads with big blocks need fewer iterations.
-    warp_factor: float = 1.0
+    #: Scale multiplier: workloads with big blocks need fewer iterations.
     iter_factor: float = 1.0
 
     def kernel(self) -> Kernel:
@@ -144,12 +154,13 @@ class WorkloadModel:
 
     def mem_addrs(self, instr: Instr, arrays: ArrayLayout,
                   ctx: MemCtx) -> np.ndarray:
-        """Per-thread byte addresses for one dynamic memory instruction."""
-        raise NotImplementedError
+        """Per-thread byte addresses of ``instr``.
 
-    def active_lanes(self, instr: Instr, ctx: MemCtx) -> np.ndarray | None:
-        """Optional per-instruction active mask (default: the warp mask)."""
-        return self.warp_active_mask(ctx)
+        For an ``indirect`` load ``ctx`` is a scalar context and the
+        result is one ``(width,)`` row.  For any other instruction it is
+        a block context of ``R`` rows, and the result is ``(R, width)``,
+        or one ``(width,)`` row that every row shares."""
+        raise NotImplementedError
 
     def warp_active_mask(self, ctx: MemCtx) -> np.ndarray | None:
         """Optional per-(warp, iteration) active-thread mask.
@@ -157,7 +168,9 @@ class WorkloadModel:
         Divergent control flow (a shrinking BFS frontier, boundary
         threads in a stencil) leaves some lanes inactive: fewer coalesced
         words move, and the offload command/ACK register payloads scale
-        with the active count (Figure 4).  ``None`` means all lanes."""
+        with the active count (Figure 4).  ``None`` means all lanes.
+        ``ctx`` is a scalar context; the iteration's mask covers each of
+        its memory instructions, and iteration 0's the prologue's."""
         return None
 
     def prologue(self) -> list[Instr]:
@@ -172,8 +185,7 @@ class WorkloadModel:
     def build(self, cfg: SystemConfig, scale: Scale | str) -> WorkloadInstance:
         if isinstance(scale, str):
             scale = SCALES[scale]
-        scale = Scale(scale.name,
-                      max(1, int(scale.num_warps * self.warp_factor)),
+        scale = Scale(scale.name, max(1, scale.num_warps),
                       max(1, int(scale.iters * self.iter_factor)))
         analyzed = analyze_kernel(self.kernel(),
                                   cfg.ndp.max_mem_instrs_per_block)
@@ -186,46 +198,77 @@ class WorkloadModel:
         prologue = [_instr_segment(instr) for instr in self.prologue()]
         body = self._segments(analyzed)
         prologue_mem, body_mem = _mem_instrs(prologue), _mem_instrs(body)
+        iters = scale.iters
         width = cfg.gpu.warp_width
         lanes = np.arange(width, dtype=np.int64)
         # crc32, not hash(): hash() of a str varies with PYTHONHASHSEED,
         # which made trace digests differ across processes (DET004).
         name_key = zlib.crc32(self.name.encode()) & 0xFFFF
-        # Each warp writes one row per memory instruction, in program
-        # order (the RNG draws follow it), into a group's shared buffers;
-        # one coalesce call then serves the whole group.
-        n_rows = len(prologue_mem) + scale.iters * len(body_mem)
+        # Each warp owns one row per memory instruction, in program order,
+        # in a group's shared buffers: its prologue rows, then one run of
+        # body rows per iteration.  One coalesce call serves the group.
+        n_pro, n_body = len(prologue_mem), len(body_mem)
+        row_instrs = prologue_mem + body_mem * iters
+        n_rows = len(row_instrs)
         group = min(WARP_GROUP, scale.num_warps)
         addr_rows = np.empty((group * n_rows, width), dtype=np.int64)
         mask_rows = np.empty((group * n_rows, width), dtype=bool)
+        # A regular instruction fills its rows of the whole group from one
+        # block call.  An indirect load draws, so it is asked row by row,
+        # in each warp's program order: the order its draws must keep.
+        phases = [(1, _block_columns(group, 1, n_rows, 0, 0), prologue_mem),
+                  (iters, _block_columns(group, iters, n_rows, n_pro, n_body),
+                   body_mem)]
+        pro_indirect = _indirect_rows(prologue_mem)
+        body_indirect = _indirect_rows(body_mem)
         traces = []
         for first in range(0, scale.num_warps, group):
-            warps = range(first, min(first + group, scale.num_warps))
+            n_warps = min(group, scale.num_warps - first)
+            for per_warp, (warp, it, rows), instrs in phases:
+                n = n_warps * per_warp
+                ctx = MemCtx(first + warp[:n], it[:n], lanes, scale, None)
+                for k, instr in enumerate(instrs):
+                    if not instr.indirect:
+                        addr_rows[rows[:n] + k] = self._addrs(
+                            instr, arrays, ctx, n, width)
             actives = []
-            row = 0
-            for w in warps:
-                mask_rows[row:row + n_rows] = True
-                ctx = MemCtx(warp=w, it=0, lanes=lanes, scale=scale,
-                             seed=(cfg.seed, name_key, w))
-                row = self._fill_rows(prologue_mem, ctx, arrays,
-                                      addr_rows, mask_rows, row)
+            for j in range(n_warps):
+                w = first + j
+                start = j * n_rows
+                ctx = MemCtx(w, 0, lanes, scale, (cfg.seed, name_key, w))
+                for k, instr in pro_indirect:
+                    addr_rows[start + k] = self._addrs(
+                        instr, arrays, ctx, 1, width)
                 warp_actives = []
-                for it in range(scale.iters):
-                    ctx.it = it
+                row = start     # first row the next mask covers
+                for i in range(iters):
+                    ctx.it = i
                     mask = self.warp_active_mask(ctx)
-                    warp_actives.append(
-                        int(mask.sum()) if mask is not None else width)
-                    row = self._fill_rows(body_mem, ctx, arrays,
-                                          addr_rows, mask_rows, row)
+                    body_row = start + n_pro + i * n_body
+                    stop = body_row + n_body
+                    if mask is None:
+                        mask_rows[row:stop] = True
+                        warp_actives.append(width)
+                    else:
+                        if np.shape(mask) != (width,):
+                            self._wrong_width(row_instrs[row - start],
+                                              "warp_active_mask", mask,
+                                              width)
+                        mask_rows[row:stop] = mask
+                        warp_actives.append(int(mask.sum()))
+                    for k, instr in body_indirect:
+                        addr_rows[body_row + k] = self._addrs(
+                            instr, arrays, ctx, 1, width)
+                    row = stop
                 actives.append(warp_actives)
-            groups = coalesce(addr_rows[:row], mask_rows[:row])
+            groups = coalesce(addr_rows[:n_warps * n_rows],
+                              mask_rows[:n_warps * n_rows])
             if not all(groups):
                 empty = groups.index(())
                 w, r = first + empty // n_rows, empty % n_rows
-                instr = (prologue_mem + body_mem * scale.iters)[r]
                 raise AssertionError(
-                    f"{self.name}: memory instruction '{_text(instr)}' of "
-                    f"warp {w} produced no accesses (empty active mask?)")
+                    f"{self.name}: memory instruction '{_text(row_instrs[r])}' "
+                    f"of warp {w} produced no accesses (empty active mask?)")
             for j, warp_actives in enumerate(actives):
                 traces.append(_assemble_trace(
                     prologue, body, groups, j * n_rows, warp_actives, width))
@@ -254,27 +297,24 @@ class WorkloadModel:
                     i += 1
         return segs
 
-    def _fill_rows(self, instrs, ctx: MemCtx, arrays, addr_rows,
-                   mask_rows, row: int) -> int:
-        """Write the addresses and mask of each of ``instrs`` into the
-        rows from ``row`` on; return the next free row."""
-        width = ctx.lanes.size
-        for instr in instrs:
+    def _addrs(self, instr, arrays, ctx: MemCtx, n: int, width: int):
+        """``mem_addrs`` of ``instr`` for the ``n`` rows ``ctx`` stands
+        for: ``(n, width)``, or one ``(width,)`` row they share."""
+        try:
             addrs = self.mem_addrs(instr, arrays, ctx)
-            mask = self.active_lanes(instr, ctx)
-            if np.shape(addrs) != (width,):
-                self._wrong_width(instr, "mem_addrs", addrs, width)
-            addr_rows[row] = addrs
-            if mask is not None:
-                if np.shape(mask) != (width,):
-                    self._wrong_width(instr, "active_lanes", mask, width)
-                mask_rows[row] = mask
-            row += 1
-        return row
+        except NoStreamError:
+            raise ValueError(
+                f"{self.name}: mem_addrs drew from ctx.rng for "
+                f"'{_text(instr)}', but only indirect loads may draw") from None
+        shape = np.shape(addrs)
+        if shape != (n, width) and shape != (width,):
+            self._wrong_width(instr, "mem_addrs", addrs, width)
+        return addrs
 
-    def _wrong_width(self, instr, source, row, width):
-        shape = np.shape(row)
-        got = f"{shape[0]} lanes" if len(shape) == 1 else f"shape {shape}"
+    def _wrong_width(self, instr, source, value, width):
+        shape = np.shape(value)
+        got = (f"{shape[-1]} lanes" if shape and shape[-1] != width
+               else f"shape {shape}")
         raise ValueError(
             f"{self.name}: {source} returned {got} for "
             f"'{_text(instr)}', but the warp width is {width}")
@@ -288,6 +328,24 @@ def _instr_segment(instr: Instr):
 def _mem_instrs(segments) -> tuple[Instr, ...]:
     """The segments' memory instructions, one per coalesced row."""
     return tuple(instr for _, _, mem in segments for instr in mem)
+
+
+def _block_columns(group: int, iters: int, n_rows: int, first_row: int,
+                   stride: int):
+    """Block-context columns for a full group: ``(warp, it, rows)``,
+    warp-major over ``iters`` iterations.  ``warp`` counts from the
+    group's first warp, and ``rows[r] + k`` is the row of the ``k``-th
+    instruction of a phase whose rows for warp ``j``, iteration ``i``
+    start at ``j * n_rows + first_row + i * stride``."""
+    warp = np.repeat(np.arange(group, dtype=np.int64), iters)
+    it = np.tile(np.arange(iters, dtype=np.int64), group)
+    return (warp[:, None], it[:, None],
+            warp * n_rows + first_row + it * stride)
+
+
+def _indirect_rows(instrs) -> list[tuple[int, Instr]]:
+    """``(position, instr)`` of the indirect loads among ``instrs``."""
+    return [(k, instr) for k, instr in enumerate(instrs) if instr.indirect]
 
 
 def _text(instr: Instr) -> str:

@@ -1,4 +1,10 @@
-"""Shared address-pattern helpers for the workload models."""
+"""Shared address-pattern helpers for the workload models.
+
+Every helper but :func:`indirect_divergent` broadcasts: given a block
+context, whose ``warp`` and ``it`` are ``(R, 1)`` columns, it returns the
+rows of all ``R`` (warp, iteration) pairs at once, or one row they all
+share.  :func:`indirect_divergent` draws from ``ctx.rng``, so it takes
+scalar contexts only."""
 
 from __future__ import annotations
 
@@ -18,17 +24,6 @@ def streaming(arrays: ArrayLayout, name: str, ctx: MemCtx,
     return ctx.lanes * WORD_SIZE + first
 
 
-def strided(arrays: ArrayLayout, name: str, ctx: MemCtx,
-            stride_words: int) -> np.ndarray:
-    """Fixed-stride access (FWT butterflies): lanes hit every
-    ``stride_words``-th element, spanning multiple lines when the stride
-    exceeds the line."""
-    base_elem = (ctx.warp * ctx.scale.iters + ctx.it) * ctx.lanes.size
-    idx = (base_elem + ctx.lanes * stride_words) % max(
-        1, arrays.size(name) // WORD_SIZE)
-    return arrays.base(name) + idx * WORD_SIZE
-
-
 def hot_struct(arrays: ArrayLayout, name: str, ctx: MemCtx,
                words: int) -> np.ndarray:
     """A small constant structure read by every block instance (BPROP's
@@ -43,16 +38,15 @@ def broadcast(arrays: ArrayLayout, name: str, ctx: MemCtx,
     """All lanes read the same (iteration-dependent) element -- e.g. one
     k-means centroid coordinate.  Coalesces to a single word."""
     e = (ctx.warp + ctx.it) % max(1, n_elems)
-    return np.full(ctx.lanes.size, arrays.base(name) + e * WORD_SIZE,
-                   dtype=np.int64)
+    return np.zeros_like(ctx.lanes) + (arrays.base(name) + e * WORD_SIZE)
 
 
-def indirect_divergent(arrays: ArrayLayout, name: str, ctx: MemCtx,
-                       spread_elems: int | None = None) -> np.ndarray:
+def indirect_divergent(arrays: ArrayLayout, name: str,
+                       ctx: MemCtx) -> np.ndarray:
     """Data-dependent gather (BFS neighbours, MiniFE x[col], STCL medians):
     every lane reads a random element, so a warp touches up to 32 distinct
     lines with one or two useful words each."""
-    n = spread_elems or max(32, arrays.size(name) // WORD_SIZE)
+    n = max(32, arrays.size(name) // WORD_SIZE)
     idx = ctx.rng.integers(0, n, size=ctx.lanes.size)
     return arrays.base(name) + idx.astype(np.int64) * WORD_SIZE
 

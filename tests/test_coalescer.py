@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.config import LINE_SIZE, WORD_SIZE
-from repro.gpu.coalescer import MemAccess, access_stats, coalesce
+from repro.gpu.coalescer import MemAccess, coalesce
 
 
 class TestCoalesce:
@@ -55,16 +55,14 @@ class TestCoalesce:
         (acc,) = coalesce(addrs)
         assert acc.irregular
 
-    def test_access_stats(self):
-        addrs = np.arange(64) * WORD_SIZE  # two full lines
-        accs = coalesce(addrs)
-        lines, words = access_stats(accs)
-        assert lines == 2
-        assert words == 64
-
-    def test_bytes_touched(self):
-        acc = MemAccess(0, 5, False)
-        assert acc.bytes_touched == 5 * WORD_SIZE
+    def test_records_are_mem_access_named_tuples(self):
+        rows = np.stack([np.arange(32) * WORD_SIZE + 5 * LINE_SIZE,
+                         np.arange(32) * LINE_SIZE])
+        first, second = coalesce(rows)
+        assert first == (MemAccess(5, 32, False),)
+        assert all(type(a) is MemAccess for a in first + second)
+        assert first[0].line_addr == 5 and first[0].words == 32
+        assert second[31] == MemAccess(line_addr=31, words=1, irregular=True)
 
     def test_line_boundary_split(self):
         # 32 words starting mid-line straddle two lines.

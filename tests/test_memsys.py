@@ -20,9 +20,9 @@ class FakeSM:
         self.sm_id = sm_id
 
 
-def mk_memsys():
+def mk_memsys(cfg=None):
     e = Engine()
-    cfg = ci_config()
+    cfg = cfg or ci_config()
     counters = LinkCounters()
     amap = AddressMap(cfg)
     links = GPULinks(e, cfg, counters)
@@ -126,6 +126,30 @@ class TestLoadPath:
         e.drain()
         assert len(done) == n
         assert all(len(wq) == 0 for wq in mem._l2_waiters)
+
+    def test_l2_miss_queue_admits_in_arrival_order(self):
+        # One L2 MSHR entry: the first miss takes it, the next two park,
+        # and each fill admits the oldest parked request.
+        cfg = ci_config()
+        l2 = dataclasses.replace(cfg.gpu.l2, mshr_entries=1)
+        e, mem = mk_memsys(dataclasses.replace(
+            cfg, gpu=dataclasses.replace(cfg.gpu, l2=l2)))
+        part = mem.amap.hmc_of(0)
+        lines = [l for l in range(4000)
+                 if mem.amap.hmc_of(l * LINE_SIZE) == part][:3]
+        done = []
+        for sm_id, line in enumerate(lines):
+            assert load(mem, FakeSM(sm_id), line,
+                        lambda line=line: done.append(line))
+        while len(mem._l2_waiters[part]) < 2:
+            e.now = e.next_event_time()
+            e.process_due()
+        assert list(mem._l2_waiters[part]) == [(1, lines[1]),
+                                               (2, lines[2])]
+        e.drain()
+        assert done == lines
+        assert mem.l2_stats.mshr_rejects == 2
+        assert not mem._l2_waiters[part]
 
 
 class TestRejectProbe:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import WORD_SIZE
 from repro.gpu.coalescer import coalesce
-from repro.workloads.base import ArrayLayout, MemCtx, Scale
+from repro.workloads.base import ArrayLayout, MemCtx, NoStreamError, Scale
 from repro.workloads.patterns import (
     blocked_reuse,
     broadcast,
@@ -14,13 +14,20 @@ from repro.workloads.patterns import (
     indirect_divergent,
     stencil_3x3,
     streaming,
-    strided,
 )
 
 
 def mk_ctx(warp=0, it=0, seed=0):
     return MemCtx(warp=warp, it=it, lanes=np.arange(32, dtype=np.int64),
                   scale=Scale("t", 8, 4), seed=seed)
+
+
+def mk_block(warps, its):
+    """A block context over the (warp, it) pairs ``zip(warps, its)``."""
+    return MemCtx(warp=np.array(warps, dtype=np.int64)[:, None],
+                  it=np.array(its, dtype=np.int64)[:, None],
+                  lanes=np.arange(32, dtype=np.int64),
+                  scale=Scale("t", 8, 4), seed=None)
 
 
 @pytest.fixture
@@ -103,10 +110,38 @@ class TestBlockedReuse:
             assert addrs.max() < arrays.base("C") + 512 * WORD_SIZE
 
 
-class TestStrided:
-    def test_stride_in_words(self, arrays):
-        addrs = strided(arrays, "A", mk_ctx(), stride_words=64)
-        assert np.all(np.diff(addrs) == 64 * WORD_SIZE)
+#: Every broadcasting helper, as ``f(arrays, ctx)``.
+BLOCK_HELPERS = {
+    "streaming": lambda a, ctx: streaming(a, "A", ctx, offset=5),
+    "hot_struct": lambda a, ctx: hot_struct(a, "B", ctx, 17),
+    "broadcast": lambda a, ctx: broadcast(a, "C", ctx, 5),
+    "stencil_3x3": lambda a, ctx: stencil_3x3(a, "A", ctx, -65, 64),
+    "blocked_reuse": lambda a, ctx: blocked_reuse(a, "C", ctx, 100),
+}
+
+
+class TestBlockContext:
+    """A helper on a block context gives the rows of its scalar
+    evaluations, stacked (a shared ``(width,)`` row stands for all)."""
+
+    WARPS = [w for w in range(8) for _ in range(4)]
+    ITS = [it for _ in range(8) for it in range(4)]
+
+    @pytest.mark.parametrize("helper", sorted(BLOCK_HELPERS))
+    def test_block_equals_stacked_scalars(self, arrays, helper):
+        f = BLOCK_HELPERS[helper]
+        block = f(arrays, mk_block(self.WARPS, self.ITS))
+        stacked = np.stack([f(arrays, mk_ctx(w, it))
+                            for w, it in zip(self.WARPS, self.ITS)])
+        assert block.dtype == stacked.dtype == np.int64
+        assert np.array_equal(np.broadcast_to(block, stacked.shape), stacked)
+
+    def test_block_has_no_stream(self, arrays):
+        ctx = mk_block([0, 1], [0, 0])
+        with pytest.raises(NoStreamError, match="no random stream"):
+            ctx.rng
+        with pytest.raises(NoStreamError):
+            indirect_divergent(arrays, "A", ctx)
 
 
 class TestArrayLayout:
@@ -121,8 +156,3 @@ class TestArrayLayout:
         a.add("x", 8)
         with pytest.raises(ValueError):
             a.add("x", 8)
-
-    def test_element_wraps_modulo_size(self):
-        a = ArrayLayout()
-        a.add("x", 40)
-        assert a.element("x", 10) == a.base("x")   # 10*4 % 40 == 0

@@ -9,7 +9,10 @@ import pytest
 from repro.config import LINE_SIZE, ci_config
 from repro.gpu.trace import DynBlock, DynInstr
 from repro.workloads import SCALES, Scale, base, get_workload, workload_names
+from repro.workloads.bprop import BPROP
+from repro.workloads.patterns import indirect_divergent
 from repro.workloads.vadd import VADD
+from tests import reference_builder
 
 CFG = ci_config()
 
@@ -198,7 +201,7 @@ class ShortAddrs(VADD):
     name = "SHORT"
 
     def mem_addrs(self, instr, arrays, ctx):
-        return super().mem_addrs(instr, arrays, ctx)[:16]
+        return super().mem_addrs(instr, arrays, ctx)[..., :16]
 
 
 class ShortMask(VADD):
@@ -206,13 +209,14 @@ class ShortMask(VADD):
 
     name = "SHORTMASK"
 
-    def active_lanes(self, instr, ctx):
+    def warp_active_mask(self, ctx):
         return np.ones(16, dtype=bool)
 
 
 class TestWarpWidthRows:
-    @pytest.mark.parametrize("model, source", [(ShortAddrs, "mem_addrs"),
-                                               (ShortMask, "active_lanes")])
+    @pytest.mark.parametrize("model, source",
+                             [(ShortAddrs, "mem_addrs"),
+                              (ShortMask, "warp_active_mask")])
     def test_wrong_width_row_is_rejected(self, model, source):
         with pytest.raises(ValueError) as err:
             model().build(CFG, Scale("t", 2, 1))
@@ -223,14 +227,25 @@ class TestWarpWidthRows:
 
 
 class DarkWarp(VADD):
-    """VADD whose warp 1 reads B with no active lane in iteration 1."""
+    """VADD whose warp 1 has no active lane in iteration 1."""
 
     name = "DARK"
 
-    def active_lanes(self, instr, ctx):
-        if ctx.warp == 1 and ctx.it == 1 and instr.array == "B":
+    def warp_active_mask(self, ctx):
+        if ctx.warp == 1 and ctx.it == 1:
             return np.zeros(ctx.lanes.size, dtype=bool)
         return None
+
+
+class DrawingVADD(VADD):
+    """VADD that draws random addresses for its regular B load."""
+
+    name = "DRAW"
+
+    def mem_addrs(self, instr, arrays, ctx):
+        if instr.array == "B":
+            return indirect_divergent(arrays, "B", ctx)
+        return super().mem_addrs(instr, arrays, ctx)
 
 
 class TestWarpGroups:
@@ -253,8 +268,16 @@ class TestWarpGroups:
         with pytest.raises(AssertionError) as err:
             DarkWarp().build(CFG, Scale("t", 4, 2))
         msg = str(err.value)
-        assert msg.startswith("DARK: memory instruction 'ld R5 <- [B@R1]")
+        assert msg.startswith("DARK: memory instruction 'ld R4 <- [A@R0]")
         assert "of warp 1 produced no accesses" in msg
+
+    def test_regular_instruction_may_not_draw(self):
+        with pytest.raises(ValueError) as err:
+            DrawingVADD().build(CFG, Scale("t", 4, 2))
+        msg = str(err.value)
+        assert msg.startswith("DRAW: mem_addrs drew from ctx.rng")
+        assert "'ld R5 <- [B@R1]'" in msg
+        assert "only indirect loads may draw" in msg
 
     @pytest.mark.parametrize("name, per_warp", [("VADD", 0), ("BFS", 1)])
     def test_generator_built_at_first_draw(self, name, per_warp,
@@ -270,6 +293,49 @@ class TestWarpGroups:
         inst = get_workload(name).build(CFG, Scale("t", 2 * self.G + 3, 2))
         assert len(seeds) == per_warp * inst.num_warps
         assert len(set(seeds)) == len(seeds)
+
+
+class Ragged(BPROP):
+    """BPROP with a different active mask per (warp, iteration), so its
+    prologue rows take iteration 0's mask."""
+
+    name = "RAGGED"
+
+    def warp_active_mask(self, ctx):
+        return ctx.lanes < 8 + (3 * ctx.warp + 5 * ctx.it) % 24
+
+
+class TestReferenceBuilder:
+    """``build`` gives item-by-item the traces of the per-row builder in
+    ``tests/reference_builder.py``: one scalar context per warp, one
+    ``mem_addrs`` call and one mask per row, in program order."""
+
+    # "partial" ends in a partial group.  At its 3 iterations BFS and
+    # BPROP (iter_factor 0.5) run one, so "deep" gives them three, and
+    # BFS's frontier masks thin.
+    SCALES = {"ci": "ci", "partial": Scale("t", 2 * base.WARP_GROUP + 3, 3),
+              "deep": Scale("t", 2 * base.WARP_GROUP + 3, 6)}
+
+    @pytest.mark.parametrize("scale", sorted(SCALES))
+    @pytest.mark.parametrize("name", sorted(TABLE1) + [Ragged.name])
+    def test_traces_equal_the_per_row_builder(self, name, scale):
+        model = Ragged() if name == Ragged.name else get_workload(name)
+        inst = model.build(CFG, self.SCALES[scale])
+        oracle = reference_builder.build(model, CFG, self.SCALES[scale])
+        assert len(inst.traces) == len(oracle)
+        for trace, expected in zip(inst.traces, oracle):
+            assert len(trace) == len(expected)
+            for item, want in zip(trace, expected):
+                assert type(item) is type(want)
+                if isinstance(item, DynBlock):
+                    assert item.block.block_id == want.block.block_id
+                    assert item.active_threads == want.active_threads
+                    groups, want_groups = (item.mem_accesses,
+                                           want.mem_accesses)
+                else:
+                    assert item.instr == want.instr
+                    groups, want_groups = (item.accesses,), (want.accesses,)
+                assert groups == want_groups
 
 
 class TestScaling:
