@@ -551,32 +551,13 @@ def loadtest(*, url: str, clients: int = 8, requests: int = 4,
 
 # -- static analysis ----------------------------------------------------------
 
-def lint(paths=("src/repro",), *, baseline=None, use_baseline: bool = True,
-         update_baseline: bool = False, rules=None,
-         changed: str | None = None, fix_stale: bool = False,
-         dry_run: bool = False):
+def lint(paths=("src/repro",), *, rules=None):
     """Run the :mod:`repro.lint` static analyzer over ``paths`` and return
     a :class:`~repro.lint.runner.LintReport` (``report.exit_code`` is 0
-    only when no non-baselined finding remains).  See
-    ``docs/static-analysis.md`` for the rule catalogue, the suppression
-    syntax and the baseline workflow.
-
-    ``changed`` limits analysis to files touched vs that git ref (the CLI
-    default is ``HEAD`` when ``--changed`` is given bare).  ``fix_stale``
-    removes the suppressions LINT002 reported and re-lints;
-    ``dry_run=True`` only records the would-be diffs on
-    ``report.stale_fix``."""
+    only when no finding remains).  ``rules`` restricts the run to those
+    rule ids.  Raises ``ValueError`` for an unknown rule id or a path
+    that is neither a directory nor a ``.py`` file.  See
+    ``docs/static-analysis.md`` for the rule catalogue and the
+    suppression syntax."""
     from repro.lint import run_lint
-    from repro.lint.fixes import fix_stale as _fix_stale
-    report = run_lint(paths, baseline=baseline, use_baseline=use_baseline,
-                      update_baseline=update_baseline, rules=rules,
-                      changed=changed)
-    if fix_stale:
-        result = _fix_stale(report, dry_run=dry_run)
-        if result.applied:
-            report = run_lint(paths, baseline=baseline,
-                              use_baseline=use_baseline,
-                              update_baseline=update_baseline, rules=rules,
-                              changed=changed)
-        report.stale_fix = result
-    return report
+    return run_lint(paths, rules=rules)

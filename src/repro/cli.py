@@ -357,32 +357,14 @@ def cmd_lint(args) -> int:
     rules = ([r.strip() for r in args.rules.split(",") if r.strip()]
              if args.rules else None)
     try:
-        report = api.lint(args.paths or ("src/repro",),
-                          baseline=args.baseline,
-                          use_baseline=not args.no_baseline,
-                          update_baseline=args.update_baseline, rules=rules,
-                          changed=args.changed, fix_stale=args.fix_stale,
-                          dry_run=args.dry_run)
-    except ValueError as e:  # bad --changed ref / not a git checkout
-        print(str(e.args[0]) if e.args else str(e), file=sys.stderr)
+        report = api.lint(args.paths or ("src/repro",), rules=rules)
+    except ValueError as e:  # a bad path or an unknown rule id
+        print(e, file=sys.stderr)
         return 2
     if args.format == "json":
         print(render_json(report.findings, report.files))
     else:
         print(render_pretty(report.findings, report.files))
-        if report.updated_baseline:
-            print(f"baseline: wrote {report.baseline_entries} entries to "
-                  f"{report.baseline_path}")
-        fix = report.stale_fix
-        if fix is not None:
-            if args.dry_run:
-                for diff in fix.diffs.values():
-                    print(diff, end="")
-                print(f"fix-stale (dry run): would remove {fix.removed} "
-                      f"stale suppression(s) in {fix.files} file(s)")
-            else:
-                print(f"fix-stale: removed {fix.removed} stale "
-                      f"suppression(s) in {fix.files} file(s)")
     return report.exit_code
 
 
@@ -625,24 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="files or directories (default: src/repro)")
     pl.add_argument("--format", choices=["pretty", "json"],
                     default="pretty")
-    pl.add_argument("--baseline", metavar="FILE",
-                    help="baseline file (default: "
-                         "<repo-root>/.repro-lint-baseline.json)")
-    pl.add_argument("--no-baseline", action="store_true",
-                    help="report every finding, baselined or not")
-    pl.add_argument("--update-baseline", action="store_true",
-                    help="rewrite the baseline from the current findings")
     pl.add_argument("--rules", metavar="IDS",
                     help="comma-separated rule ids to run (default: all)")
-    pl.add_argument("--changed", nargs="?", const="HEAD", metavar="REF",
-                    help="lint only files touched vs a git ref "
-                         "(default HEAD when the flag is given bare)")
-    pl.add_argument("--fix-stale", action="store_true",
-                    help="remove the suppressions LINT002 reports as "
-                         "stale, then re-lint")
-    pl.add_argument("--dry-run", action="store_true",
-                    help="with --fix-stale: print the diff instead of "
-                         "rewriting files")
     pl.set_defaults(fn=cmd_lint)
 
     px = sub.add_parser("explore")

@@ -1,26 +1,7 @@
 """``repro.lint``: AST-based determinism & protocol-consistency analyzer.
 
-Rules (see ``docs/static-analysis.md``):
-
-========  ========  ==============================================
-DET001    error     iteration over a set (hash order)
-DET002    warning   iteration over dict views (insertion order)
-DET003    error     unseeded / global RNG use
-DET004    error     hash()/id() values leaking across processes
-DET005    warning   wall-clock reads on the simulated path
-PROTO001  error     packet kinds vs PACKET_FAULT_SITES coverage
-PROTO002  error     emitted metric names vs KNOWN_METRICS
-PROTO003  error     fault-site literals vs faults/plan.py
-FAC001    error     cli.py flags vs the repro.api facade
-CONC001   error     guarded attribute touched without its lock
-CONC002   error     blocking call while holding a lock
-CONC003   error     Condition misuse (unheld wait/notify, no loop)
-CONC004   error     thread without daemon=/join discipline
-CONC005   error     serve/analysis bypassing the api facade
-LINT001   error     suppression without a reason
-LINT002   warning   stale suppression
-LINT003   error     file does not parse
-========  ========  ==============================================
+``docs/static-analysis.md`` lists every rule, its severity and what it
+checks.
 
 Suppress one finding with a trailing (or preceding standalone) comment::
 
@@ -32,25 +13,18 @@ attributes of lock-owning classes (same trailing/standalone placement)::
     # guarded-by: _lock
     # guarded-by: none -- monotonic counter, torn reads acceptable
 
-Stale suppressions (LINT002) can be auto-removed with
-``repro lint --fix-stale`` (:mod:`repro.lint.fixes`), and the guarded-by
-contracts are enforced *at runtime* when ``REPRO_SANITIZE=1`` arms
-:mod:`repro.lint.sanitize`.
+The guarded-by contracts are enforced *at runtime* when
+``REPRO_SANITIZE=1`` arms :mod:`repro.lint.sanitize`.
 """
 
-from repro.lint.baseline import (DEFAULT_BASELINE, apply_baseline,
-                                 load_baseline, write_baseline)
 from repro.lint.concurrency import (CONCURRENCY_RULES, build_manifest,
                                     parse_guard_annotations)
 from repro.lint.core import Finding, FileContext, Rule, severity_rank
-from repro.lint.fixes import StaleFixResult, fix_stale
 from repro.lint.project import Project, discover_project
 from repro.lint.report import render_json, render_pretty, summary_line
 from repro.lint.runner import ALL_RULES, LintReport, run_lint
 
-__all__ = ["ALL_RULES", "CONCURRENCY_RULES", "DEFAULT_BASELINE", "Finding",
-           "FileContext", "LintReport", "Project", "Rule", "StaleFixResult",
-           "apply_baseline", "build_manifest", "discover_project",
-           "fix_stale", "load_baseline", "parse_guard_annotations",
-           "render_json", "render_pretty", "run_lint", "severity_rank",
-           "summary_line", "write_baseline"]
+__all__ = ["ALL_RULES", "CONCURRENCY_RULES", "Finding", "FileContext",
+           "LintReport", "Project", "Rule", "build_manifest",
+           "discover_project", "parse_guard_annotations", "render_json",
+           "render_pretty", "run_lint", "severity_rank", "summary_line"]

@@ -25,11 +25,10 @@ as stale (``LINT002``).
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 __all__ = ["Finding", "FileContext", "Rule", "SEVERITIES", "attach_parents",
            "severity_rank"]
@@ -52,25 +51,15 @@ class Finding:
     line: int
     col: int
     message: str
-    snippet: str = ""        # stripped source line, feeds the baseline key
-    baselined: bool = False
-
-    def key(self) -> str:
-        """Baseline identity: path + rule + a hash of the line *content*,
-        so entries survive unrelated edits that shift line numbers."""
-        digest = hashlib.sha256(self.snippet.encode()).hexdigest()[:12]
-        return f"{self.path}:{self.rule}:{digest}"
 
     def format(self) -> str:
-        tag = " (baselined)" if self.baselined else ""
         return (f"{self.path}:{self.line}:{self.col}: {self.rule} "
-                f"[{self.severity}] {self.message}{tag}")
+                f"[{self.severity}] {self.message}")
 
     def as_dict(self) -> dict:
         return {"rule": self.rule, "severity": self.severity,
                 "path": self.path, "line": self.line, "col": self.col,
-                "message": self.message, "key": self.key(),
-                "baselined": self.baselined}
+                "message": self.message}
 
 
 _SUPPRESS_RE = re.compile(
@@ -138,20 +127,14 @@ class FileContext:
 
     def __init__(self, path: str, source: str, module: str,
                  real_path: str | None = None) -> None:
-        self.path = path                      # display/baseline path
+        self.path = path                      # display path
         self.real_path = real_path or path    # for contract-file matching
         self.source = source
         self.module = module
-        self.lines = source.splitlines()
         self.tree = ast.parse(source, filename=path)
         attach_parents(self.tree)
         self.suppressions = parse_suppressions(source)
         self.findings: list[Finding] = []
-
-    def snippet(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1].strip()
-        return ""
 
     def report(self, rule: str, severity: str, node: ast.AST | int,
                message: str) -> None:
@@ -163,7 +146,7 @@ class FileContext:
                 return
         self.findings.append(Finding(
             rule=rule, severity=severity, path=self.path, line=line,
-            col=col, message=message, snippet=self.snippet(line)))
+            col=col, message=message))
 
     def finish(self, checked_rules: set[str] | None = None) -> None:
         """Emit the meta findings: malformed and stale suppressions.
@@ -181,15 +164,13 @@ class FileContext:
                     line=sup.line, col=0,
                     message="suppression without a reason: write "
                             "'# lint: ignore[RULE] -- why order/state "
-                            "cannot leak'",
-                    snippet=self.snippet(sup.line)))
+                            "cannot leak'"))
             elif not sup.used and ran:
                 self.findings.append(Finding(
                     rule="LINT002", severity="warning", path=self.path,
                     line=sup.line, col=0,
                     message=f"stale suppression for "
-                            f"{', '.join(sup.rules)}: no finding matched",
-                    snippet=self.snippet(sup.line)))
+                            f"{', '.join(sup.rules)}: no finding matched"))
 
 
 class Rule:
@@ -222,7 +203,3 @@ class Rule:
 
     def check_project(self, project, contexts: list[FileContext]) -> None:
         """Run once over the cross-file model (default: nothing)."""
-
-
-def mark_baselined(finding: Finding) -> Finding:
-    return replace(finding, baselined=True)

@@ -29,7 +29,6 @@ class FacadeDriftRule(Rule):
         "mshr_timeout": "recovery",
         "max_retries": "recovery",
         "adaptive_recovery": "recovery",
-        "no_baseline": "use_baseline",
     }
     #: Dests that shape terminal output / subcommand routing only and
     #: deliberately never reach a simulation.

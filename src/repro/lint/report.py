@@ -14,37 +14,27 @@ def _sorted(findings: list[Finding]) -> list[Finding]:
 
 
 def summary_line(findings: list[Finding], files: int) -> str:
-    live = [f for f in findings if not f.baselined]
     counts: dict[str, int] = {}
-    for f in live:
+    for f in findings:
         counts[f.severity] = counts.get(f.severity, 0) + 1
     parts = [f"{counts[s]} {s}{'s' if counts[s] != 1 else ''}"
              for s in sorted(counts, key=severity_rank)]
-    baselined = sum(1 for f in findings if f.baselined)
-    tail = f" ({baselined} baselined)" if baselined else ""
     body = ", ".join(parts) if parts else "clean"
-    return f"lint: {files} files, {body}{tail}"
+    return f"lint: {files} files, {body}"
 
 
-def render_pretty(findings: list[Finding], files: int,
-                  show_baselined: bool = False) -> str:
-    lines = []
-    for f in _sorted(findings):
-        if f.baselined and not show_baselined:
-            continue
-        lines.append(f.format())
+def render_pretty(findings: list[Finding], files: int) -> str:
+    lines = [f.format() for f in _sorted(findings)]
     lines.append(summary_line(findings, files))
     return "\n".join(lines)
 
 
 def render_json(findings: list[Finding], files: int) -> str:
-    live = [f for f in findings if not f.baselined]
     payload = {
         "files": files,
         "findings": [f.as_dict() for f in _sorted(findings)],
-        "counts": {s: sum(1 for f in live if f.severity == s)
+        "counts": {s: sum(1 for f in findings if f.severity == s)
                    for s in ("error", "warning", "info")},
-        "baselined": sum(1 for f in findings if f.baselined),
-        "clean": not live,
+        "clean": not findings,
     }
     return json.dumps(payload, indent=2)

@@ -1,4 +1,4 @@
-"""Lint driver: collect files, run every rule, apply the baseline.
+"""Lint driver: collect files, run every rule.
 
 :func:`run_lint` is the single entry point used by both ``repro lint``
 and :func:`repro.api.lint`.
@@ -9,8 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.lint.baseline import (DEFAULT_BASELINE, apply_baseline,
-                                 load_baseline, write_baseline)
 from repro.lint.concurrency import CONCURRENCY_RULES
 from repro.lint.core import Finding, FileContext, Rule
 from repro.lint.determinism import DETERMINISM_RULES
@@ -33,23 +31,10 @@ class LintReport:
 
     findings: list[Finding] = field(default_factory=list)
     files: int = 0
-    project_root: str | None = None
-    baseline_path: str | None = None
-    baseline_entries: int = 0
-    updated_baseline: bool = False
-    #: display path -> absolute path for every linted file (``--fix-stale``
-    #: rewrites through this map).
-    real_paths: dict[str, str] = field(default_factory=dict)
-    #: the StaleFixResult when api.lint ran with ``fix_stale``.
-    stale_fix: object | None = None
-
-    @property
-    def live(self) -> list[Finding]:
-        return [f for f in self.findings if not f.baselined]
 
     @property
     def clean(self) -> bool:
-        return not self.live
+        return not self.findings
 
     @property
     def exit_code(self) -> int:
@@ -57,14 +42,19 @@ class LintReport:
 
 
 def _collect_files(paths) -> list[Path]:
+    """The ``.py`` files under ``paths``, resolved and de-duplicated.
+    Raises ``ValueError`` for a path that is neither a directory nor a
+    ``.py`` file, so a mistyped path fails instead of linting nothing."""
     files: list[Path] = []
     for p in paths:
         p = Path(p)
         if p.is_dir():
             files.extend(f for f in sorted(p.rglob("*.py"))
                          if "__pycache__" not in f.parts)
-        elif p.suffix == ".py":
+        elif p.is_file() and p.suffix == ".py":
             files.append(p)
+        else:
+            raise ValueError(f"lint: {p}: not a directory or a .py file")
     # resolve + de-duplicate while keeping a stable order
     seen: set[Path] = set()
     out = []
@@ -88,63 +78,37 @@ def _module_name(path: Path) -> str:
     return parts[-1] if parts else str(path)
 
 
-def _changed_files(ref: str) -> set[Path]:
-    """Absolute paths touched vs ``ref`` (committed diff + worktree +
-    untracked), for ``repro lint --changed``.  Raises ``ValueError``
-    outside a git checkout or for an unresolvable ref."""
-    import subprocess
-
-    def git(*args: str, cwd=None) -> str:
-        proc = subprocess.run(["git", *args], cwd=cwd, capture_output=True,
-                              text=True)
-        if proc.returncode != 0:
-            raise ValueError(
-                f"--changed {ref}: git {' '.join(args)} failed: "
-                f"{proc.stderr.strip() or proc.stdout.strip()}")
-        return proc.stdout
-
-    top = Path(git("rev-parse", "--show-toplevel").strip())
-    names = git("diff", "--name-only", ref, "--", cwd=top)
-    names += git("ls-files", "--others", "--exclude-standard", cwd=top)
-    return {(top / line.strip()).resolve()
-            for line in names.splitlines() if line.strip()}
-
-
-def _default_baseline(project: Project | None) -> Path | None:
-    """<repo-root>/.repro-lint-baseline.json, when the package root is
-    a conventional src/repro checkout."""
+def _display_root(project: Project | None) -> Path:
+    """The repository root, when the package sits in a conventional
+    ``src/repro`` checkout (else the package's parent), or the cwd when
+    no package was found: findings show paths relative to it, so a lint
+    run from anywhere prints the same paths."""
     if project is None or not project.root:
-        return None
+        return Path.cwd().resolve()
     pkg = Path(project.root)
     root = pkg.parent.parent if pkg.parent.name == "src" else pkg.parent
-    return root / DEFAULT_BASELINE
+    return root.resolve()
 
 
 def run_lint(paths, *, project: Project | None = None,
-             baseline: Path | str | None = None, use_baseline: bool = True,
-             update_baseline: bool = False,
-             rules=None, changed: str | None = None) -> LintReport:
+             rules=None) -> LintReport:
     """Lint ``paths`` (files or directories).
 
-    ``project`` overrides contract discovery (tests);  ``baseline``
-    overrides the default ``<repo-root>/.repro-lint-baseline.json``;
-    ``use_baseline=False`` ignores any baseline; ``update_baseline``
-    rewrites the baseline from the current findings and reports clean.
-    ``rules`` restricts to an iterable of rule ids.  ``changed`` is a git
-    ref: only files touched vs that ref are linted (contract discovery
-    still sees the full set, so project-wide rules keep their context).
+    ``project`` overrides contract discovery (tests).  ``rules``
+    restricts to an iterable of rule ids.  Raises ``ValueError`` for an
+    unknown rule id or a path that is neither a directory nor a ``.py``
+    file.
     """
+    wanted = set(rules) if rules is not None else None
+    known = [cls.id for cls in ALL_RULES]
+    unknown = sorted(wanted.difference(known)) if wanted else []
+    if unknown:
+        raise ValueError(f"lint: unknown rule id(s) {', '.join(unknown)}; "
+                         f"known: {', '.join(known)}")
     files = _collect_files(paths)
     if project is None:
         project = discover_project(files)
-    if changed is not None:
-        touched = _changed_files(changed)
-        files = [f for f in files if f in touched]
-    bpath = Path(baseline) if baseline else _default_baseline(project)
-    # Display (and baseline-key) paths are repo-root-relative so a lint
-    # run from anywhere produces identical keys.
-    display_root = (bpath.parent.resolve() if bpath is not None
-                    else Path.cwd().resolve())
+    display_root = _display_root(project)
 
     contexts: list[FileContext] = []
     findings: list[Finding] = []
@@ -161,9 +125,8 @@ def run_lint(paths, *, project: Project | None = None,
             findings.append(Finding(
                 rule="LINT003", severity="error", path=shown,
                 line=e.lineno or 1, col=(e.offset or 1) - 1,
-                message=f"syntax error: {e.msg}", snippet=(e.text or "").strip()))
+                message=f"syntax error: {e.msg}"))
 
-    wanted = set(rules) if rules is not None else None
     active = [cls() for cls in ALL_RULES
               if wanted is None or cls.id in wanted]
     for rule in active:
@@ -175,24 +138,8 @@ def run_lint(paths, *, project: Project | None = None,
                   if not c.module.startswith("repro.lint")]
         for rule in active:
             rule.check_project(project, scoped)
-    checked = None if wanted is None else {r.id for r in active}
     for ctx in contexts:
-        ctx.finish(checked)
+        ctx.finish(wanted)
         findings.extend(ctx.findings)
 
-    report = LintReport(findings=findings, files=len(files),
-                        project_root=project.root if project else None,
-                        real_paths={c.path: c.real_path for c in contexts
-                                    if c.real_path})
-    if bpath is not None and use_baseline:
-        report.baseline_path = str(bpath)
-        if update_baseline:
-            report.baseline_entries = write_baseline(findings, bpath)
-            report.updated_baseline = True
-            report.findings = apply_baseline(
-                findings, load_baseline(bpath))
-        else:
-            entries = load_baseline(bpath)
-            report.baseline_entries = len(entries)
-            report.findings = apply_baseline(findings, entries)
-    return report
+    return LintReport(findings=findings, files=len(files))

@@ -163,10 +163,10 @@ class TestLintCommand:
     def test_flags_parse(self):
         p = build_parser()
         a = p.parse_args(["lint", "src/repro", "--format", "json",
-                          "--no-baseline", "--rules", "DET001,DET004"])
+                          "--rules", "DET001,DET004"])
         assert callable(a.fn)
         assert a.paths == ["src/repro"]
-        assert a.format == "json" and a.no_baseline
+        assert a.format == "json"
         assert a.rules == "DET001,DET004"
 
     def test_audit_flag_on_run_sweep_chaos(self):
@@ -189,11 +189,23 @@ class TestLintCommand:
                        "    s = {1, 2}\n"
                        "    for x in s:\n"
                        "        print(x)\n")
-        assert main(["lint", str(bad), "--format", "json",
-                     "--no-baseline"]) == 1
+        assert main(["lint", str(bad), "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["counts"]["error"] == 1
         assert payload["findings"][0]["rule"] == "DET001"
+
+    def test_lint_missing_path_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "no" / "such" / "path"
+        assert main(["lint", str(missing)]) == 2
+        assert str(missing) in capsys.readouterr().err
+
+    def test_lint_unknown_rule_exits_2(self, capsys):
+        import pathlib
+        root = pathlib.Path(__file__).resolve().parent.parent
+        assert main(["lint", str(root / "src" / "repro"),
+                     "--rules", "DET001,DET01"]) == 2
+        err = capsys.readouterr().err
+        assert "DET01;" in err and "PERF001" in err
 
     def test_run_audit_flag_end_to_end(self, capsys):
         assert main(["--scale", "ci", "--no-store",

@@ -1,7 +1,7 @@
 """The ``repro.lint`` static analyzer: per-rule fixtures (positive hit,
-suppressed hit, clean), suppression semantics, baseline mechanics, the
-JSON reporter, and the meta-test that the shipped tree itself lints
-clean.
+suppressed hit, clean), suppression semantics, the reporters, and the
+meta-tests that the shipped tree itself lints clean and that the docs'
+rule table lists every rule.
 
 Fixture packages are laid out on disk as a miniature ``repro`` package so
 the tests exercise the same contract discovery (``discover_project``)
@@ -87,7 +87,7 @@ def make_pkg(tmp_path, files=None):
 
 def lint_pkg(tmp_path, files=None, rules=None):
     pkg = make_pkg(tmp_path, files)
-    report = run_lint([pkg], use_baseline=False, rules=rules)
+    report = run_lint([pkg], rules=rules)
     return report.findings
 
 
@@ -474,54 +474,14 @@ class TestHotPathAllocation:
 
 
 # ---------------------------------------------------------------------------
-# baseline + reporters
+# reporters
 # ---------------------------------------------------------------------------
-
-class TestBaseline:
-    def test_round_trip_masks_then_unmasks(self, tmp_path):
-        pkg = make_pkg(tmp_path,
-                       {"workloads/gen.py": TestSetIteration.POSITIVE})
-        bl = tmp_path / "baseline.json"
-        first = run_lint([pkg], baseline=bl, update_baseline=True)
-        assert first.exit_code == 0 and bl.is_file()
-
-        second = run_lint([pkg], baseline=bl)
-        assert second.exit_code == 0
-        assert not second.live
-        assert any(f.baselined for f in second.findings)
-
-        # a new violation in another file is not masked
-        extra = pkg / "workloads" / "gen2.py"
-        extra.write_text("def f(d):\n"
-                         "    return [v for v in d.values()][0]\n")
-        third = run_lint([pkg], baseline=bl)
-        assert third.exit_code == 1
-        assert all(f.path.endswith("gen2.py") for f in third.live)
-
-    def test_baseline_key_survives_line_moves(self, tmp_path):
-        pkg = make_pkg(tmp_path,
-                       {"workloads/gen.py": TestSetIteration.POSITIVE})
-        bl = tmp_path / "baseline.json"
-        run_lint([pkg], baseline=bl, update_baseline=True)
-        shifted = "\n\n" + TestSetIteration.POSITIVE
-        (pkg / "workloads" / "gen.py").write_text(shifted)
-        report = run_lint([pkg], baseline=bl)
-        assert report.exit_code == 0
-
-    def test_no_baseline_reports_everything(self, tmp_path):
-        pkg = make_pkg(tmp_path,
-                       {"workloads/gen.py": TestSetIteration.POSITIVE})
-        bl = tmp_path / "baseline.json"
-        run_lint([pkg], baseline=bl, update_baseline=True)
-        report = run_lint([pkg], baseline=bl, use_baseline=False)
-        assert report.exit_code == 1
-
 
 class TestReporters:
     def test_json_payload(self, tmp_path):
         pkg = make_pkg(tmp_path,
                        {"workloads/gen.py": TestSetIteration.POSITIVE})
-        report = run_lint([pkg], use_baseline=False)
+        report = run_lint([pkg])
         payload = json.loads(render_json(report.findings, report.files))
         assert payload["files"] == report.files
         assert payload["counts"]["error"] == 1
@@ -533,7 +493,7 @@ class TestReporters:
     def test_pretty_lists_rule_and_location(self, tmp_path):
         pkg = make_pkg(tmp_path,
                        {"workloads/gen.py": TestSetIteration.POSITIVE})
-        report = run_lint([pkg], use_baseline=False)
+        report = run_lint([pkg])
         text = render_pretty(report.findings, report.files)
         assert "DET001" in text and "gen.py:4" in text
         assert "error" in text
@@ -544,7 +504,7 @@ class TestReporters:
             "sim/probe.py": "def publish(m):\n"
                             "    m.counter(\"packts.CMD\").add(1)\n",
         })
-        report = run_lint([pkg], use_baseline=False, rules=["PROTO002"])
+        report = run_lint([pkg], rules=["PROTO002"])
         assert {f.rule for f in report.findings} == {"PROTO002"}
 
 
@@ -562,10 +522,19 @@ class TestShippedTree:
     def test_src_repro_lints_clean(self):
         import pathlib
         root = pathlib.Path(__file__).resolve().parent.parent
-        report = run_lint([root / "src" / "repro"],
-                          baseline=root / ".repro-lint-baseline.json")
+        report = run_lint([root / "src" / "repro"])
         assert report.exit_code == 0, render_pretty(report.findings,
                                                     report.files)
+
+    def test_docs_table_lists_every_rule(self):
+        import pathlib
+        import re
+        root = pathlib.Path(__file__).resolve().parent.parent
+        doc = (root / "docs" / "static-analysis.md").read_text()
+        table = doc.split("## Rules", 1)[1].split("\n## ", 1)[0]
+        ids = set(re.findall(r"^\| ([A-Z]+\d{3}) +\|", table, re.M))
+        assert ids == ({r.id for r in ALL_RULES}
+                       | {"LINT001", "LINT002", "LINT003"})
 
     def test_real_contracts_parse(self):
         import pathlib

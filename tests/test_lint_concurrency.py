@@ -1,23 +1,18 @@
-"""The CONC rule family: fixtures corpus, annotations, --changed and
---fix-stale."""
+"""The CONC rule family: fixtures corpus and annotations."""
 
 import shutil
-import subprocess
 from pathlib import Path
-
-import pytest
 
 from repro.lint import run_lint
 from repro.lint.concurrency import (build_manifest, class_models,
                                     parse_guard_annotations)
-from repro.lint.fixes import fix_stale
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 
 
 def lint_fixture(name: str, rule: str):
     """Findings for one fixture file, restricted to one CONC rule."""
-    report = run_lint([FIXTURES / name], use_baseline=False, rules=[rule])
+    report = run_lint([FIXTURES / name], rules=[rule])
     return [f for f in report.findings if f.rule == rule]
 
 
@@ -27,7 +22,7 @@ def lint_as_serve(tmp_path, name: str, rule: str):
     pkg = tmp_path / "repro" / "serve"
     pkg.mkdir(parents=True, exist_ok=True)
     shutil.copy(FIXTURES / name, pkg / "handler.py")
-    report = run_lint([pkg / "handler.py"], use_baseline=False, rules=[rule])
+    report = run_lint([pkg / "handler.py"], rules=[rule])
     return [f for f in report.findings if f.rule == rule]
 
 
@@ -141,7 +136,7 @@ class TestAnnotations:
                "        return self._x\n")
         p = tmp_path / "c.py"
         p.write_text(src)
-        report = run_lint([p], use_baseline=False, rules=["CONC001"])
+        report = run_lint([p], rules=["CONC001"])
         assert [f.rule for f in report.findings] == []
 
 
@@ -151,7 +146,6 @@ class TestShippedTreeConcurrency:
     def test_serve_stack_is_conc_clean(self):
         root = Path(__file__).parent.parent / "src" / "repro"
         report = run_lint([root / "serve", root / "sim" / "store.py"],
-                          use_baseline=False,
                           rules=["CONC001", "CONC002", "CONC003",
                                  "CONC004", "CONC005"])
         assert [f.format() for f in report.findings] == []
@@ -177,101 +171,3 @@ class TestShippedTreeConcurrency:
         # Restart counts live in each shard's executor (one writer per
         # counter), so ShardPool owns no lock at all.
         assert "repro.serve.pool.ShardPool" not in manifest
-
-
-# -- repro lint --changed -----------------------------------------------------
-
-def _git(repo: Path, *args: str) -> None:
-    subprocess.run(["git", "-c", "user.email=t@t", "-c", "user.name=t",
-                    *args], cwd=repo, check=True, capture_output=True)
-
-
-BAD_SET_ITER = "for x in {1, 2}:\n    pass\n"
-
-
-class TestChanged:
-    def test_scopes_to_touched_files(self, tmp_path, monkeypatch):
-        repo = tmp_path / "r"
-        repo.mkdir()
-        _git(repo, "init", "-q")
-        (repo / "a.py").write_text(BAD_SET_ITER)
-        (repo / "b.py").write_text(BAD_SET_ITER)
-        _git(repo, "add", "-A")
-        _git(repo, "commit", "-qm", "seed")
-        (repo / "b.py").write_text("y = 2\n" + BAD_SET_ITER)
-        (repo / "c.py").write_text(BAD_SET_ITER)   # untracked counts too
-        monkeypatch.chdir(repo)
-
-        full = run_lint([repo], use_baseline=False, rules=["DET001"])
-        assert full.files == 3
-
-        scoped = run_lint([repo], use_baseline=False, rules=["DET001"],
-                          changed="HEAD")
-        assert scoped.files == 2
-        touched = {Path(f.path).name for f in scoped.findings}
-        assert touched == {"b.py", "c.py"}
-
-    def test_bad_ref_raises(self, tmp_path, monkeypatch):
-        repo = tmp_path / "r"
-        repo.mkdir()
-        _git(repo, "init", "-q")
-        (repo / "a.py").write_text("x = 1\n")
-        monkeypatch.chdir(repo)
-        with pytest.raises(ValueError, match="--changed"):
-            run_lint([repo], use_baseline=False, changed="no-such-ref")
-
-
-# -- repro lint --fix-stale ---------------------------------------------------
-
-class TestFixStale:
-    def _report(self, path: Path):
-        return run_lint([path], use_baseline=False)
-
-    def test_removes_trailing_marker(self, tmp_path):
-        p = tmp_path / "m.py"
-        p.write_text("x = 1  # lint: ignore[DET001] -- nothing here\n"
-                     "y = 2\n")
-        result = fix_stale(self._report(p))
-        assert result.removed == 1 and result.applied
-        assert p.read_text() == "x = 1\ny = 2\n"
-        # the rewritten file is clean
-        assert self._report(p).findings == []
-
-    def test_removes_standalone_block(self, tmp_path):
-        p = tmp_path / "m.py"
-        p.write_text("# lint: ignore[DET001] -- stale reason\n"
-                     "# continuation of the stale reason\n"
-                     "x = 1\n")
-        result = fix_stale(self._report(p))
-        assert result.removed == 1
-        assert p.read_text() == "x = 1\n"
-
-    def test_dry_run_diffs_without_writing(self, tmp_path):
-        p = tmp_path / "m.py"
-        src = "x = 1  # lint: ignore[DET001] -- nothing here\n"
-        p.write_text(src)
-        result = fix_stale(self._report(p), dry_run=True)
-        assert result.removed == 1 and not result.applied
-        assert p.read_text() == src                  # untouched
-        (diff,) = result.diffs.values()
-        assert "-x = 1  # lint: ignore[DET001]" in diff
-        assert "+x = 1" in diff
-
-    def test_live_suppressions_survive(self, tmp_path):
-        p = tmp_path / "m.py"
-        p.write_text("for i in {1, 2}:  # lint: ignore[DET001] -- test data\n"
-                     "    pass\n"
-                     "x = 1  # lint: ignore[DET001] -- stale\n")
-        result = fix_stale(self._report(p))
-        assert result.removed == 1
-        text = p.read_text()
-        assert "test data" in text and "stale" not in text
-
-    def test_api_facade_round_trip(self, tmp_path):
-        from repro import api
-        p = tmp_path / "m.py"
-        p.write_text("x = 1  # lint: ignore[DET001] -- stale\n")
-        report = api.lint([p], use_baseline=False, fix_stale=True)
-        assert report.stale_fix.removed == 1
-        assert report.findings == []                 # post-fix re-lint
-        assert p.read_text() == "x = 1\n"
