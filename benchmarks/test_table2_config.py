@@ -22,10 +22,10 @@ def test_bandwidth_premise(benchmark):
     GPU's off-chip bandwidth (the '~4 TB/s unused' argument)."""
     def premise():
         from repro.memory import AddressMap, HMCStack
-        from repro.sim.engine import Engine, LinkCounters
+        from repro.sim.engine import Engine
 
         cfg = paper_config()
-        stack = HMCStack(Engine(), cfg, 0, AddressMap(cfg), LinkCounters())
+        stack = HMCStack(Engine(), cfg, 0, AddressMap(cfg))
         dram = stack.peak_bandwidth_bytes_per_cycle() * cfg.num_hmcs
         gpu = cfg.gpu.total_offchip_bytes_per_sm_cycle * 2  # both directions
         return dram, gpu

@@ -355,7 +355,7 @@ def cmd_lint(args) -> int:
     from repro.lint import render_json, render_pretty
 
     rules = ([r.strip() for r in args.rules.split(",") if r.strip()]
-             if args.rules else None)
+             if args.rules is not None else None)
     try:
         report = api.lint(args.paths or ("src/repro",), rules=rules)
     except ValueError as e:  # a bad path or an unknown rule id

@@ -126,7 +126,7 @@ class _ReadForward:
                              f"seq {self.seq}")
         if owner == target:
             if ctl._noc:
-                ctl.counters.add("intra_hmc", resp)
+                ctl.hmcs[target].noc_bytes += resp
             ctl.engine.call_after(ctl._hop_latency, _ReadForward.deliver,
                                   self)
         else:
@@ -244,7 +244,7 @@ class NDPController:
     """One controller per GPU; owns the credit manager and packet plumbing."""
 
     def __init__(self, engine: Engine, cfg: SystemConfig, *, amap, memsys,
-                 gpu_links, network, hmcs, counters, decider=None) -> None:
+                 gpu_links, network, hmcs, decider=None) -> None:
         self.engine = engine
         self.cfg = cfg
         self.amap = amap
@@ -252,7 +252,6 @@ class NDPController:
         self.gpu_links = gpu_links
         self.network = network
         self.hmcs = hmcs
-        self.counters = counters
         self.decider = decider
         # Substrate facts: the device queue depth, and the NoC charge and
         # latency of a device-local response hop.

@@ -53,12 +53,9 @@ class Cache:
             {} for _ in range(self.num_sets)]
         self.stats = stats if stats is not None else CacheStats()
 
-    def _set_of(self, line_addr: int) -> dict[int, None]:
-        return self._sets[line_addr & self._set_mask]
-
     def lookup(self, line_addr: int) -> bool:
         """Demand lookup: updates LRU and hit/miss statistics."""
-        s = self._set_of(line_addr)
+        s = self._sets[line_addr & self._set_mask]
         if line_addr in s:
             del s[line_addr]
             s[line_addr] = None
@@ -70,7 +67,7 @@ class Cache:
     def probe(self, line_addr: int) -> bool:
         """RDF-style tag probe: checks presence, refreshes LRU on hit, but
         records under the probe counter rather than demand hits/misses."""
-        s = self._set_of(line_addr)
+        s = self._sets[line_addr & self._set_mask]
         self.stats.accesses_probe += 1
         if line_addr in s:
             del s[line_addr]
@@ -80,7 +77,7 @@ class Cache:
 
     def contains(self, line_addr: int) -> bool:
         """Pure presence check: no LRU update, no stats."""
-        return line_addr in self._set_of(line_addr)
+        return line_addr in self._sets[line_addr & self._set_mask]
 
     def insert(self, line_addr: int) -> int | None:
         """Fill a line; returns the evicted line address, if any.
@@ -88,7 +85,7 @@ class Cache:
         With write-through caches the victim is always clean, so eviction
         costs no traffic; the return value exists for tests/diagnostics.
         """
-        s = self._set_of(line_addr)
+        s = self._sets[line_addr & self._set_mask]
         victim = None
         if line_addr in s:
             del s[line_addr]
@@ -100,16 +97,28 @@ class Cache:
 
     def invalidate(self, line_addr: int) -> bool:
         """Drop a line (NDP-write coherence, Section 4.2)."""
-        s = self._set_of(line_addr)
+        s = self._sets[line_addr & self._set_mask]
         if line_addr in s:
             del s[line_addr]
             self.stats.invalidations += 1
             return True
         return False
 
+    @staticmethod
+    def invalidate_all(caches: "list[Cache]", line_addr: int) -> None:
+        """Drop a line from each of a group of caches built with one
+        geometry (the per-SM L1s): the set index is computed once, and
+        each dropped copy counts as :meth:`invalidate` counts it."""
+        idx = line_addr & caches[0]._set_mask
+        for cache in caches:
+            s = cache._sets[idx]
+            if line_addr in s:
+                del s[line_addr]
+                cache.stats.invalidations += 1
+
     def touch_write(self, line_addr: int) -> None:
         """Write-through store: update the line if present (no allocate)."""
-        s = self._set_of(line_addr)
+        s = self._sets[line_addr & self._set_mask]
         if line_addr in s:
             del s[line_addr]
             s[line_addr] = None

@@ -96,11 +96,14 @@ def run_lint(paths, *, project: Project | None = None,
 
     ``project`` overrides contract discovery (tests).  ``rules``
     restricts to an iterable of rule ids.  Raises ``ValueError`` for an
-    unknown rule id or a path that is neither a directory nor a ``.py``
-    file.
+    unknown rule id, for ``rules`` that names no id (a run of no rule
+    would report a clean tree), or for a path that is neither a
+    directory nor a ``.py`` file.
     """
     wanted = set(rules) if rules is not None else None
     known = [cls.id for cls in ALL_RULES]
+    if wanted is not None and not wanted:
+        raise ValueError(f"lint: no rule id given; known: {', '.join(known)}")
     unknown = sorted(wanted.difference(known)) if wanted else []
     if unknown:
         raise ValueError(f"lint: unknown rule id(s) {', '.join(unknown)}; "

@@ -25,23 +25,25 @@ from repro.memory.address import AddressMap
 from repro.memory.backend import backend_of
 from repro.memory.dram import DRAMTimingSM
 from repro.memory.vault import DRAMRequest, DRAMStats, VaultController
-from repro.sim.engine import Engine, LinkCounters
+from repro.sim.engine import Engine
 
 
 class HMCStack:
     """Vaults + front-end routing for one device."""
 
     def __init__(self, engine: Engine, cfg: SystemConfig, hmc_id: int,
-                 amap: AddressMap, counters: LinkCounters) -> None:
+                 amap: AddressMap) -> None:
         be = backend_of(cfg)
         self.engine = engine
         self.cfg = cfg
         self.hmc_id = hmc_id
         self.amap = amap
-        self.counters = counters
         self.name = f"{be.name}{hmc_id}"
         self.noc = be.noc
         self.hop_latency = be.hop_latency
+        # Bytes charged to this device's NoC (its "intra_hmc" traffic);
+        # stays 0 on a device without one.
+        self.noc_bytes = 0
         self.stats = DRAMStats()
         self.timing = DRAMTimingSM.from_config(
             be.timing, cfg.gpu.sm_clock_mhz, be.bus_bytes)
@@ -73,7 +75,7 @@ class HMCStack:
                 f"line {line_addr:#x} does not belong to {self.name}")
         vault, bank, row = self.amap.locate(line_addr)
         if self.noc:
-            self.counters.add("intra_hmc", noc_bytes)
+            self.noc_bytes += noc_bytes
         self.vaults[vault].submit(
             DRAMRequest(line_addr, is_write, on_done, bank, row,
                         self.hop_latency, on_lost))

@@ -104,22 +104,24 @@ class VaultController:
         correctness argument depends on, are modelled exactly in
         ``repro.core``).
         """
-        self.queue.append(req)
-        self.stats.queue_peak = max(self.stats.queue_peak, len(self.queue))
-        self._schedule_wakeup(self.engine.now)
+        q = self.queue
+        q.append(req)
+        n = len(q)
+        stats = self.stats
+        if n > stats.queue_peak:
+            stats.queue_peak = n
+        # ``_wakeup_scheduled_at`` stamps the last wake-up armed and is
+        # never in the past while one is pending.  Only a wake-up armed
+        # for this very cycle serves the request in time; any other
+        # stamp (None, or a later cycle) gets one armed now.
+        now = self.engine.now
+        if self._wakeup_scheduled_at != now:
+            self._wakeup_scheduled_at = now
+            # The unbound function with the vault as its argument: a
+            # wake-up allocates no bound method.
+            self.engine.call_at(now, VaultController._service, self)
 
     # -- scheduling ---------------------------------------------------------
-
-    def _schedule_wakeup(self, time: int) -> None:
-        time = max(time, self.engine.now)
-        if (self._wakeup_scheduled_at is not None
-                and self._wakeup_scheduled_at <= time
-                and self._wakeup_scheduled_at >= self.engine.now):
-            return
-        self._wakeup_scheduled_at = time
-        # The unbound function with the vault as its argument: a wake-up
-        # allocates no bound method.
-        self.engine.call_at(time, VaultController._service, self)
 
     def _pick_index(self, now: int) -> tuple[int | None, int]:
         """FR-FCFS over the scheduler window: oldest row-hit with a free
@@ -154,20 +156,9 @@ class VaultController:
             return fallback, now
         return None, horizon
 
-    def _take(self, idx: int) -> DRAMRequest:
-        q = self.queue
-        if idx == 0:
-            return q.popleft()
-        q.rotate(-idx)
-        req = q.popleft()
-        q.rotate(idx)
-        return req
-
-    def _refresh_due(self, now: int) -> bool:
-        """Perform a refresh when its interval elapsed.  Returns True if
-        the vault is refreshing (caller must back off until it ends)."""
-        if self._next_refresh is None or now < self._next_refresh:
-            return False
+    def _refresh(self, now: int) -> None:
+        """Refresh every bank now; ``_service`` calls this once the
+        refresh interval has elapsed and backs off until it ends."""
         end = now + self.timing.tRFC
         for bank in self.banks:
             bank.busy_until = max(bank.busy_until, end)
@@ -178,39 +169,54 @@ class VaultController:
         # already fit in the idle time; don't replay the backlog.
         if self._next_refresh <= now:
             self._next_refresh = now + self.timing.tREFI
-        return True
 
     def _service(self) -> None:
+        """One wake-up: serve requests while the bus and a bank are free.
+        The stamp is cleared on entry and nothing below sets it before an
+        exit, so an exit that leaves requests queued arms its wake-up
+        unconditionally."""
         self._wakeup_scheduled_at = None
-        now = self.engine.now
-        if self._refresh_due(now):
-            if self.queue:
-                self._schedule_wakeup(now + self.timing.tRFC)
+        engine = self.engine
+        now = engine.now
+        queue = self.queue
+        if self._next_refresh is not None and now >= self._next_refresh:
+            self._refresh(now)
+            if queue:
+                wake = self._wakeup_scheduled_at = now + self.timing.tRFC
+                engine.call_at(wake, VaultController._service, self)
             return
-        while self.queue:
+        timing = self.timing
+        slot = max(timing.tCCD, timing.burst)
+        stats = self.stats
+        while queue:
             if self.bus_free_at > now:
-                self._schedule_wakeup(self.bus_free_at)
+                wake = self._wakeup_scheduled_at = self.bus_free_at
+                engine.call_at(wake, VaultController._service, self)
                 return
             idx, horizon = self._pick_index(now)
             if idx is None:
-                self._schedule_wakeup(max(horizon, now + 1))
+                wake = self._wakeup_scheduled_at = max(horizon, now + 1)
+                engine.call_at(wake, VaultController._service, self)
                 return
-            req = self._take(idx)
-            bank = self.banks[req.bank]
-            ready, activated = bank.access(req.row, req.is_write, now,
-                                           self.timing)
-            # Data bus occupied for the burst around the ready time.
-            self.bus_free_at = max(self.bus_free_at, now) + max(
-                self.timing.tCCD, self.timing.burst)
+            if idx == 0:
+                req = queue.popleft()
+            else:
+                req = queue[idx]
+                del queue[idx]
+            ready, activated = self.banks[req.bank].access(
+                req.row, req.is_write, now, timing)
+            # Data bus occupied for the burst around the ready time; it
+            # is free at ``now`` (checked above).
+            self.bus_free_at = now + slot
             if activated:
-                self.stats.activations += 1
-                self.stats.row_misses += 1
+                stats.activations += 1
+                stats.row_misses += 1
             else:
-                self.stats.row_hits += 1
+                stats.row_hits += 1
             if req.is_write:
-                self.stats.writes += 1
+                stats.writes += 1
             else:
-                self.stats.reads += 1
+                stats.reads += 1
             if (self.faults is not None and not req.is_write
                     and self.faults.decide("vault_read") is not None):
                 # Read-response loss: the access happened (timing, stats,
@@ -220,9 +226,8 @@ class VaultController:
                 # response would have arrived and may reissue; the rest
                 # rely on their own watchdogs.
                 if req.on_lost is not None:
-                    self.engine.call_at(ready + req.extra_latency,
-                                        req.on_lost, req)
+                    engine.call_at(ready + req.extra_latency,
+                                   req.on_lost, req)
                 continue
-            self.engine.call_at(ready + req.extra_latency, req.on_done, req)
-            now = self.engine.now  # unchanged; loop to try the next request
+            engine.call_at(ready + req.extra_latency, req.on_done, req)
         # queue drained; nothing to schedule

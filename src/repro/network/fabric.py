@@ -21,7 +21,7 @@ from typing import Callable
 from repro.config import SystemConfig
 from repro.memory.backend import backend_of
 from repro.network.topology import dimension_order_path, hypercube_topology
-from repro.sim.engine import _NOARG, Engine, Link, LinkCounters
+from repro.sim.engine import _NOARG, Engine, Link
 
 #: Per-hop router pipeline latency (SM cycles).
 HOP_LATENCY = 6
@@ -50,8 +50,7 @@ class MemoryNetwork:
     """Hypercube of device-to-device links: HMC serdes, or a CXL switch
     fabric on the ``cxl`` substrate (the record's ``net_bpc``)."""
 
-    def __init__(self, engine: Engine, cfg: SystemConfig,
-                 counters: LinkCounters) -> None:
+    def __init__(self, engine: Engine, cfg: SystemConfig) -> None:
         self.engine = engine
         self.cfg = cfg
         self.faults = None   # armed by the system when a plan is active
@@ -60,8 +59,7 @@ class MemoryNetwork:
         for u, v in hypercube_topology(cfg.num_hmcs):
             for a, b in ((u, v), (v, u)):
                 self._links[(a, b)] = Link(
-                    engine, f"net{a}->{b}", bpc, latency=HOP_LATENCY,
-                    traffic_class="mem_net", counters=counters)
+                    engine, f"net{a}->{b}", bpc, latency=HOP_LATENCY)
         # Every (src, dst) route, built once: a routed packet shares its
         # pair's tuple instead of building a path list.
         nodes = range(cfg.num_hmcs)
@@ -132,8 +130,7 @@ class GPULinks:
     responses on link ``i`` upstream.
     """
 
-    def __init__(self, engine: Engine, cfg: SystemConfig,
-                 counters: LinkCounters) -> None:
+    def __init__(self, engine: Engine, cfg: SystemConfig) -> None:
         if cfg.gpu.num_links != cfg.num_hmcs:
             raise ValueError(
                 f"system wiring expects one GPU link per HMC "
@@ -147,13 +144,9 @@ class GPULinks:
         self.up: list[Link] = []     # HMC -> GPU
         for i in range(cfg.num_hmcs):
             self.down.append(Link(engine, f"gpu->hmc{i}", be.link_down_bpc,
-                                  latency=be.link_down_latency,
-                                  traffic_class="gpu_link",
-                                  counters=counters))
+                                  latency=be.link_down_latency))
             self.up.append(Link(engine, f"hmc{i}->gpu", be.link_up_bpc,
-                                latency=be.link_up_latency,
-                                traffic_class="gpu_link",
-                                counters=counters))
+                                latency=be.link_up_latency))
 
     def to_hmc(self, hmc: int, size_bytes: int, deliver: Callable,
                lost: Callable | None = None, arg=_NOARG) -> None:

@@ -55,37 +55,6 @@ class Engine:
 
     # -- scheduling ----------------------------------------------------------
 
-    def _schedule(self, time: int, fn: Callable, a, b) -> None:
-        if time < self.now:
-            raise ValueError(f"cannot schedule at {time} < now {self.now}")
-        events = self._due.get(time)
-        if events is None:
-            self._due[time] = [(fn, a, b)]
-            heapq.heappush(self._times, time)
-        else:
-            events.append((fn, a, b))
-            self.calendar_events += 1
-
-    def at(self, time: int, fn: Callable[[], None]) -> None:
-        """Schedule ``fn`` to run at absolute cycle ``time``."""
-        self._schedule(int(time), fn, _NOARG, _NOARG)
-
-    def after(self, delay: float, fn: Callable[[], None]) -> None:
-        """Schedule ``fn`` to run ``delay`` cycles from now (ceil'd).
-
-        ``delay`` must be positive: a zero (or negative) delay would land
-        the callback at ``now``, and whether it still runs this cycle then
-        depends on where the caller sits relative to ``process_due`` -- the
-        classic double-counting hazard for rate-domain callers converting
-        fractional clock ratios.  Same-cycle scheduling must be explicit:
-        use ``at(engine.now, fn)``.  Sub-cycle delays (0 < delay < 1) are
-        legal and round up to one full cycle, but are counted in
-        ``subcycle_delays`` so a misconverted clock ratio surfaces in the
-        metrics summary instead of silently compressing to zero latency.
-        """
-        self._schedule(self.now + self._ceil_delay(delay), fn,
-                       _NOARG, _NOARG)
-
     def _ceil_delay(self, delay: float) -> int:
         if delay <= 0:
             raise ValueError(
@@ -96,15 +65,55 @@ class Engine:
         return math.ceil(delay)
 
     def call_at(self, time: int, fn: Callable, a=_NOARG, b=_NOARG) -> None:
-        """Like :meth:`at`, but binds up to two positional arguments into
-        the event entry -- the form hot callers use instead of
-        constructing a closure per event."""
-        self._schedule(int(time), fn, a, b)
+        """Schedule ``fn`` to run at absolute cycle ``time``, with up to
+        two positional arguments bound into the event entry -- the form
+        hot callers use instead of constructing a closure per event."""
+        time = int(time)
+        if time < self.now:
+            raise ValueError(f"cannot schedule at {time} < now {self.now}")
+        events = self._due.get(time)
+        if events is None:
+            self._due[time] = [(fn, a, b)]
+            heapq.heappush(self._times, time)
+        else:
+            events.append((fn, a, b))
+            self.calendar_events += 1
 
     def call_after(self, delay: float, fn: Callable, a=_NOARG,
                    b=_NOARG) -> None:
-        """Argument-binding form of :meth:`after`; see :meth:`call_at`."""
-        self._schedule(self.now + self._ceil_delay(delay), fn, a, b)
+        """Schedule ``fn`` to run ``delay`` cycles from now (ceil'd), with
+        arguments bound as in :meth:`call_at`.
+
+        ``delay`` must be positive: a zero (or negative) delay would land
+        the callback at ``now``, and whether it still runs this cycle then
+        depends on where the caller sits relative to ``process_due`` -- the
+        classic double-counting hazard for rate-domain callers converting
+        fractional clock ratios.  Same-cycle scheduling must be explicit:
+        use ``at(engine.now, fn)``.  Sub-cycle delays (0 < delay < 1) are
+        legal and round up to one full cycle, but are counted in
+        ``subcycle_delays`` so a misconverted clock ratio surfaces in the
+        metrics summary instead of silently compressing to zero latency.
+        A whole delay of at least one cycle needs no rounding and is never
+        sub-cycle, so only other delays go through that check.
+        """
+        if delay.__class__ is int and delay >= 1:
+            time = self.now + delay
+        else:
+            time = self.now + self._ceil_delay(delay)
+        events = self._due.get(time)
+        if events is None:
+            self._due[time] = [(fn, a, b)]
+            heapq.heappush(self._times, time)
+        else:
+            events.append((fn, a, b))
+            self.calendar_events += 1
+
+    #: The closure forms: ``at(time, fn)`` and ``after(delay, fn)``.
+    at = call_at
+    after = call_after
+    #: Untraced alias for :meth:`Link.send`, so a delivery is not counted
+    #: as an engine entry-point call.
+    _schedule = call_at
 
     # -- dispatch ------------------------------------------------------------
 
@@ -194,28 +203,24 @@ class RateAccumulator:
 class Link:
     """A unidirectional bandwidth-limited channel.
 
-    ``traffic_class`` tags the link for traffic/energy accounting
-    ("gpu_link", "mem_net", "intra_hmc").
+    ``bytes_sent`` is the traffic/energy accounting: a fabric's total is
+    the sum over its links.
     """
 
     __slots__ = ("engine", "name", "bytes_per_cycle", "latency",
-                 "traffic_class", "busy_until", "bytes_sent",
-                 "packets_sent", "counters")
+                 "busy_until", "bytes_sent", "packets_sent")
 
     def __init__(self, engine: Engine, name: str, bytes_per_cycle: float,
-                 latency: int = 4, traffic_class: str = "gpu_link",
-                 counters: "LinkCounters | None" = None) -> None:
+                 latency: int = 4) -> None:
         if bytes_per_cycle <= 0:
             raise ValueError("bytes_per_cycle must be positive")
         self.engine = engine
         self.name = name
         self.bytes_per_cycle = bytes_per_cycle
         self.latency = latency
-        self.traffic_class = traffic_class
         self.busy_until = 0
         self.bytes_sent = 0
         self.packets_sent = 0
-        self.counters = counters
 
     def send(self, size_bytes: int, deliver: Callable[..., None],
              arg=_NOARG) -> int:
@@ -229,16 +234,17 @@ class Link:
         """
         if size_bytes <= 0:
             raise ValueError("packet size must be positive")
-        now = self.engine.now
-        start = max(now, self.busy_until)
-        ser = math.ceil(size_bytes / self.bytes_per_cycle)
-        self.busy_until = start + ser
-        arrival = self.busy_until + self.latency
+        engine = self.engine
+        start = engine.now
+        busy = self.busy_until
+        if busy > start:
+            start = busy
+        busy = self.busy_until = start + math.ceil(
+            size_bytes / self.bytes_per_cycle)
+        arrival = busy + self.latency
         self.bytes_sent += size_bytes
         self.packets_sent += 1
-        if self.counters is not None:
-            self.counters.add(self.traffic_class, size_bytes)
-        self.engine._schedule(arrival, deliver, arg, _NOARG)
+        engine._schedule(arrival, deliver, arg)
         return arrival
 
     @property
@@ -250,22 +256,3 @@ class Link:
         if elapsed_cycles <= 0:
             return 0.0
         return min(1.0, self.bytes_sent / (self.bytes_per_cycle * elapsed_cycles))
-
-
-class LinkCounters:
-    """Aggregate byte counters per traffic class (feeds the energy model)."""
-
-    __slots__ = ("bytes_by_class",)
-
-    def __init__(self) -> None:
-        self.bytes_by_class: dict[str, int] = {}
-
-    def add(self, traffic_class: str, nbytes: int) -> None:
-        self.bytes_by_class[traffic_class] = (
-            self.bytes_by_class.get(traffic_class, 0) + nbytes)
-
-    def get(self, traffic_class: str) -> int:
-        return self.bytes_by_class.get(traffic_class, 0)
-
-    def total(self) -> int:
-        return sum(self.bytes_by_class.values())

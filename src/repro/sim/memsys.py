@@ -370,8 +370,7 @@ class GPUMemSystem:
         """Apply a vault-originated invalidation (Section 4.2)."""
         part = self.amap.hmc_of(line * LINE_SIZE)
         self.l2[part].invalidate(line)
-        for l1 in self.l1:
-            l1.invalidate(line)
+        Cache.invalidate_all(self.l1, line)
 
     def count_invalidation_bytes(self, nbytes: int) -> None:
         self.invalidation_bytes += nbytes

@@ -19,7 +19,7 @@ from repro.gpu.sm import SM
 from repro.memory.address import AddressMap
 from repro.memory.hmc import HMCStack
 from repro.network.fabric import GPULinks, MemoryNetwork
-from repro.sim.engine import Engine, LinkCounters, RateAccumulator
+from repro.sim.engine import Engine, RateAccumulator
 from repro.sim.results import RunResult, StallBreakdown, TrafficBytes
 
 
@@ -59,13 +59,12 @@ class System:
         self._struct_parks = 0
         self._struct_replayed = 0
         self.engine = Engine()
-        self.counters = LinkCounters()
         # The memory substrate ("hmc" or "cxl") is data: each component
         # below reads its device facts from repro.memory.backend.
         self.amap = AddressMap(cfg)
-        self.gpu_links = GPULinks(self.engine, cfg, self.counters)
-        self.network = MemoryNetwork(self.engine, cfg, self.counters)
-        self.hmcs = [HMCStack(self.engine, cfg, i, self.amap, self.counters)
+        self.gpu_links = GPULinks(self.engine, cfg)
+        self.network = MemoryNetwork(self.engine, cfg)
+        self.hmcs = [HMCStack(self.engine, cfg, i, self.amap)
                      for i in range(cfg.num_hmcs)]
 
         from repro.sim.memsys import GPUMemSystem
@@ -80,7 +79,7 @@ class System:
             self.ndp = NDPController(
                 self.engine, cfg, amap=self.amap, memsys=self.memsys,
                 gpu_links=self.gpu_links, network=self.network,
-                hmcs=self.hmcs, counters=self.counters, decider=self.decider)
+                hmcs=self.hmcs, decider=self.decider)
             self.nsus = [NSU(self.engine, cfg, i, self.ndp)
                          for i in range(cfg.num_hmcs)]
             self.ndp.nsus = self.nsus
@@ -447,6 +446,7 @@ class System:
             "mem_net.max_queue_delay":
                 self.network.metrics_snapshot()["max_queue_delay"],
         }
+        traffic = self._traffic()
         counters = {
             "sm.instructions": sum(s["instructions"] for s in sm_snaps),
             "stall.exec_unit_busy":
@@ -454,9 +454,9 @@ class System:
             "stall.dependency":
                 sum(s["stall_dependency"] for s in sm_snaps),
             "stall.warp_idle": sum(s["stall_warp_idle"] for s in sm_snaps),
-            "traffic.gpu_link": self.counters.get("gpu_link"),
-            "traffic.mem_net": self.counters.get("mem_net"),
-            "traffic.intra_hmc": self.counters.get("intra_hmc"),
+            "traffic.gpu_link": traffic.gpu_link,
+            "traffic.mem_net": traffic.mem_net,
+            "traffic.intra_hmc": traffic.intra_hmc,
         }
         if nsu_snaps:
             gauges["nsu.warps"] = sum(s["warps"] for s in nsu_snaps)
@@ -530,6 +530,16 @@ class System:
 
     # -- result collection --------------------------------------------------------------
 
+    def _traffic(self) -> TrafficBytes:
+        """Bytes by traffic class: each link counts what it sent, and each
+        stack what its NoC carried."""
+        return TrafficBytes(
+            gpu_link=self.gpu_links.total_bytes(),
+            mem_net=self.network.total_bytes(),
+            intra_hmc=sum(h.noc_bytes for h in self.hmcs),
+            invalidations=self.memsys.invalidation_bytes,
+        )
+
     def _collect(self) -> RunResult:
         stalls = StallBreakdown()
         for sm in self.sms:
@@ -537,12 +547,6 @@ class System:
         dram_acts = sum(h.stats.activations for h in self.hmcs)
         dram_reads = sum(h.stats.read_bytes for h in self.hmcs)
         dram_writes = sum(h.stats.write_bytes for h in self.hmcs)
-        traffic = TrafficBytes(
-            gpu_link=self.counters.get("gpu_link"),
-            mem_net=self.counters.get("mem_net"),
-            intra_hmc=self.counters.get("intra_hmc"),
-            invalidations=self.memsys.invalidation_bytes,
-        )
         nsu_occ = sum(n.occupancy_sum for n in self.nsus)
         nsu_cycles = sum(n.cycles for n in self.nsus)
         icache_touched = sum(len(n.icache_touched) for n in self.nsus)
@@ -555,7 +559,7 @@ class System:
             nsu_instructions=sum(n.instructions for n in self.nsus),
             warps_completed=sum(sm.warps_completed for sm in self.sms),
             stalls=stalls,
-            traffic=traffic,
+            traffic=self._traffic(),
             dram_activations=dram_acts,
             dram_reads=dram_reads,
             dram_writes=dram_writes,

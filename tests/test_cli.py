@@ -207,6 +207,16 @@ class TestLintCommand:
         err = capsys.readouterr().err
         assert "DET01;" in err and "PERF001" in err
 
+    @pytest.mark.parametrize("rules", [",", " , ", ""])
+    def test_lint_rules_naming_no_id_exits_2(self, rules, capsys):
+        import pathlib
+        root = pathlib.Path(__file__).resolve().parent.parent
+        assert main(["lint", str(root / "src" / "repro"),
+                     "--rules", rules]) == 2
+        captured = capsys.readouterr()
+        assert "no rule id given" in captured.err and "PERF001" in captured.err
+        assert "clean" not in captured.out
+
     def test_run_audit_flag_end_to_end(self, capsys):
         assert main(["--scale", "ci", "--no-store",
                      "run", "VADD", "Baseline", "--audit"]) == 0

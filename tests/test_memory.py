@@ -16,7 +16,7 @@ from repro.memory import (
 from repro.faults import FaultInjector, get_scenario
 from repro.memory.backend import backend_of
 from repro.memory.dram import BankState
-from repro.sim.engine import Engine, LinkCounters
+from repro.sim.engine import Engine
 
 
 @pytest.fixture
@@ -232,14 +232,78 @@ class TestVaultController:
         assert e.next_event_time() is None
 
 
+class TestVaultWakeups:
+    """The vault's wake-up protocol, counted in ``_service`` events: a
+    submit arms a wake-up unless one is armed for its very cycle, and a
+    service that finds the bus busy rearms at ``bus_free_at``."""
+
+    @pytest.fixture
+    def services(self, monkeypatch):
+        """The cycle of every ``_service`` event, in dispatch order."""
+        log = []
+        service = VaultController._service
+
+        def counted(vault):
+            log.append(vault.engine.now)
+            service(vault)
+
+        monkeypatch.setattr(VaultController, "_service", counted)
+        return log
+
+    @staticmethod
+    def _req(bank):
+        return DRAMRequest(bank, False, lambda r: None, bank=bank, row=0)
+
+    def test_second_submit_same_cycle_arms_nothing(self, services):
+        e = Engine()
+        vault, stats, t = _mk_vault(e)
+        vault.submit(self._req(0))
+        vault.submit(self._req(1))
+        assert e.pending == 1
+        e.drain()
+        slot = max(t.tCCD, t.burst)
+        assert services == [0, slot]
+        assert stats.reads == 2
+
+    def test_submit_with_later_wakeup_pending_arms_one_now(self, services):
+        e = Engine()
+        vault, stats, t = _mk_vault(e)
+        vault.submit(self._req(0))
+        vault.submit(self._req(1))
+        e.process_due()
+        later = vault.bus_free_at
+        assert later > 1 and vault._wakeup_scheduled_at == later
+        e.now = 1
+        vault.submit(self._req(2))
+        assert vault._wakeup_scheduled_at == 1
+        assert e.next_event_time() == 1
+        e.process_due()
+        assert services == [0, 1]
+        e.drain()
+        assert stats.reads == 3 and not vault.queue
+
+    def test_busy_bus_rearms_at_bus_free_at(self, services):
+        e = Engine()
+        vault, stats, t = _mk_vault(e)
+        for bank in range(3):
+            vault.submit(self._req(bank))
+        e.process_due()
+        # The service at 0 served one request, then found the bus busy.
+        slot = max(t.tCCD, t.burst)
+        assert stats.reads == 1
+        assert vault._wakeup_scheduled_at == vault.bus_free_at == slot
+        e.drain()
+        assert services == [0, slot, 2 * slot]
+        assert stats.reads == 3
+
+
 class TestHMCStack:
     @pytest.mark.parametrize("backend", ["hmc", "cxl"])
     def test_access_routes_to_owner_only(self, backend):
         e = Engine()
         cfg = ci_config().with_backend(backend)
         amap = AddressMap(cfg)
-        c = LinkCounters()
-        stack = HMCStack(e, cfg, 0, amap, c)
+        stack = HMCStack(e, cfg, 0, amap)
         # find a line owned by device 0
         line = next(l for l in range(10000)
                     if amap.hmc_of(l * LINE_SIZE) == 0)
@@ -252,13 +316,13 @@ class TestHMCStack:
         e.drain()
         assert done == [line]
         # Only the HMC's logic-layer NoC carries (and charges) bytes.
-        assert c.get("intra_hmc") == (LINE_SIZE if backend == "hmc" else 0)
+        assert stack.noc_bytes == (LINE_SIZE if backend == "hmc" else 0)
 
     def test_peak_bandwidth_near_spec(self):
         e = Engine()
         cfg = SystemConfig()
         amap = AddressMap(cfg)
-        stack = HMCStack(e, cfg, 0, amap, LinkCounters())
+        stack = HMCStack(e, cfg, 0, amap)
         bw = stack.peak_bandwidth_bytes_per_cycle()
         gbps = bw * cfg.gpu.sm_clock_mhz * 1e6 / 1e9
         # HMC spec: ~320 GB/s peak DRAM bandwidth per stack.

@@ -11,7 +11,7 @@ from repro.gpu.sm import _MemReplay
 from repro.memory.address import AddressMap
 from repro.memory.hmc import HMCStack
 from repro.network.fabric import GPULinks
-from repro.sim.engine import Engine, LinkCounters
+from repro.sim.engine import Engine
 from repro.sim.memsys import GPUMemSystem
 
 
@@ -23,11 +23,9 @@ class FakeSM:
 def mk_memsys(cfg=None):
     e = Engine()
     cfg = cfg or ci_config()
-    counters = LinkCounters()
     amap = AddressMap(cfg)
-    links = GPULinks(e, cfg, counters)
-    hmcs = [HMCStack(e, cfg, i, amap, counters)
-            for i in range(cfg.num_hmcs)]
+    links = GPULinks(e, cfg)
+    hmcs = [HMCStack(e, cfg, i, amap) for i in range(cfg.num_hmcs)]
     return e, GPUMemSystem(e, cfg, amap=amap, gpu_links=links, hmcs=hmcs)
 
 
@@ -226,8 +224,16 @@ class TestNDPHooks:
         e, mem = mk_memsys()
         part = mem.amap.hmc_of(7 * LINE_SIZE)
         mem.l2[part].insert(7)
-        for l1 in mem.l1:
+        holders = mem.l1[::2]
+        for l1 in holders:
             l1.insert(7)
+        # A line of the same L1 set that must survive.
+        neighbour = 7 + mem.l1[0].num_sets
+        mem.l1[0].insert(neighbour)
         mem.invalidate(7)
         assert not mem.l2[part].contains(7)
         assert all(not l1.contains(7) for l1 in mem.l1)
+        assert mem.l1[0].contains(neighbour)
+        # One count per dropped copy, as Cache.invalidate counts.
+        assert mem.l1_stats.invalidations == len(holders)
+        assert mem.l2_stats.invalidations == 1

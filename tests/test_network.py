@@ -16,7 +16,7 @@ from repro.network import (
     dimension_order_path,
     hypercube_topology,
 )
-from repro.sim.engine import Engine, LinkCounters
+from repro.sim.engine import Engine
 
 
 class TestTopology:
@@ -67,7 +67,7 @@ class TestMemoryNetwork:
     def _net(self, num_hmcs=8):
         e = Engine()
         cfg = SystemConfig(num_hmcs=num_hmcs)
-        net = MemoryNetwork(e, cfg, LinkCounters())
+        net = MemoryNetwork(e, cfg)
         return e, net
 
     def test_local_delivery_is_free(self):
@@ -106,12 +106,13 @@ class TestMemoryNetwork:
     def test_traffic_does_not_touch_gpu_links(self):
         e = Engine()
         cfg = SystemConfig(num_hmcs=8)
-        counters = LinkCounters()
-        net = MemoryNetwork(e, cfg, counters)
+        net = MemoryNetwork(e, cfg)
+        links = GPULinks(e, cfg)
         net.send(0, 5, 512, lambda: None)
         e.drain()
-        assert counters.get("mem_net") > 0
-        assert counters.get("gpu_link") == 0
+        assert net.total_bytes() == 2 * 512   # 0 -> 1 -> 5
+        assert links.total_bytes() == 0
+        assert all(l.packets_sent == 0 for l in links.down + links.up)
 
     @pytest.mark.parametrize("num_hmcs", [1, 2, 4, 8, 16])
     def test_route_table_is_dimension_order(self, num_hmcs):
@@ -134,12 +135,12 @@ class TestGPULinks:
         e = Engine()
         cfg = SystemConfig(num_hmcs=4)  # default GPU has 8 links
         with pytest.raises(ValueError):
-            GPULinks(e, cfg, LinkCounters())
+            GPULinks(e, cfg)
 
     def test_down_and_up_independent(self):
         e = Engine()
         cfg = ci_config()
-        links = GPULinks(e, cfg, LinkCounters())
+        links = GPULinks(e, cfg)
         times = {}
         links.to_hmc(0, 1024, lambda: times.setdefault("down", e.now))
         links.to_gpu(0, 1024, lambda: times.setdefault("up", e.now))
@@ -150,7 +151,7 @@ class TestGPULinks:
     def test_per_hmc_links_parallel(self):
         e = Engine()
         cfg = ci_config()
-        links = GPULinks(e, cfg, LinkCounters())
+        links = GPULinks(e, cfg)
         times = []
         for h in range(cfg.num_hmcs):
             links.to_hmc(h, 2048, lambda: times.append(e.now))
@@ -160,13 +161,14 @@ class TestGPULinks:
     def test_byte_accounting(self):
         e = Engine()
         cfg = ci_config()
-        c = LinkCounters()
-        links = GPULinks(e, cfg, c)
+        links = GPULinks(e, cfg)
         links.to_hmc(1, 100, lambda: None)
         links.to_gpu(0, 50, lambda: None)
+        assert [l.bytes_sent for l in links.down][:2] == [0, 100]
+        assert [l.bytes_sent for l in links.up][:2] == [50, 0]
         assert links.bytes_down() == 100
         assert links.bytes_up() == 50
-        assert c.get("gpu_link") == 150
+        assert links.total_bytes() == 150
 
     @staticmethod
     def _send_one(direction, kind=None, **arg):
@@ -174,7 +176,7 @@ class TestGPULinks:
         direction faulted by ``kind`` when given; returns what its
         callbacks saw: ``(callback, *args, cycle)``."""
         e = Engine()
-        links = GPULinks(e, ci_config(), LinkCounters())
+        links = GPULinks(e, ci_config())
         if kind is not None:
             specs = tuple(FaultSpec(site=site, kind=kind, rate=1.0,
                                     delay_cycles=50)
@@ -213,6 +215,6 @@ class TestGPULinks:
         gpu_bw = cfg.gpu.total_offchip_bytes_per_sm_cycle * 2
         from repro.memory import AddressMap, HMCStack
         e = Engine()
-        stack = HMCStack(e, cfg, 0, AddressMap(cfg), LinkCounters())
+        stack = HMCStack(e, cfg, 0, AddressMap(cfg))
         dram_bw = stack.peak_bandwidth_bytes_per_cycle() * cfg.num_hmcs
         assert dram_bw > 3 * gpu_bw

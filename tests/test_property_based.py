@@ -170,6 +170,7 @@ class HeapOracle:
         self.now = 0
         self.heap = []
         self.seq = 0
+        self.subcycle_delays = 0
 
     def call_at(self, time, fn, *args):
         assert time >= self.now
@@ -177,6 +178,9 @@ class HeapOracle:
         heapq.heappush(self.heap, (time, self.seq, fn, args))
 
     def call_after(self, delay, fn, *args):
+        assert delay > 0
+        if delay < 1:
+            self.subcycle_delays += 1
         self.call_at(self.now + math.ceil(delay), fn, *args)
 
     def at(self, time, fn):
@@ -203,11 +207,51 @@ class HeapOracle:
             self.process_due()
 
 
+class LinkOracle:
+    """Reference link: a packet serializes behind the earlier ones
+    (``busy_until``), then takes the propagation latency, and is
+    delivered through the oracle's ``call_at``."""
+
+    def __init__(self, oracle, bytes_per_cycle, latency):
+        self.oracle = oracle
+        self.bytes_per_cycle = bytes_per_cycle
+        self.latency = latency
+        self.busy_until = 0
+        self.bytes_sent = 0
+
+    def send(self, size, deliver, *args):
+        start = max(self.oracle.now, self.busy_until)
+        self.busy_until = start + math.ceil(size / self.bytes_per_cycle)
+        self.bytes_sent += size
+        arrival = self.busy_until + self.latency
+        self.oracle.call_at(arrival, deliver, *args)
+        return arrival
+
+
+#: ``(bytes_per_cycle, latency)`` of the links a schedule program sends
+#: on: a whole and a fractional rate, with and without latency.
+LINKS = ((16, 3), (2.5, 0))
+
+
+def make_links(engine):
+    """The program's links on ``engine``: model links on the oracle."""
+    if isinstance(engine, HeapOracle):
+        return [LinkOracle(engine, bpc, lat) for bpc, lat in LINKS]
+    return [Link(engine, f"l{i}", bpc, latency=lat)
+            for i, (bpc, lat) in enumerate(LINKS)]
+
+
 #: Offsets for ``at``/``call_at`` and delays for ``after``/``call_after``:
-#: small ones collide on the same cycles, a few are far.
+#: small ones collide on the same cycles, a few are far.  Delays are
+#: whole ints, whole and fractional floats (1.0 is not sub-cycle), and
+#: sub-cycle floats.
 OFFSETS = st.sampled_from([0, 0, 1, 2, 3]) | st.sampled_from([40, 300])
-DELAYS = st.sampled_from([1, 1, 2, 3, 0.5, 2.5]) | st.sampled_from([40, 300])
+DELAYS = (st.sampled_from([1, 1, 2, 3, 1.0, 2.0, 2.5, 0.5, 0.25])
+          | st.sampled_from([40, 300]))
 BOUND = st.lists(st.sampled_from([None, 0, "x"]), max_size=2)
+#: A link send: which link, and the packet size.
+SENDS = st.tuples(st.integers(0, len(LINKS) - 1),
+                  st.sampled_from([1, 16, 17, 40, 100]))
 
 
 def _event_op(children):
@@ -218,7 +262,10 @@ def _event_op(children):
         st.tuples(st.just("after"), DELAYS, st.just(()), children),
         st.tuples(st.just("call_at"), OFFSETS, BOUND.map(tuple), children),
         st.tuples(st.just("call_after"), DELAYS, BOUND.map(tuple),
-                  children))
+                  children),
+        st.tuples(st.just("send"), SENDS,
+                  st.lists(st.sampled_from([None, 0, "x"]),
+                           max_size=1).map(tuple), children))
 
 
 EVENT_OPS = st.recursive(_event_op(st.just(())),
@@ -226,15 +273,16 @@ EVENT_OPS = st.recursive(_event_op(st.just(())),
                          max_leaves=25)
 
 
-def schedule_op(engine, op, label, log):
-    """Schedule ``op`` on ``engine``; its callback logs ``label``, the
-    cycle and the arguments it got, then schedules its children."""
+def schedule_op(engine, links, op, label, log):
+    """Schedule ``op`` on ``engine`` (a send goes over one of ``links``);
+    its callback logs ``label``, the cycle and the arguments it got, then
+    schedules its children."""
     method, when, args, children = op
 
     def fire(*got):
         log.append((label, engine.now, got))
         for i, child in enumerate(children):
-            schedule_op(engine, child, label + (i,), log)
+            schedule_op(engine, links, child, label + (i,), log)
 
     if method == "at":
         engine.at(engine.now + when, fire)
@@ -242,34 +290,41 @@ def schedule_op(engine, op, label, log):
         engine.after(when, fire)
     elif method == "call_at":
         engine.call_at(engine.now + when, fire, *args)
-    else:
+    elif method == "call_after":
         engine.call_after(when, fire, *args)
+    else:
+        link, size = when
+        links[link].send(size, fire, *args)
 
 
 class TestEngineProperties:
     """The engine's dispatch order, ``pending`` and ``next_event_time``
     equal a single ``(time, seq)`` heap's on drawn schedule programs:
     top-level calls at cycle 0, calls injected after ``process_due`` at
-    later cycles (as ticks make them), and callbacks that schedule more
-    events at ``now`` and later."""
+    later cycles (as ticks make them), callbacks that schedule more
+    events at ``now`` and later, and link deliveries.  Only delays below
+    one cycle count in ``subcycle_delays``."""
 
     @staticmethod
     def step(engine, program, injected):
-        """Drive one cycle at a time; returns the dispatch log and the
-        ``(now, pending, next_event_time)`` trail after each cycle."""
+        """Drive one cycle at a time; returns the dispatch log, the
+        ``(now, pending, next_event_time)`` trail after each cycle, the
+        sub-cycle delay count and the bytes each link sent."""
         log, trail = [], []
+        links = make_links(engine)
         for i, op in enumerate(program):
-            schedule_op(engine, op, (i,), log)
+            schedule_op(engine, links, op, (i,), log)
         last = max((c for c, _ in injected), default=0)
         while True:
             engine.process_due()
             for i, (cycle, op) in enumerate(injected):
                 if cycle == engine.now:
-                    schedule_op(engine, op, ("tick", i), log)
+                    schedule_op(engine, links, op, ("tick", i), log)
             nt = engine.next_event_time()
             trail.append((engine.now, engine.pending, nt))
             if nt is None and engine.now >= last:
-                return log, trail
+                return (log, trail, engine.subcycle_delays,
+                        [l.bytes_sent for l in links])
             engine.now += 1
 
     @settings(max_examples=200, deadline=None)
@@ -277,9 +332,9 @@ class TestEngineProperties:
            st.lists(st.tuples(st.integers(0, 6), EVENT_OPS), max_size=3))
     def test_stepping_matches_heap_oracle(self, program, injected):
         e = Engine()
-        log, trail = self.step(e, program, injected)
-        assert (log, trail) == self.step(HeapOracle(), program, injected)
-        assert e.events_processed == len(log)
+        run = self.step(e, program, injected)
+        assert run == self.step(HeapOracle(), program, injected)
+        assert e.events_processed == len(run[0])
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(EVENT_OPS, min_size=1, max_size=6))
@@ -287,14 +342,16 @@ class TestEngineProperties:
         runs = []
         for engine in (Engine(), HeapOracle()):
             log = []
+            links = make_links(engine)
             for i, op in enumerate(program):
-                schedule_op(engine, op, (i,), log)
+                schedule_op(engine, links, op, (i,), log)
             before = (engine.pending, engine.next_event_time())
             engine.drain()
             runs.append((log, before, engine.now, engine.pending,
-                         engine.next_event_time()))
+                         engine.next_event_time(), engine.subcycle_delays,
+                         [l.bytes_sent for l in links]))
         assert runs[0] == runs[1]
-        assert runs[0][3:] == (0, None)
+        assert runs[0][3:5] == (0, None)
 
 
 class TestLinkProperties:

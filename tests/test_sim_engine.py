@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import Engine, Link, LinkCounters, RateAccumulator
+from repro.sim.engine import Engine, Link, RateAccumulator
 
 
 class TestEngine:
@@ -139,17 +139,15 @@ class TestLink:
         # 5000 bytes at 10 B/cyc cannot finish before cycle 500.
         assert arrivals[-1] == 500
 
-    def test_counters_accumulate_by_class(self):
+    def test_bytes_accumulate_per_link(self):
         e = Engine()
-        c = LinkCounters()
-        l1 = Link(e, "a", 8, traffic_class="gpu_link", counters=c)
-        l2 = Link(e, "b", 8, traffic_class="mem_net", counters=c)
+        l1 = Link(e, "a", 8)
+        l2 = Link(e, "b", 8)
         l1.send(64, lambda: None)
         l2.send(32, lambda: None)
         l2.send(32, lambda: None)
-        assert c.get("gpu_link") == 64
-        assert c.get("mem_net") == 64
-        assert c.total() == 128
+        assert (l1.bytes_sent, l1.packets_sent) == (64, 1)
+        assert (l2.bytes_sent, l2.packets_sent) == (64, 2)
 
     def test_utilization(self):
         e = Engine()

@@ -13,6 +13,7 @@ import pytest
 
 from repro.config import ci_config
 from repro.core.offload import OffloadInstance
+from repro.sim.metrics import MetricsRegistry
 from repro.sim.runner import build_system, make_config, run_workload
 from repro.sim.system import System
 from repro.workloads import get_workload
@@ -196,6 +197,59 @@ class TestAllWorkloadsRun:
         inst = get_workload(name).build(base, "ci")
         assert r.warps_completed == inst.num_warps
         assert r.cycles > 0
+
+
+class TestTrafficTotals:
+    """``RunResult.traffic`` and the metrics' ``traffic.*`` counters read
+    the links' own bytes and the stacks' NoC bytes."""
+
+    @pytest.mark.parametrize("backend", ["hmc", "cxl"])
+    @pytest.mark.parametrize("workload,config", [
+        ("BFS", "NaiveNDP"), ("STCL", "Baseline")])
+    def test_totals_are_the_links_and_stacks_bytes(self, base, backend,
+                                                   workload, config):
+        metrics = MetricsRegistry(heartbeat_cycles=100)
+        system = build_system(workload, config,
+                              base=base.with_backend(backend), scale="ci",
+                              metrics=metrics)
+        # Read the links' and stacks' bytes at each heartbeat, just
+        # before the system publishes it.
+        sampled = []
+        publish = system._publish_heartbeat
+
+        def sample_then_publish():
+            sampled.append((system.gpu_links.total_bytes(),
+                            system.network.total_bytes(),
+                            sum(h.noc_bytes for h in system.hmcs)))
+            publish()
+
+        system._publish_heartbeat = sample_then_publish
+        res = system.run()
+        t = res.traffic
+        assert t.gpu_link == system.gpu_links.total_bytes() > 0
+        assert t.mem_net == system.network.total_bytes()
+        assert t.intra_hmc == sum(h.noc_bytes for h in system.hmcs)
+        if backend == "cxl":
+            assert t.intra_hmc == 0
+        else:
+            assert t.intra_hmc > 0
+        if config == "NaiveNDP":
+            assert t.mem_net > 0
+        counters = metrics.snapshot()["counters"]
+        assert {k: counters[f"traffic.{k}"] for k in t.as_dict()} == (
+            t.as_dict())
+        # Each heartbeat carries the bytes of that moment, and the late
+        # ones have seen traffic.
+        beats = [tuple(hb["counters"][f"traffic.{k}"]
+                       for k in ("gpu_link", "mem_net", "intra_hmc"))
+                 for hb in metrics.heartbeats]
+        assert len(beats) >= 2 and beats == sampled
+        gpu_link, mem_net, intra_hmc = beats[-1]
+        assert 0 < gpu_link <= t.gpu_link
+        if config == "NaiveNDP":
+            assert mem_net > 0
+        if backend == "hmc":
+            assert intra_hmc > 0
 
 
 @contextlib.contextmanager
