@@ -70,19 +70,17 @@ def _base_config(args):
 def _recovery_override(args):
     """A RecoveryPolicy built from the --ack-timeout/--mshr-timeout/
     --max-retries/--adaptive-recovery flags (None when untouched)."""
-    if not (getattr(args, "ack_timeout", None)
-            or getattr(args, "mshr_timeout", None)
-            or getattr(args, "max_retries", None) is not None
-            or getattr(args, "adaptive_recovery", False)):
+    given = {name: getattr(args, name)
+             for name in ("ack_timeout", "max_retries")
+             if getattr(args, name, None) is not None}
+    mshr_timeout = getattr(args, "mshr_timeout", None)
+    adaptive = getattr(args, "adaptive_recovery", False)
+    if not given and mshr_timeout is None and not adaptive:
         return None
     from repro.faults import RecoveryPolicy
-    policy = RecoveryPolicy(
-        ack_timeout=args.ack_timeout or 3000,
-        max_retries=(args.max_retries if args.max_retries is not None
-                     else 3),
-        adaptive=bool(args.adaptive_recovery))
-    if args.mshr_timeout:
-        policy = policy.with_site_timeout("mshr", args.mshr_timeout)
+    policy = RecoveryPolicy(adaptive=adaptive, **given)
+    if mshr_timeout is not None:
+        policy = policy.with_site_timeout("mshr", mshr_timeout)
     return policy
 
 
@@ -325,7 +323,7 @@ def cmd_chaos(args) -> int:
                            configs=configs, workloads=workloads,
                            fault_seed=args.fault_seed,
                            recovery=_recovery_override(args), runner=runner)
-    except KeyError as e:
+    except (KeyError, ValueError) as e:
         print(str(e.args[0]) if e.args else str(e), file=sys.stderr)
         return 2
 

@@ -26,7 +26,7 @@ coherence
 
 from repro.core.packets import PacketSizes
 from repro.core.credit import BufferCreditManager, Reservation
-from repro.core.buffers import ReadDataBuffer, WriteAddressBuffer
+from repro.core.buffers import NDPBuffer
 from repro.core.target_select import (
     first_instr_target,
     optimal_target,
@@ -46,8 +46,7 @@ __all__ = [
     "PacketSizes",
     "BufferCreditManager",
     "Reservation",
-    "ReadDataBuffer",
-    "WriteAddressBuffer",
+    "NDPBuffer",
     "first_instr_target",
     "optimal_target",
     "target_policy_traffic_study",

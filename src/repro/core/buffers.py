@@ -1,131 +1,87 @@
 """NSU-side NDP buffers (paper Section 4.1.2).
 
-The read-data buffer holds, per outstanding load instruction, the words
-delivered by RDF response packets; an entry is complete when every word the
-GPU's coalescer promised has arrived (the paper merges multiple RDF
-responses into one entry via the active-thread mask).  The write-address
-buffer holds the WTA packets' coalesced line addresses for each store
-instruction.  Both are keyed by (offload instance, sequence number), the
-offload packet ID of Figure 4.
+The read-data and write-address buffers are one structure (Figure 4).
+Each entry is keyed by (offload instance, sequence number), the offload
+packet ID, and holds a GPU-side credit (Section 4.3).  The GPU announces
+an entry, with the amount it will deliver, before the entry's first
+packet leaves; deliveries fill it until that amount has arrived.  The
+read-data buffer counts the words of one load's RDF responses (the
+paper merges several responses into one entry via the active-thread
+mask); the write-address buffer counts one store's WTA packets and
+keeps their coalesced line addresses in arrival order.
 
-Capacity is enforced by construction: the GPU-side credit manager never
-lets more entries be outstanding than the buffer holds, and these classes
-assert that invariant.
+Capacity is enforced by construction: the credit manager never lets
+more entries be outstanding than the buffer holds, and this class
+asserts that invariant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-from repro.gpu.coalescer import MemAccess
+class _Entry:
+    """One buffer entry: the amount still to arrive, and the delivered
+    items."""
 
+    __slots__ = ("remaining", "items")
 
-@dataclass
-class ReadEntry:
-    """One read-data buffer entry (one load instruction of one instance)."""
-
-    expected_words: int | None = None   # None until the GPU generated RDFs
-    arrived_words: int = 0
-    arrived_packets: int = 0
-
-    @property
-    def complete(self) -> bool:
-        return (self.expected_words is not None
-                and self.arrived_words >= self.expected_words)
+    def __init__(self, amount: int) -> None:
+        self.remaining = amount
+        self.items: list = []
 
 
-class ReadDataBuffer:
-    """Read-data buffer of one NSU."""
+class NDPBuffer:
+    """One NDP buffer of one NSU; ``name`` labels its assertion messages."""
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(self, name: str, capacity: int) -> None:
+        self.name = name
         self.capacity = capacity
-        self._entries: dict[tuple, ReadEntry] = {}
+        self._entries: dict[tuple, _Entry] = {}
         self.peak = 0
 
-    def _entry(self, key: tuple) -> ReadEntry:
+    def expect(self, key: tuple, amount: int) -> None:
+        """The GPU announced an entry that ``amount`` units will fill."""
+        entries = self._entries
+        if key in entries:
+            raise AssertionError(f"duplicate {self.name} entry {key}")
+        if len(entries) >= self.capacity:
+            raise AssertionError(
+                f"{self.name} buffer overflow: credit management must "
+                "prevent this (Section 4.3)")
+        entries[key] = _Entry(amount)
+        if len(entries) > self.peak:
+            self.peak = len(entries)
+
+    def deliver(self, key: tuple, amount: int, item=None) -> bool:
+        """``amount`` units (and ``item``, if given) arrived; returns True
+        if the entry is now complete."""
         e = self._entries.get(key)
         if e is None:
-            if len(self._entries) >= self.capacity:
-                raise AssertionError(
-                    "read-data buffer overflow: credit management must "
-                    "prevent this (Section 4.3)")
-            e = ReadEntry()
-            self._entries[key] = e
-            self.peak = max(self.peak, len(self._entries))
-        return e
-
-    def expect(self, key: tuple, words: int) -> None:
-        """GPU-side RDF generation announced the total words for a load."""
-        e = self._entry(key)
-        if e.expected_words is not None:
-            raise AssertionError(f"duplicate expectation for {key}")
-        e.expected_words = words
-
-    def deliver(self, key: tuple, words: int) -> bool:
-        """An RDF response arrived; returns True if the entry is complete."""
-        e = self._entry(key)
-        e.arrived_words += words
-        e.arrived_packets += 1
-        return e.complete
-
-    def is_complete(self, key: tuple) -> bool:
-        e = self._entries.get(key)
-        return e is not None and e.complete
-
-    def consume(self, key: tuple) -> ReadEntry:
-        """The NSU load instruction reads and frees the entry."""
-        e = self._entries.pop(key, None)
-        if e is None or not e.complete:
-            raise AssertionError(f"consuming incomplete read entry {key}")
-        return e
-
-    def purge_uid(self, uid) -> int:
-        """Drop every entry of one offload instance (recovery abort).
-        Returns the number of entries removed."""
-        keys = [k for k in self._entries if k[0] == uid]
-        for k in keys:
-            del self._entries[k]
-        return len(keys)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-class WriteAddressBuffer:
-    """Write-address buffer of one NSU."""
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._entries: dict[tuple, tuple[MemAccess, ...]] = {}
-        self.peak = 0
-
-    def deliver(self, key: tuple, accesses: tuple[MemAccess, ...]) -> None:
-        if key in self._entries:
-            raise AssertionError(f"duplicate WTA entry {key}")
-        if len(self._entries) >= self.capacity:
             raise AssertionError(
-                "write-address buffer overflow: credit management must "
-                "prevent this (Section 4.3)")
-        self._entries[key] = accesses
-        self.peak = max(self.peak, len(self._entries))
+                f"{self.name} delivery to unannounced entry {key}")
+        e.remaining -= amount
+        if item is not None:
+            e.items.append(item)
+        return e.remaining <= 0
 
-    def has(self, key: tuple) -> bool:
-        return key in self._entries
+    def complete(self, key: tuple) -> bool:
+        e = self._entries.get(key)
+        return e is not None and e.remaining <= 0
 
-    def consume(self, key: tuple) -> tuple[MemAccess, ...]:
-        """The NSU store instruction reads and frees the entry."""
-        accesses = self._entries.pop(key, None)
-        if accesses is None:
-            raise AssertionError(f"consuming missing WTA entry {key}")
-        return accesses
+    def consume(self, key: tuple) -> list:
+        """The NSU instruction reads and frees a complete entry; returns
+        its delivered items."""
+        e = self._entries.pop(key, None)
+        if e is None or e.remaining > 0:
+            raise AssertionError(
+                f"consuming incomplete {self.name} entry {key}")
+        return e.items
 
-    def purge_uid(self, uid) -> list[MemAccess]:
+    def purge_uid(self, uid) -> list:
         """Drop every entry of one offload instance (recovery abort).
-        Returns the purged accesses so the controller can unwind its
-        in-flight WTA counters."""
-        out: list[MemAccess] = []
+        Returns the purged entries' delivered items."""
+        out: list = []
         for k in [k for k in self._entries if k[0] == uid]:
-            out.extend(self._entries.pop(k))
+            out.extend(self._entries.pop(k).items)
         return out
 
     def __len__(self) -> int:

@@ -113,8 +113,9 @@ class BufferCreditManager:
     # -- credit return ---------------------------------------------------------
 
     def release(self, hmc: int, *, cmd: int = 0, read_data: int = 0,
-                write_addr: int = 0, delay: int = CREDIT_RETURN_DELAY) -> bool:
-        """NSU returns credits (piggybacked; latency only, no bandwidth).
+                write_addr: int = 0) -> bool:
+        """NSU returns credits (piggybacked; latency only, no bandwidth):
+        they reach the bank ``CREDIT_RETURN_DELAY`` cycles later.
 
         Returns False when an armed fault plan drops the credit-return
         message -- the caller's ledger keeps the entries until recovery
@@ -122,11 +123,8 @@ class BufferCreditManager:
         if (self.faults is not None
                 and self.faults.decide("credit") is not None):
             return False
-        counts = (cmd, read_data, write_addr)
-        if delay:
-            self.engine.call_after(delay, self._restore, hmc, counts)
-        else:
-            self._restore(hmc, counts)
+        self.engine.call_after(CREDIT_RETURN_DELAY, self._restore, hmc,
+                               (cmd, read_data, write_addr))
         return True
 
     def reconcile(self, hmc: int, *, cmd: int = 0, read_data: int = 0,

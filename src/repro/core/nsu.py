@@ -17,7 +17,7 @@ import weakref
 from collections import deque
 
 from repro.config import LINE_SIZE, SystemConfig
-from repro.core.buffers import ReadDataBuffer, WriteAddressBuffer
+from repro.core.buffers import NDPBuffer
 from repro.gpu.cache import Cache, CacheStats
 from repro.memory.backend import backend_of
 from repro.sim.engine import Engine
@@ -34,7 +34,7 @@ class NSUWarp:
     """One spawned offload-block execution on an NSU."""
 
     __slots__ = ("inst", "code", "sub_pc", "reg_ready",
-                 "outstanding_writes", "state", "wait_key")
+                 "outstanding_writes", "state")
 
     def __init__(self, inst) -> None:
         self.inst = inst
@@ -42,9 +42,8 @@ class NSUWarp:
         self.sub_pc = 1          # skip OFLD.BEG, executed at spawn
         self.reg_ready: dict[int, int] = {}
         self.outstanding_writes = 0
-        self.state = "ready"     # ready | wait_read | wait_wta | wait_reg
+        self.state = "ready"     # ready | wait_read | wait_wta
                                  # | wait_writes
-        self.wait_key = None
 
 
 class NSU:
@@ -68,20 +67,17 @@ class NSU:
         # 32-thread warp instruction over several NSU cycles.
         self.subcycles_per_instr = max(1, -(-n.warp_width // n.simd_width))
         self._busy_subcycles = 0
-        self.read_buf = ReadDataBuffer(n.read_data_entries)
-        self.wta_buf = WriteAddressBuffer(n.write_addr_entries)
+        self.read_buf = NDPBuffer("read-data", n.read_data_entries)
+        self.wta_buf = NDPBuffer("write-address", n.write_addr_entries)
         # Sized like the command credits the controller grants.
         self.cmd_entries = backend_of(cfg).cmd_entries
         self.cmd_queue: deque = deque()
         self.warps: list[NSUWarp] = []
         self.ready: deque[NSUWarp] = deque()
-        # WTA packets may arrive before their entry is expected; count the
-        # arrived packets per key until the expectation lands.
-        self._wta_arrived: dict[tuple, list] = {}
-        self._wta_expected: dict[tuple, int] = {}
-        # Waiters on read/WTA completion, keyed like the buffers.
-        self._read_waiters: dict[tuple, NSUWarp] = {}
-        self._wta_waiters: dict[tuple, NSUWarp] = {}
+        # Warps blocked on an incomplete buffer entry, keyed like the
+        # buffers: a load and a store of one instance never share a key,
+        # since both take the instance's next sequence number.
+        self._waiters: dict[tuple, NSUWarp] = {}
         # Optional read-only cache (Section 7.1 extension): caches data
         # the GPU re-ships on RDF hits, so hot constant structures cost
         # one transfer instead of one per block instance.
@@ -145,7 +141,7 @@ class NSU:
         if self.ro_cache is not None and cacheable_line is not None:
             self.ro_cache.insert(cacheable_line)
         if self.read_buf.deliver(key, words):
-            warp = self._read_waiters.pop(key, None)
+            warp = self._waiters.pop(key, None)
             if warp is not None:
                 self._wake(warp)
 
@@ -158,8 +154,7 @@ class NSU:
             self.ro_cache.invalidate(line_addr)
 
     def expect_wta(self, key: tuple, n_packets: int) -> None:
-        self._wta_expected[key] = n_packets
-        self._check_wta(key)
+        self.wta_buf.expect(key, n_packets)
 
     def deliver_wta(self, key: tuple, access) -> None:
         if (self.faults is not None
@@ -168,24 +163,14 @@ class NSU:
             # controller's stale/lost accounting keeps WTA counters sane.
             self.controller.wta_discarded(access)
             return
-        self._wta_arrived.setdefault(key, []).append(access)
-        self._check_wta(key)
-
-    def _check_wta(self, key: tuple) -> None:
-        exp = self._wta_expected.get(key)
-        arrived = self._wta_arrived.get(key, [])
-        if exp is not None and len(arrived) >= exp:
-            self.wta_buf.deliver(key, tuple(arrived))
-            del self._wta_expected[key]
-            self._wta_arrived.pop(key, None)
-            warp = self._wta_waiters.pop(key, None)
+        if self.wta_buf.deliver(key, 1, access):
+            warp = self._waiters.pop(key, None)
             if warp is not None:
                 self._wake(warp)
 
     def _wake(self, warp: NSUWarp) -> None:
         if warp.state != "ready":
             warp.state = "ready"
-            warp.wait_key = None
             self.ready.append(warp)
 
     # -- execution -----------------------------------------------------------------
@@ -233,10 +218,9 @@ class NSU:
         inst = warp.inst
         if n.kind == "ld":
             key = (inst.uid, n.seq)
-            if not self.read_buf.is_complete(key):
+            if not self.read_buf.complete(key):
                 warp.state = "wait_read"
-                warp.wait_key = key
-                self._read_waiters[key] = warp
+                self._waiters[key] = warp
                 return "blocked"
             self.read_buf.consume(key)
             self.controller.release_credits(self.hmc_id, inst, read_data=1)
@@ -252,10 +236,9 @@ class NSU:
             self.alu_ops += 1
         elif n.kind == "st":
             key = (inst.uid, n.seq)
-            if not self.wta_buf.has(key):
+            if not self.wta_buf.complete(key):
                 warp.state = "wait_wta"
-                warp.wait_key = key
-                self._wta_waiters[key] = warp
+                self._waiters[key] = warp
                 return "blocked"
             data_ready = max(
                 (warp.reg_ready.get(r, 0) for r in n.instr.srcs), default=0)
@@ -297,29 +280,23 @@ class NSU:
 
     # -- recovery ----------------------------------------------------------------
 
-    def purge_instance(self, uid) -> tuple[int, list]:
+    def purge_instance(self, uid) -> list:
         """Abort one offload instance: evict its warp, queued command and
         buffer state (recovery retry/fallback).
 
-        Returns ``(read_entries_purged, wta_accesses_purged)`` so the
-        controller can reconcile credits and in-flight WTA counters."""
+        Returns the WTA accesses purged from the write-address buffer so
+        the controller can unwind its in-flight WTA counters."""
         for warp in [w for w in self.warps if w.inst.uid == uid]:
             self.warps.remove(warp)
             warp.state = "aborted"
         self.ready = deque(w for w in self.ready if w.inst.uid != uid)
         self.cmd_queue = deque(i for i in self.cmd_queue if i.uid != uid)
-        for key in [k for k in self._read_waiters if k[0] == uid]:
-            del self._read_waiters[key]
-        for key in [k for k in self._wta_waiters if k[0] == uid]:
-            del self._wta_waiters[key]
-        reads = self.read_buf.purge_uid(uid)
+        for key in [k for k in self._waiters if k[0] == uid]:
+            del self._waiters[key]
+        self.read_buf.purge_uid(uid)
         wta = self.wta_buf.purge_uid(uid)
-        for key in [k for k in self._wta_arrived if k[0] == uid]:
-            wta.extend(self._wta_arrived.pop(key))
-        for key in [k for k in self._wta_expected if k[0] == uid]:
-            del self._wta_expected[key]
         self._try_spawn()
-        return reads, wta
+        return wta
 
     # -- introspection -----------------------------------------------------------
 

@@ -18,7 +18,8 @@ The controller implements everything the paper adds to the GPU:
 * NSU write routing + cache-invalidation coherence (Section 4.2) and the
   in-flight WTA counters used for dynamic memory management (Section 4.1.1);
 * the protocol-recovery layer (``repro.faults``): when a fault plan with a
-  recovery policy is armed, every offload instance carries an ACK watchdog.
+  recovery policy is armed, every offload instance carries an ACK deadline
+  on the system's :class:`~repro.faults.recovery.Watchdog`.
   A block that stops making progress is retried -- its reservation is
   re-queued if it was never granted, or its NSU-side state is purged and
   every packet replayed from the SM (the GPU generated all addresses, so
@@ -30,7 +31,6 @@ The controller implements everything the paper adds to the GPU:
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Callable
 
@@ -274,14 +274,12 @@ class NDPController:
         self._uid_counter = 0
         # Optional packet-level tracing (repro.sim.tracing.MessageTrace).
         self.trace = None
-        # Protocol recovery (repro.faults): a RecoveryPolicy when armed,
-        # plus the system-wide TimeoutTracker ("ack" site) that resolves
-        # the watchdog deadline -- static, per-site override or adaptive.
-        self.recovery = None
-        self.timeouts = None
+        # Protocol recovery (repro.faults): the system's Watchdog when a
+        # plan with a recovery policy is armed.  Its "ack" site holds
+        # each live instance's deadline and carries the policy.
+        self.watchdog = None
         self.rstats = RecoveryStats()
         self._instances: dict[tuple, OffloadInstance] = {}
-        self._watchdogs: list[tuple] = []   # (deadline, uid, token) heap
 
     def metrics_snapshot(self) -> dict:
         """Counters/gauges published into the metrics registry."""
@@ -322,7 +320,7 @@ class NDPController:
         inst.start_cycle = self.engine.now
         self.stats.offloads += 1
         block = item.block
-        if self.recovery is not None:
+        if self.watchdog is not None:
             self._instances[uid] = inst
             inst.progress_sig = self._progress_sig(inst)
             self._arm_watchdog(inst)
@@ -357,7 +355,7 @@ class NDPController:
 
     def _grant(self, inst: OffloadInstance) -> None:
         inst.granted = True
-        if self.recovery is not None:
+        if self.watchdog is not None:
             inst.held = [1, inst.block.num_loads, inst.block.num_stores]
         if inst.deferred:
             for fn, arg in inst.deferred:
@@ -553,9 +551,9 @@ class NDPController:
             return
         inst.ack_arrived = True
         self.stats.acks += 1
-        if self.timeouts is not None:
+        if self.watchdog is not None:
             # Feed the adaptive deadline: offload-issue -> ACK round-trip.
-            self.timeouts.observe("ack", self.engine.now - inst.start_cycle)
+            self.watchdog.observe("ack", self.engine.now - inst.start_cycle)
         if self.decider is not None and hasattr(self.decider,
                                                 "record_instance"):
             self.decider.record_instance(
@@ -564,7 +562,7 @@ class NDPController:
             self._complete(inst)
 
     def _complete(self, inst: OffloadInstance) -> None:
-        if self.recovery is not None:
+        if self.watchdog is not None:
             inst.completed = True
             self._instances.pop(inst.uid, None)
             # Any entries whose credit-return message was dropped are
@@ -626,7 +624,7 @@ class NDPController:
         else:
             self._wta_drain_waiters.setdefault(hmc, []).append(cb)
 
-    # -- protocol recovery: ACK watchdogs, replay, inline fallback ----------------
+    # -- protocol recovery: ACK deadlines, replay, inline fallback ----------------
 
     @staticmethod
     def _progress_sig(inst: OffloadInstance) -> tuple:
@@ -635,29 +633,14 @@ class NDPController:
 
     def _arm_watchdog(self, inst: OffloadInstance) -> None:
         inst.wd_token += 1
-        timeout = (self.timeouts.timeout("ack") if self.timeouts is not None
-                   else self.recovery.ack_timeout)
-        heapq.heappush(self._watchdogs,
-                       (self.engine.now + timeout, inst.uid, inst.wd_token))
+        self.watchdog.arm("ack", inst.uid, inst.wd_token)
 
-    def next_watchdog_deadline(self) -> int | None:
-        """Earliest armed deadline (the system folds this into its
-        fast-forward target; stale heap entries only wake it early)."""
-        return self._watchdogs[0][0] if self._watchdogs else None
-
-    def poll_watchdogs(self, now: int) -> None:
-        """Fire every due watchdog.  Called from the system main loop so
-        watchdog timers never appear as engine events -- an unarmed run's
-        event stream (and cycle count) stays untouched."""
-        wd = self._watchdogs
-        while wd and wd[0][0] <= now:
-            _, uid, token = heapq.heappop(wd)
-            inst = self._instances.get(uid)
-            if inst is None or token != inst.wd_token:
-                continue
-            self._watchdog_check(inst)
-
-    def _watchdog_check(self, inst: OffloadInstance) -> None:
+    def on_deadline(self, uid: tuple, token: int) -> None:
+        """An "ack" deadline is due; entries of a finished instance or a
+        superseded arming are stale."""
+        inst = self._instances.get(uid)
+        if inst is None or token != inst.wd_token:
+            return
         sig = self._progress_sig(inst)
         if sig != inst.progress_sig:
             # The block moved since the last check; keep watching.
@@ -665,7 +648,7 @@ class NDPController:
             self._arm_watchdog(inst)
             return
         self.rstats.watchdog_fires += 1
-        exhausted = inst.retries >= self.recovery.max_retries
+        exhausted = inst.retries >= self.watchdog.policy.max_retries
         if not inst.granted:
             # Wedged waiting for buffer credits (e.g. a lost credit-return
             # message starved the FIFO): re-queue or give up.
@@ -712,9 +695,12 @@ class NDPController:
         self._arm_watchdog(inst)
 
     def _abort_attempt(self, inst: OffloadInstance) -> None:
-        """Unwind one attempt: stale its in-flight packets, reconcile its
-        credits, purge its NSU state, unwind WTA counters."""
+        """Unwind one attempt: stale its in-flight packets, purge its NSU
+        state, reconcile its credits, unwind WTA counters.  The purge
+        comes first: the returned credits can grant a waiting block at
+        once, and that block announces its entries into the buffers."""
         inst.attempt += 1
+        wta = self.nsus[inst.target].purge_instance(inst.uid)
         if not inst.granted:
             self.credits.cancel(inst.reservation)
         else:
@@ -726,7 +712,6 @@ class NDPController:
         inst.deferred.clear()
         inst.ack_arrived = False
         inst.next_seq = 0
-        _reads, wta = self.nsus[inst.target].purge_instance(inst.uid)
         self.rstats.wta_purged += len(wta)
         for acc in wta:
             self._dec_wta_inflight(self.amap.hmc_of(acc.line_addr * LINE_SIZE))

@@ -9,8 +9,8 @@ from repro.faults.inject import FaultInjector
 from repro.faults.plan import (FaultPlan, FaultSpec, RecoveryPolicy,
                                get_scenario, scenario_names)
 from repro.faults.recovery import (BaselineRecoveryStats, RecoveryStats,
-                                   TimeoutTracker)
+                                   Watchdog)
 
 __all__ = ["BaselineRecoveryStats", "FaultInjector", "FaultPlan",
-           "FaultSpec", "RecoveryPolicy", "RecoveryStats",
-           "TimeoutTracker", "get_scenario", "scenario_names"]
+           "FaultSpec", "RecoveryPolicy", "RecoveryStats", "Watchdog",
+           "get_scenario", "scenario_names"]

@@ -84,16 +84,18 @@ WATCHDOG_SITES = ("ack", "mshr")
 class RecoveryPolicy:
     """Bounds and timeout model for both recovery layers.
 
-    Two watchdog *sites* share one policy: ``"ack"`` (offload ACK
-    watchdogs on the NDP controller, PR 2) and ``"mshr"`` (baseline
-    L2-fill watchdogs on the GPU memory system).  ``timeout_for`` resolves
-    the static deadline per site -- ``site_timeouts`` overrides win,
-    otherwise both sites fall back to ``ack_timeout``.  With ``adaptive``
-    set, a runtime :class:`~repro.faults.recovery.TimeoutTracker` replaces
-    the static deadline by ``timeout_scale`` times an EWMA of the site's
+    The two *sites* of the system's one
+    :class:`~repro.faults.recovery.Watchdog` share one policy: ``"ack"``
+    (offload ACK deadlines on the NDP controller) and ``"mshr"``
+    (baseline L2-fill deadlines on the GPU memory system).
+    ``timeout_for`` resolves the static deadline per site --
+    ``site_timeouts`` overrides win, otherwise both sites fall back to
+    ``ack_timeout``.  With ``adaptive`` set, the watchdog replaces the
+    static deadline by ``timeout_scale`` times an EWMA of the site's
     observed completion latencies (floored at ``min_timeout``), so slow
     congested runs stop retrying healthy packets and fast runs detect
-    losses sooner.
+    losses sooner.  Deadlines are at least one cycle and retry bounds at
+    least zero.
     """
 
     ack_timeout: int = 3000     # SM cycles without progress before acting
@@ -106,6 +108,14 @@ class RecoveryPolicy:
     min_timeout: int = 100      # adaptive deadlines never drop below this
 
     def __post_init__(self) -> None:
+        # A zero deadline would fire in the cycle that armed it, and the
+        # watchdog's poll would pop a re-armed entry again and again.
+        for name, least in (("ack_timeout", 1), ("min_timeout", 1),
+                            ("max_retries", 0), ("mshr_max_retries", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, "
+                                 f"got {value}")
         for site, cycles in self.site_timeouts:
             if site not in WATCHDOG_SITES:
                 raise ValueError(f"unknown watchdog site {site!r}; "

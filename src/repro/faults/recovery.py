@@ -1,10 +1,10 @@
 """Recovery bookkeeping shared by both recovery layers.
 
 The recovery mechanics live in :class:`~repro.core.offload.NDPController`
-(ACK watchdogs, replay, inline fallback, credit reconciliation) and
-:class:`~repro.sim.memsys.GPUMemSystem` (MSHR fill watchdogs, bounded
-reissue); this module holds the counters they surface and the
-:class:`TimeoutTracker` that resolves their deadlines.  The counters
+(ACK deadlines, replay, inline fallback, credit reconciliation) and
+:class:`~repro.sim.memsys.GPUMemSystem` (L2-fill deadlines, bounded
+reissue); this module holds the counters they surface and the one
+:class:`Watchdog` that resolves and fires their deadlines.  The counters
 exist on every component so the post-run audit can read them
 unconditionally, but they only move when a fault plan with a recovery
 policy is armed.
@@ -12,9 +12,11 @@ policy is armed.
 
 from __future__ import annotations
 
+import heapq
+import weakref
 from dataclasses import dataclass, fields
 
-from repro.faults.plan import RecoveryPolicy
+from repro.faults.plan import WATCHDOG_SITES, RecoveryPolicy
 
 
 @dataclass
@@ -71,23 +73,57 @@ class BaselineRecoveryStats:
         return {f"recovery.{k}": v for k, v in self.as_dict().items()}
 
 
-class TimeoutTracker:
-    """Per-site recovery deadlines: static, overridden, or adaptive.
+class Watchdog:
+    """Both recovery layers' deadlines: one policy, one heap.
 
-    One tracker is built per armed system and shared by the ACK watchdog
-    (site ``"ack"``) and the MSHR watchdog (site ``"mshr"``), so both
-    resolve deadlines through the same policy.  In adaptive mode each
-    site's observed completion latencies feed an EWMA and the deadline
-    becomes ``max(min_timeout, timeout_scale * ewma)`` -- deliberately
-    unclamped above so sustained congestion widens the deadline instead
-    of triggering retry storms.  Until a site has an observation it uses
-    its static deadline.
+    One watchdog is built per armed system.  Site ``"ack"`` holds the
+    NDP controller's offload deadlines and site ``"mshr"`` the GPU memory
+    system's L2-fill deadlines; each site registers a handler that drops
+    entries whose token is stale.  The system polls every stepped cycle
+    and fast-forwards no further than :meth:`next_deadline`, so a poll
+    only finds entries due that cycle, and ``(deadline, site rank, key,
+    token)`` pops them ACK entries first, each site in key order.
+
+    In adaptive mode each site's observed completion latencies feed an
+    EWMA and the deadline becomes ``max(min_timeout, timeout_scale *
+    ewma)`` -- deliberately unclamped above so sustained congestion
+    widens the deadline instead of triggering retry storms.  Until a site
+    has an observation it uses its static deadline.
     """
 
-    def __init__(self, policy: RecoveryPolicy) -> None:
+    def __init__(self, policy: RecoveryPolicy, engine) -> None:
         self.policy = policy
+        self.engine = engine
         self._ewma: dict[str, float] = {}
         self._observations: dict[str, int] = {}
+        self._heap: list[tuple] = []
+        # Weak, because the sites hold the watchdog: a finished system
+        # must be freed by reference counting.
+        self._handlers: dict[int, weakref.WeakMethod] = {}
+
+    def handle(self, site: str, handler) -> None:
+        """Register ``handler(key, token)``, a bound method, for
+        ``site``'s due entries."""
+        self._handlers[WATCHDOG_SITES.index(site)] = weakref.WeakMethod(
+            handler)
+
+    def arm(self, site: str, key, token: int) -> None:
+        """Arm one deadline for ``key``, ``timeout(site)`` cycles out."""
+        heapq.heappush(self._heap, (self.engine.now + self.timeout(site),
+                                    WATCHDOG_SITES.index(site), key, token))
+
+    def next_deadline(self) -> int | None:
+        """Earliest armed deadline (stale entries only wake the system
+        early)."""
+        return self._heap[0][0] if self._heap else None
+
+    def poll(self, now: int) -> None:
+        """Hand every entry due by ``now`` to its site's handler.  The
+        system loop calls this, so deadlines are never engine events."""
+        heap = self._heap
+        while heap and heap[0][0] <= now:
+            _, rank, key, token = heapq.heappop(heap)
+            self._handlers[rank]()(key, token)
 
     def observe(self, site: str, latency: int) -> None:
         """Record one completed round-trip (a no-op unless adaptive)."""
@@ -111,7 +147,6 @@ class TimeoutTracker:
 
     def snapshot(self) -> dict[str, dict[str, int]]:
         """Current deadline + EWMA state per observed/configured site."""
-        from repro.faults.plan import WATCHDOG_SITES
         out: dict[str, dict[str, int]] = {}
         for site in WATCHDOG_SITES:
             entry = {"timeout": self.timeout(site),

@@ -199,8 +199,8 @@ class MetricNameRule(Rule):
     attribute, or direct construction).  PROTO004 guarantees the
     convention holds at every binding site, so the union is exhaustive:
     a registry cannot be smuggled past this rule under an arbitrary
-    name.  ``.observe`` also exists on TimeoutTracker (a watchdog site,
-    PROTO003); the receiver gate is what keeps the two rules from
+    name.  ``.observe`` also exists on the recovery Watchdog (a watchdog
+    site, PROTO003); the receiver gate is what keeps the two rules from
     crossing."""
 
     id = "PROTO002"
@@ -321,7 +321,9 @@ class MetricReceiverNamingRule(Rule):
 
 class FaultSiteRule(Rule):
     """PROTO003: fault-site string literals at injection and watchdog call
-    sites must be declared in ``faults/plan.py``."""
+    sites must be declared in ``faults/plan.py``.  Watchdog calls are
+    recognized by their receiver's name, ``watchdog``, the one name the
+    recovery Watchdog is bound to."""
 
     id = "PROTO003"
     severity = "error"
@@ -329,7 +331,9 @@ class FaultSiteRule(Rule):
                    "SITES / PACKET_SITES / WATCHDOG_SITES")
 
     INJECTOR_RECEIVERS = frozenset({"faults", "fault_injector", "injector"})
-    WATCHDOG_RECEIVERS = frozenset({"timeouts"})
+    WATCHDOG_RECEIVERS = frozenset({"watchdog"})
+    #: Watchdog methods whose first argument is a site.
+    WATCHDOG_METHODS = frozenset({"arm", "handle", "observe", "timeout"})
 
     def check_file(self, ctx: FileContext, project) -> None:
         if project is None or not project.sites:
@@ -355,7 +359,7 @@ class FaultSiteRule(Rule):
             elif func.attr in ("with_site_timeout", "timeout_for"):
                 self._expect(ctx, _str_arg(node, 0),
                              project.watchdog_sites, "WATCHDOG_SITES")
-            elif (func.attr in ("observe", "timeout")
+            elif (func.attr in self.WATCHDOG_METHODS
                   and recv in self.WATCHDOG_RECEIVERS):
                 self._expect(ctx, _str_arg(node, 0),
                              project.watchdog_sites, "WATCHDOG_SITES")

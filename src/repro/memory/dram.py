@@ -69,9 +69,10 @@ class BankState:
                t: DRAMTimingSM) -> tuple[int, bool]:
         """Perform an access; returns (data_ready_cycle, activated).
 
-        The caller guarantees ``now >= busy_until``.
+        The caller guarantees ``now >= busy_until``, so the access
+        starts at ``now``.
         """
-        start = max(now, self.busy_until)
+        start = now
         activated = False
         if self.open_row == row:
             latency = t.tCL

@@ -12,7 +12,6 @@ The NDP path uses :meth:`rdf_probe` (a tag probe of L1+L2 without fill) and
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Callable
 
@@ -40,8 +39,8 @@ class _FetchState:
 
     ``attempt`` stamps every packet of the current issue so loss
     notifications for superseded attempts are ignored; ``wd_token``
-    invalidates stale watchdog heap entries (the heap is never purged,
-    mirroring the offload-recovery pattern in ``repro.core.offload``).
+    invalidates stale watchdog entries (the watchdog's heap is never
+    purged, as for the offload instances in ``repro.core.offload``).
     """
 
     __slots__ = ("attempt", "retries", "issued_at", "wd_token")
@@ -130,13 +129,12 @@ class GPUMemSystem:
         self._xbar_free = [0.0] * cfg.num_hmcs
         self.invalidation_bytes = 0
         self.dram_read_requests = 0
-        # Baseline-path recovery (repro.faults): the system arms these
-        # together with the fault injector.  ``recovery`` is the plan's
-        # RecoveryPolicy and ``timeouts`` the TimeoutTracker shared with
-        # the NDP ACK watchdog; both stay None in unarmed runs, whose
-        # event stream is untouched.
-        self.recovery = None
-        self.timeouts = None
+        # Baseline-path recovery (repro.faults): the system's Watchdog,
+        # shared with the NDP controller, when a plan with a recovery
+        # policy is armed.  Its "mshr" site holds each tracked fill's
+        # deadline.  None in unarmed runs, whose event stream is
+        # untouched.
+        self.watchdog = None
         # Wake hook for MSHR-capacity parking: ``System.run`` binds
         # this to ``System._wake_sm`` so an L1 fill (which frees an MSHR
         # entry and may insert the line a parked SM spins on) reactivates
@@ -146,7 +144,6 @@ class GPUMemSystem:
         self.sm_waker: Callable[[int], None] | None = None
         self.rstats = BaselineRecoveryStats()
         self._fetches: dict[tuple[int, int], _FetchState] = {}
-        self._watchdogs: list[tuple[int, int, int, int]] = []
 
     # -- baseline / inline loads --------------------------------------------------
 
@@ -230,7 +227,7 @@ class GPUMemSystem:
         if status == "merged":
             return
         st = None
-        if self.recovery is not None:
+        if self.watchdog is not None:
             st = self._fetches[(part, line)] = _FetchState()
         self._issue_fetch(part, line, st)
 
@@ -267,7 +264,7 @@ class GPUMemSystem:
         self._reissue(part, line, st)
 
     def _reissue(self, part: int, line: int, st: _FetchState) -> None:
-        if st.retries >= self.recovery.mshr_max_retries:
+        if st.retries >= self.watchdog.policy.mshr_max_retries:
             # Abandon: the fill can never complete, so the run surfaces
             # as a deadlock (chaos outcome "fatal") instead of spinning.
             self.rstats.mshr_gaveup += 1
@@ -279,28 +276,19 @@ class GPUMemSystem:
 
     def _arm_watchdog(self, part: int, line: int, st: _FetchState) -> None:
         st.wd_token += 1
-        deadline = self.engine.now + self.timeouts.timeout("mshr")
-        heapq.heappush(self._watchdogs, (deadline, part, line, st.wd_token))
+        self.watchdog.arm("mshr", (part, line), st.wd_token)
 
-    def next_watchdog_deadline(self) -> int | None:
-        """Earliest pending fill deadline (folded into the system loop's
-        fast-forward so quiet regions don't skip watchdog polls)."""
-        return self._watchdogs[0][0] if self._watchdogs else None
-
-    def poll_watchdogs(self, now: int) -> None:
-        """Reissue fills whose deadline expired; called by ``System.run``
-        each polled cycle, like the NDP ACK watchdog."""
-        wd = self._watchdogs
-        while wd and wd[0][0] <= now:
-            _, part, line, token = heapq.heappop(wd)
-            st = self._fetches.get((part, line))
-            if st is None or token != st.wd_token:
-                continue   # filled or superseded; stale heap entry
-            self.rstats.mshr_watchdog_fires += 1
-            self._reissue(part, line, st)
+    def on_deadline(self, key: tuple[int, int], token: int) -> None:
+        """An "mshr" deadline is due: reissue the fill unless it filled
+        or a newer arming superseded this one."""
+        st = self._fetches.get(key)
+        if st is None or token != st.wd_token:
+            return
+        self.rstats.mshr_watchdog_fires += 1
+        self._reissue(key[0], key[1], st)
 
     def _fill_l2(self, part: int, line: int) -> None:
-        if self.recovery is not None:
+        if self.watchdog is not None:
             st = self._fetches.pop((part, line), None)
             if st is None:
                 # A reissue and the (delayed) original both arrived; the
@@ -309,7 +297,7 @@ class GPUMemSystem:
                 self.rstats.fills_dup += 1
                 return
             self.rstats.fills += 1
-            self.timeouts.observe("mshr", self.engine.now - st.issued_at)
+            self.watchdog.observe("mshr", self.engine.now - st.issued_at)
         self.l2[part].insert(line)
         mshr = self.l2_mshr[part]
         for sm_id in mshr.fill(line):

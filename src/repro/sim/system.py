@@ -109,6 +109,7 @@ class System:
         # everywhere and its event stream is untouched.
         self.faults_plan = faults
         self.fault_injector = None
+        self.watchdog = None
         if faults is not None:
             from repro.faults.inject import FaultInjector
             inj = FaultInjector(faults, self.engine)
@@ -123,16 +124,17 @@ class System:
             if self.ndp is not None:
                 self.ndp.credits.faults = inj
             if faults.recovery is not None:
-                # One shared tracker so the ACK watchdog (NDP) and the
-                # MSHR watchdog (baseline fills) resolve deadlines from
-                # the same policy / adaptive EWMA state.
-                from repro.faults.recovery import TimeoutTracker
-                tracker = TimeoutTracker(faults.recovery)
-                self.memsys.recovery = faults.recovery
-                self.memsys.timeouts = tracker
+                # One watchdog for both layers: the ACK deadlines (NDP)
+                # and the fill deadlines (baseline loads) share the
+                # policy, the adaptive EWMA state and one heap.
+                from repro.faults.recovery import Watchdog
+                watchdog = self.watchdog = Watchdog(faults.recovery,
+                                                    self.engine)
+                self.memsys.watchdog = watchdog
+                watchdog.handle("mshr", self.memsys.on_deadline)
                 if self.ndp is not None:
-                    self.ndp.recovery = faults.recovery
-                    self.ndp.timeouts = tracker
+                    self.ndp.watchdog = watchdog
+                    watchdog.handle("ack", self.ndp.on_deadline)
 
     # -- workload loading ----------------------------------------------------------
 
@@ -249,10 +251,8 @@ class System:
         metrics = self.metrics
         next_heartbeat = (engine.now + metrics.heartbeat_cycles
                           if metrics is not None else None)
-        ndp = self.ndp
-        rec = ndp is not None and ndp.recovery is not None
+        watchdog = self.watchdog
         memsys = self.memsys
-        mem_rec = memsys.recovery is not None
         phases = self.phases
         process_due = engine.process_due
         finished = self._finished
@@ -285,10 +285,8 @@ class System:
         try:
             while True:
                 process_due()
-                if rec:
-                    ndp.poll_watchdogs(now)
-                if mem_rec:
-                    memsys.poll_watchdogs(now)
+                if watchdog is not None:
+                    watchdog.poll(now)
 
                 n_act = len(act)
                 if n_act:
@@ -382,12 +380,8 @@ class System:
                 if not act and not struct_cost and not any(
                         n.has_ready for n in nsus):
                     nt = engine.next_event_time()
-                    if rec:
-                        wd = ndp.next_watchdog_deadline()
-                        if wd is not None and (nt is None or wd < nt):
-                            nt = wd
-                    if mem_rec:
-                        wd = memsys.next_watchdog_deadline()
+                    if watchdog is not None:
+                        wd = watchdog.next_deadline()
                         if wd is not None and (nt is None or wd < nt):
                             nt = wd
                     if nt is None:
@@ -501,11 +495,11 @@ class System:
         m.set_counters({f"packets.{k}": v for k, v in packets.items()})
         if self.fault_injector is not None:
             m.set_counters(self.fault_injector.metrics_counters())
-            if self.ndp is not None and self.ndp.recovery is not None:
-                m.set_counters(self.ndp.rstats.metrics_counters())
-            if self.memsys.recovery is not None:
+            if self.watchdog is not None:
+                if self.ndp is not None:
+                    m.set_counters(self.ndp.rstats.metrics_counters())
                 m.set_counters(self.memsys.rstats.metrics_counters())
-                m.set_counters(self.memsys.timeouts.metrics_counters())
+                m.set_counters(self.watchdog.metrics_counters())
         m.meta.setdefault("workload", res.workload)
         m.meta.setdefault("config", res.config_name)
         m.record("summary", cycle=self.engine.now, stalls=stalls,
@@ -589,17 +583,14 @@ class System:
         )
         if self.fault_injector is not None:
             res.extra["faults"] = self.fault_injector.snapshot()
-            if self.memsys.recovery is not None:
+            if self.watchdog is not None:
                 # Both layers merge into one dict (field names disjoint).
                 rec = dict(self.memsys.rstats.as_dict())
-                if self.ndp is not None and self.ndp.recovery is not None:
+                if self.ndp is not None:
                     rec.update(self.ndp.rstats.as_dict())
                 res.extra["recovery"] = rec
-                if self.memsys.recovery.adaptive:
-                    res.extra["recovery_timeouts"] = (
-                        self.memsys.timeouts.snapshot())
-            elif self.ndp is not None and self.ndp.recovery is not None:
-                res.extra["recovery"] = self.ndp.rstats.as_dict()
+                if self.watchdog.policy.adaptive:
+                    res.extra["recovery_timeouts"] = self.watchdog.snapshot()
         if self.metrics is not None:
             self._publish_summary(res)
         return res

@@ -51,7 +51,7 @@ def audit_system(system, result: RunResult) -> list[str]:
     ms = system.memsys
     _check(not ms._fetches,
            f"{len(ms._fetches)} baseline fills still tracked", failures)
-    if ms.recovery is not None:
+    if ms.watchdog is not None:
         b = ms.rstats
         # Every issued fetch attempt resolves exactly one way: it fills
         # the L2, its packet is reported lost, or it arrives late as a
@@ -102,8 +102,6 @@ def audit_system(system, result: RunResult) -> list[str]:
                    f"NSU {nsu.hmc_id} read buffer leaks", failures)
             _check(len(nsu.wta_buf) == 0,
                    f"NSU {nsu.hmc_id} WTA buffer leaks", failures)
-            _check(not nsu._wta_arrived and not nsu._wta_expected,
-                   f"NSU {nsu.hmc_id} partial WTA state leaks", failures)
 
     # -- result-level sanity ----------------------------------------------------
     _check(result.stalls.total >= 0, "negative stall total", failures)

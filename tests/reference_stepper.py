@@ -39,18 +39,13 @@ def step(system, max_cycles: int = 20_000_000):
     metrics = system.metrics
     next_heartbeat = (engine.now + metrics.heartbeat_cycles
                       if metrics is not None else None)
-    ndp = system.ndp
-    rec = ndp is not None and ndp.recovery is not None
-    memsys = system.memsys
-    mem_rec = memsys.recovery is not None
+    watchdog = system.watchdog
     phases = system.phases
 
     while True:
         engine.process_due()
-        if rec:
-            ndp.poll_watchdogs(engine.now)
-        if mem_rec:
-            memsys.poll_watchdogs(engine.now)
+        if watchdog is not None:
+            watchdog.poll(engine.now)
         live = 0
         for sm in sms:
             sm.tick()
@@ -91,12 +86,8 @@ def step(system, max_cycles: int = 20_000_000):
         if (not any(sm.can_issue_now for sm in sms)
                 and not any(n.has_ready for n in nsus)):
             nt = engine.next_event_time()
-            if rec:
-                wd = ndp.next_watchdog_deadline()
-                if wd is not None and (nt is None or wd < nt):
-                    nt = wd
-            if mem_rec:
-                wd = memsys.next_watchdog_deadline()
+            if watchdog is not None:
+                wd = watchdog.next_deadline()
                 if wd is not None and (nt is None or wd < nt):
                     nt = wd
             if nt is None:

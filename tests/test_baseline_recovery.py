@@ -23,10 +23,11 @@ from repro.faults import (
     FaultPlan,
     FaultSpec,
     RecoveryPolicy,
-    TimeoutTracker,
+    Watchdog,
     get_scenario,
 )
 from repro.gpu.sm import SM
+from repro.sim.engine import Engine
 from repro.sim.runner import build_system
 from repro.sim.serialize import result_to_dict
 from repro.sim.system import SimulationTimeout
@@ -135,7 +136,7 @@ class TestAdaptiveTimeouts:
     def test_tracker_ewma_math(self):
         policy = RecoveryPolicy(adaptive=True, ewma_alpha=0.5,
                                 timeout_scale=4.0, min_timeout=100)
-        t = TimeoutTracker(policy)
+        t = Watchdog(policy, Engine())
         assert t.timeout("mshr") == 3000  # no observations -> static
         t.observe("mshr", 200)
         assert t.timeout("mshr") == 800  # 4 * 200
@@ -145,7 +146,7 @@ class TestAdaptiveTimeouts:
     def test_static_site_override(self):
         policy = RecoveryPolicy(ack_timeout=3000).with_site_timeout(
             "mshr", 500)
-        t = TimeoutTracker(policy)
+        t = Watchdog(policy, Engine())
         assert t.timeout("mshr") == 500
         assert t.timeout("ack") == 3000
 
@@ -156,6 +157,49 @@ class TestAdaptiveTimeouts:
             RecoveryPolicy(ewma_alpha=0.0)
         with pytest.raises(ValueError):
             RecoveryPolicy(site_timeouts=(("mshr", 0),))
+        # A zero deadline re-arms into the poll that popped it and hangs
+        # the run; negative retry bounds mean nothing.
+        for field, value in (("ack_timeout", 0), ("min_timeout", 0),
+                             ("max_retries", -1),
+                             ("mshr_max_retries", -1)):
+            with pytest.raises(ValueError, match=field):
+                RecoveryPolicy(**{field: value})
+        RecoveryPolicy(ack_timeout=1, min_timeout=1, max_retries=0,
+                       mshr_max_retries=0)
+
+
+class _Site:
+    """A watchdog site that records the entries handed to it."""
+
+    def __init__(self, name, log):
+        self.name = name
+        self.log = log
+
+    def on_deadline(self, key, token):
+        self.log.append((self.name, key, token))
+
+
+class TestWatchdog:
+    def test_due_entries_pop_ack_first_then_in_key_order(self):
+        engine = Engine()
+        wd = Watchdog(RecoveryPolicy(ack_timeout=10), engine)
+        log = []
+        ack, mshr = _Site("ack", log), _Site("mshr", log)
+        wd.handle("ack", ack.on_deadline)
+        wd.handle("mshr", mshr.on_deadline)
+        wd.arm("mshr", (1, 7), 1)
+        wd.arm("ack", (0, 3, 9), 2)
+        wd.arm("mshr", (0, 5), 1)
+        wd.arm("ack", (0, 1, 4), 1)
+        engine.now = 5
+        wd.arm("ack", (0, 0, 1), 1)      # due at 15
+        assert wd.next_deadline() == 10
+        wd.poll(9)
+        assert log == []
+        wd.poll(10)
+        assert log == [("ack", (0, 1, 4), 1), ("ack", (0, 3, 9), 2),
+                       ("mshr", (0, 5), 1), ("mshr", (1, 7), 1)]
+        assert wd.next_deadline() == 15
 
 
 class TestUnarmedDigests:
@@ -204,7 +248,9 @@ class TestUnarmedDigests:
     #: that struct-park at the default MSHR size: STCL and MiniFE on
     #: MSHR-full retries, STN on inflight-cap spins alone, and those two
     #: retry-bound cells again with faults armed (rate 0.05, seed 1), so
-    #: that lost fills are reissued while MSHR waiters queue.
+    #: that lost fills are reissued while MSHR waiters queue.  BFS
+    #: NaiveNDP under link-corrupt with a 400-cycle fill deadline fires
+    #: both sites of the watchdog, ACK and fill deadlines.
     DIFFERENTIAL = [
         *(pytest.param(w, c, ci_config(), None, id=f"{w}-{c}")
           for w, c in sorted(EXPECTED)),
@@ -214,21 +260,26 @@ class TestUnarmedDigests:
                      id="VADD-Baseline-mshr1"),
         *(pytest.param(w, "Baseline", ci_config(), None, id=f"{w}-Baseline")
           for w in ("STCL", "MiniFE", "STN")),
-        *(pytest.param(w, "Baseline", ci_config(), s, id=f"{w}-Baseline-{s}")
+        *(pytest.param(w, "Baseline", ci_config(),
+                       get_scenario(s, rate=0.05, seed=1),
+                       id=f"{w}-Baseline-{s}")
           for w, s in (("STCL", "vault-read-loss"),
                        ("MiniFE", "link-corrupt"))),
+        pytest.param("BFS", "NaiveNDP", ci_config(),
+                     get_scenario("link-corrupt", rate=0.05, seed=1,
+                                  recovery=RecoveryPolicy()
+                                  .with_site_timeout("mshr", 400)),
+                     id="BFS-NaiveNDP-link-corrupt-mshr400"),
     ]
 
-    @pytest.mark.parametrize("workload,config,base,scenario", DIFFERENTIAL)
+    @pytest.mark.parametrize("workload,config,base,plan", DIFFERENTIAL)
     def test_schedulers_agree_beyond_the_digest(self, workload, config,
-                                                base, scenario):
+                                                base, plan):
         # System.run parks SMs that cannot issue and settles their idle
         # cycles in bulk; the reference stepper ticks every SM on every
         # stepped cycle.  The digest covers RunResult; the stall breakdown
         # and phase accounting also feed figures and the metrics stream,
         # so they must agree too.
-        plan = (None if scenario is None
-                else get_scenario(scenario, rate=0.05, seed=1))
         system = build_system(workload, config, base=base, scale="ci",
                               faults=plan)
         result = system.run(max_cycles=20_000_000)
@@ -255,6 +306,9 @@ class TestUnarmedDigests:
             assert system.fault_injector.total_fired > 0
             assert system.memsys.rstats.mshr_reissues > 0
             assert system.sched_stats["struct_parks"] > 0
+        if plan is not None and system.ndp is not None:
+            assert system.ndp.rstats.watchdog_fires > 0
+            assert system.memsys.rstats.mshr_watchdog_fires > 0
 
     #: Cells whose SMs struct-park at ci scale and seed 1.
     PARKING = [
@@ -356,3 +410,48 @@ class TestUnarmedDigests:
         assert armed.cycles == plain.cycles
         assert armed_sys.memsys.rstats.fills_lost == 0
         assert armed_sys.memsys.rstats.fills_dup == 0
+
+
+class TestArmedDigests:
+    """Armed runs (ci scale, rate 0.05, seed 1) pinned on the tree that
+    kept one deadline heap per recovery layer and a separate
+    write-address buffer class.  The differential above compares two
+    loops that share the one watchdog, so only these pins check that the
+    ACK and fill deadlines still fire in the old order and that the NSU
+    purges the same entries.
+
+    BFS fires both sites (249 ACK and 16 fill deadlines, 16 WTA purges);
+    KMN purges 27 WTA accesses after NSU buffer corruption; VADD mixes a
+    credit loss with dropped and corrupted RDF data; STCL recovers lost
+    vault reads on the baseline path.
+    """
+
+    PINS = [
+        pytest.param(
+            "BFS", "NaiveNDP", "link-corrupt",
+            RecoveryPolicy().with_site_timeout("mshr", 400),
+            "1ff6a654fd5996c0b31ce57efe3e1afeb25b83a9527209dd78f556a21aa79766",
+            id="BFS-NaiveNDP-link-corrupt-mshr400"),
+        pytest.param(
+            "KMN", "NaiveNDP", "nsu-corrupt", None,
+            "3397d5f91ca5c0288836386c9008fd855491d50204fc45d826c219d8284dca83",
+            id="KMN-NaiveNDP-nsu-corrupt"),
+        pytest.param(
+            "VADD", "NDP(Dyn)", "mixed", None,
+            "1f8a4e55c94690d2d500acc16bc0a6063c0bccd87b4f187545d43a22ec36b025",
+            id="VADD-NDP(Dyn)-mixed"),
+        pytest.param(
+            "STCL", "Baseline", "vault-read-loss", None,
+            "38f50e0fba1a33d42a15c9a5610f51548f850fd1df97df00417aa75e3e761d20",
+            id="STCL-Baseline-vault-read-loss"),
+    ]
+
+    @pytest.mark.parametrize("workload,config,scenario,policy,digest", PINS)
+    def test_armed_digest_unchanged(self, workload, config, scenario,
+                                    policy, digest):
+        plan = get_scenario(scenario, rate=0.05, seed=1, recovery=policy)
+        system, result = _run(config, plan, workload=workload,
+                              max_cycles=20_000_000)
+        assert system.fault_injector.total_fired > 0
+        assert audit_system(system, result) == []
+        assert _digest(result) == digest

@@ -223,6 +223,29 @@ class TestLintCommand:
         assert "cycles" in capsys.readouterr().out
 
 
+class TestRecoveryBounds:
+    """A recovery bound of zero or below exits 2 with the policy's
+    message, instead of running with a default in its place (or, for a
+    zero ACK deadline, hanging)."""
+
+    BAD = [("--ack-timeout", "0", "ack_timeout"),
+           ("--mshr-timeout", "0", "'mshr'"),
+           ("--max-retries", "-1", "max_retries")]
+
+    @pytest.mark.parametrize("flag,value,named", BAD)
+    def test_run_rejects_bound(self, flag, value, named, capsys):
+        assert main(["--scale", "ci", "--no-store", "run", "VADD",
+                     "NDP(Dyn)", "--faults", "rdf-drop", flag, value]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value,named", BAD)
+    def test_chaos_rejects_bound(self, flag, value, named, capsys):
+        assert main(["--scale", "ci", "--no-store", "--workloads", "VADD",
+                     "chaos", "--rates", "0.05", "--configs", "NDP(Dyn)",
+                     flag, value]) == 2
+        assert named in capsys.readouterr().err
+
+
 class TestBestSoFarPlot:
     def test_renders_curve_title_and_final_best(self):
         from repro.analysis.plots import best_so_far_plot

@@ -4,7 +4,7 @@ management (Section 4.3)."""
 import pytest
 
 from repro.config import ADDR_SIZE, LINE_SIZE, PKT_HEADER, REG_SIZE, WORD_SIZE
-from repro.core.credit import BufferCreditManager
+from repro.core.credit import CREDIT_RETURN_DELAY, BufferCreditManager
 from repro.core.packets import PacketSizes
 from repro.sim.engine import Engine
 
@@ -70,7 +70,8 @@ class TestCreditManager:
         m.reserve(0, num_loads=1, num_stores=0, on_grant=lambda: order.append("b"))
         assert order == ["a"]
         assert m.queue_depth(0) == 1
-        m.release(0, read_data=3, delay=0)
+        m.release(0, read_data=3)
+        e.drain()
         assert order == ["a", "b"]
 
     def test_fifo_no_bypass(self):
@@ -81,9 +82,11 @@ class TestCreditManager:
         m.reserve(0, num_loads=4, num_stores=0, on_grant=lambda: order.append("big1"))
         m.reserve(0, num_loads=4, num_stores=0, on_grant=lambda: order.append("big2"))
         m.reserve(0, num_loads=1, num_stores=0, on_grant=lambda: order.append("small"))
-        m.release(0, read_data=4, cmd=1, delay=0)
+        m.release(0, read_data=4, cmd=1)
+        e.drain()
         assert order == ["big1", "big2"]
-        m.release(0, read_data=4, cmd=1, delay=0)
+        m.release(0, read_data=4, cmd=1)
+        e.drain()
         assert order == ["big1", "big2", "small"]
 
     def test_per_hmc_independence(self):
@@ -103,15 +106,16 @@ class TestCreditManager:
         got = []
         m.reserve(0, num_loads=1, num_stores=0, on_grant=lambda: got.append("a"))
         m.reserve(0, num_loads=1, num_stores=0, on_grant=lambda: got.append("b"))
-        m.release(0, read_data=1, delay=5)
+        m.release(0, read_data=1)
         assert got == ["a"]
         e.drain()
         assert got == ["a", "b"]
-        assert e.now == 5
+        assert e.now == CREDIT_RETURN_DELAY
 
     def test_conservation_check(self):
         e, m = mk_mgr()
-        m.release(0, cmd=1, delay=0)   # spurious credit
+        m.release(0, cmd=1)   # spurious credit
+        e.drain()
         with pytest.raises(AssertionError):
             m.assert_conserved()
 
@@ -124,7 +128,8 @@ class TestCreditManager:
                           on_grant=lambda: None)
         assert now.granted and now.on_grant is None
         assert not later.granted and later.on_grant is not None
-        m.release(0, read_data=1, delay=0)
+        m.release(0, read_data=1)
+        e.drain()
         assert later.granted and later.on_grant is None
 
     def test_cancel_removes_the_given_reservation(self):
@@ -141,7 +146,8 @@ class TestCreditManager:
         second = m.reserve(0, num_loads=1, num_stores=0, on_grant=grant)
         assert m.cancel(second)
         assert m.queue_depth(0) == 1
-        m.release(0, read_data=1, delay=0)
+        m.release(0, read_data=1)
+        e.drain()
         assert first.granted and not second.granted
         assert order == ["granted"]
         assert second.on_grant is None
@@ -153,5 +159,6 @@ class TestCreditManager:
         m.reserve(0, num_loads=0, num_stores=1, on_grant=lambda: got.append("a"))
         m.reserve(0, num_loads=0, num_stores=1, on_grant=lambda: got.append("b"))
         assert got == ["a"]   # cmd credit exhausted
-        m.release(0, cmd=1, delay=0)
+        m.release(0, cmd=1)
+        e.drain()
         assert got == ["a", "b"]

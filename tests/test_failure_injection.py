@@ -6,12 +6,15 @@ same hooks the chaos CLI drives) rather than by monkeypatching internals,
 so these tests exercise the production injection + recovery paths.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.config import ci_config
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults import FaultPlan, FaultSpec, get_scenario
 from repro.sim.runner import build_system, run_workload
 from repro.sim.system import SimulationTimeout
+from repro.sim.validate import audit_system
 
 
 def _run(plan, config="NaiveNDP", max_cycles=200_000):
@@ -78,10 +81,26 @@ class TestWatchdog:
 
 
 class TestBufferInvariantTraps:
-    def test_read_buffer_overflow_trips_assertion(self):
-        from repro.core.buffers import ReadDataBuffer
+    @pytest.mark.parametrize("workload,seed", [("VADD", 1), ("KMN", 2)])
+    def test_abort_frees_entries_before_credits_return(self, workload,
+                                                       seed):
+        # With 4-entry NDP buffers every credit is in use.  An aborted
+        # attempt's returned credits grant a waiting block at once, and
+        # its announced entries must find the aborted ones purged.
+        base = ci_config()
+        base = dataclasses.replace(base, nsu=dataclasses.replace(
+            base.nsu, read_data_entries=4, write_addr_entries=4))
+        plan = get_scenario("link-corrupt", rate=0.05, seed=seed)
+        system = build_system(workload, "NaiveNDP", base=base, scale="ci",
+                              faults=plan)
+        result = system.run(max_cycles=1_000_000)
+        assert system.ndp.rstats.retries > 0
+        assert audit_system(system, result) == []
 
-        b = ReadDataBuffer(2)
+    def test_read_buffer_overflow_trips_assertion(self):
+        from repro.core.buffers import NDPBuffer
+
+        b = NDPBuffer("read-data", 2)
         b.expect(("a", 0), 1)
         b.expect(("a", 1), 1)
         with pytest.raises(AssertionError):

@@ -338,6 +338,16 @@ class TestFaultSites:
         assert not by_rule(lint_pkg(tmp_path, {"faults/user.py": src}),
                            "PROTO003")
 
+    def test_bogus_watchdog_site_flagged(self, tmp_path):
+        src = ("class Site:\n"
+               "    def arm(self, key):\n"
+               "        self.watchdog.arm(\"bogus\", key, 1)\n"
+               "        self.watchdog.handle(\"mshr\", self.on_deadline)\n"
+               "        self.watchdog.observe(\"ack\", 10)\n")
+        hits = by_rule(lint_pkg(tmp_path, {"sim/site.py": src}),
+                       "PROTO003")
+        assert [(h.line, "bogus" in h.message) for h in hits] == [(3, True)]
+
 
 class TestFacadeDrift:
     def test_aligned_cli_is_clean(self, tmp_path):

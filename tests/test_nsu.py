@@ -1,6 +1,7 @@
 """Unit tests for the NSU model (repro.core.nsu) driven directly through
 a stub controller."""
 
+import pytest
 
 from repro.config import ci_config
 from repro.core.nsu import NSU
@@ -151,12 +152,16 @@ class TestExecution:
         assert wa == 1
 
     def test_wta_arriving_before_expectation(self):
+        # The controller announces every entry before its first packet
+        # leaves the GPU, so an early WTA is a protocol bug, not a race.
         e, ctrl, nsu = mk_nsu()
         key = (("u", 0, 0), 2)
-        nsu.deliver_wta(key, MemAccess(5, 4, False))
-        assert not nsu.wta_buf.has(key)
+        with pytest.raises(AssertionError, match="write-address"):
+            nsu.deliver_wta(key, MemAccess(5, 4, False))
         nsu.expect_wta(key, 1)
-        assert nsu.wta_buf.has(key)
+        assert len(nsu.wta_buf) == 1 and not nsu.wta_buf.complete(key)
+        nsu.deliver_wta(key, MemAccess(5, 4, False))
+        assert nsu.wta_buf.complete(key)
 
     def test_occupancy_accounting(self):
         e, ctrl, nsu = mk_nsu()

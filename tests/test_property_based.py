@@ -402,7 +402,8 @@ class TestCreditProperties:
                 if i in done:
                     continue
                 done.add(i)
-                m.release(0, cmd=1, read_data=n_ld, write_addr=n_st, delay=0)
+                m.release(0, cmd=1, read_data=n_ld, write_addr=n_st)
+            e.drain()
         assert len(granted) == len(reservations)
         m.assert_conserved()
 

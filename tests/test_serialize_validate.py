@@ -73,7 +73,8 @@ class TestAudit:
 
     def test_detects_credit_leak(self):
         system, result = run_system()
-        system.ndp.credits.release(0, cmd=1, delay=0)   # spurious credit
+        system.ndp.credits.release(0, cmd=1)   # spurious credit
+        system.engine.drain()
         failures = audit_system(system, result)
         assert any("credit" in f.lower() for f in failures)
 

@@ -13,6 +13,7 @@ import pytest
 
 from repro.config import ci_config
 from repro.core.offload import OffloadInstance
+from repro.faults import get_scenario
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.runner import build_system, make_config, run_workload
 from repro.sim.system import System
@@ -287,5 +288,18 @@ class TestFreedByReferenceCounting:
         with collector_off():
             system = build_system(workload, config, scale="ci")
             system.run()
+            del system
+            assert gc.collect() == 0
+
+    def test_dropped_armed_system_leaves_no_cyclic_garbage(self):
+        # The NDP controller and the memory system hold the recovery
+        # watchdog, which holds their deadline handlers weakly.
+        with collector_off():
+            plan = get_scenario("link-corrupt", rate=0.05, seed=1)
+            system = build_system("BFS", "NaiveNDP", scale="ci",
+                                  faults=plan)
+            system.run()
+            assert system.ndp.rstats.watchdog_fires > 0
+            assert system.memsys.rstats.mshr_reissues > 0
             del system
             assert gc.collect() == 0
