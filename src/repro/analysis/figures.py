@@ -18,7 +18,7 @@ from repro.core.target_select import target_policy_traffic_study
 from repro.energy import compute_energy
 from repro.executor import CellExecutor, WorkerLost
 from repro.sim.results import RunResult
-from repro.sim.runner import build_system, make_config, run_workload
+from repro.sim.runner import make_config, outcome_of, run_cell
 from repro.sim.store import ResultStore, cell_key
 from repro.sim.system import SimulationTimeout
 from repro.workloads import workload_names
@@ -36,45 +36,20 @@ def geomean(values) -> float:
     return math.exp(sum(math.log(v) for v in vals) / len(vals))
 
 
-def _run_cell(args) -> "RunResult | SimulationTimeout":
-    """The one cell worker (module-level, so it pickles into a pool).
+def _run_cell(args) -> tuple:
+    """The grid's cell worker (module-level, so it pickles into a pool).
 
     ``args`` is ``(workload, config, base, scale, max_cycles, audit,
-    plan)``.  Builds and runs the cell, and audits it when ``audit`` is
-    set or a fault ``plan`` is armed -- in the worker, since the
-    ``System`` cannot cross the pool boundary -- with the failures riding
-    back on ``result.extra["audit"]``.  A cell that deadlocks returns its
-    :class:`SimulationTimeout` instead of raising it: ``fatal`` is an
-    outcome (see :func:`_outcome`), not a worker failure to retry.
+    plan)``; returns :func:`~repro.sim.runner.run_cell`'s ``(result,
+    failures)`` without the ``System``, which cannot cross the pool
+    boundary.  A deadlocked cell returns its :class:`SimulationTimeout`:
+    ``fatal`` is an outcome, not a worker failure to retry.
     """
     workload, config, base, scale, max_cycles, audit, plan = args
-    try:
-        if not audit and plan is None:
-            return run_workload(workload, config, base=base, scale=scale,
-                                max_cycles=max_cycles)
-        from repro.sim.validate import audit_system
-        system = build_system(workload, config, base=base, scale=scale,
-                              faults=plan)
-        result = system.run(max_cycles=max_cycles)
-    except SimulationTimeout as e:
-        # A fresh copy: the raised one's traceback and context would pin
-        # the System in the cache.
-        return SimulationTimeout(*e.args)
-    result.extra["audit"] = {"failures": audit_system(system, result)}
-    return result
-
-
-def _outcome(value: "RunResult | SimulationTimeout") -> str:
-    """A cell's chaos-vocabulary outcome: ``fatal`` (deadlocked),
-    ``audit-fail`` (completed, an invariant broke), ``recovered``
-    (faults fired, audit clean) or ``clean``."""
-    if isinstance(value, SimulationTimeout):
-        return "fatal"
-    if value.extra.get("audit", {}).get("failures"):
-        return "audit-fail"
-    if value.extra.get("faults", {}).get("total_fired", 0):
-        return "recovered"
-    return "clean"
+    _, result, failures = run_cell(workload, config, base=base, scale=scale,
+                                   max_cycles=max_cycles, faults=plan,
+                                   audit=audit)
+    return result, failures
 
 
 def _completed(value: "RunResult | SimulationTimeout") -> RunResult:
@@ -134,16 +109,17 @@ class ExperimentRunner:
         self.verbose = verbose
         self.parallel = max(1, parallel)
         # Audit every simulated cell (fault-free grid cells included) and
-        # stash failures on result.extra["audit"]; failing results are
-        # never persisted.  Store/memory hits are served as-is: anything
-        # already persisted passed its audit (or predates auditing).
+        # keep its failures beside the result; failing results are never
+        # persisted.  A store hit carries no failures: anything persisted
+        # passed its audit (or predates auditing).
         self.audit = audit
         self.store = (store if (store is None
                                 or isinstance(store, ResultStore))
                       else ResultStore(store))
         self.worker_timeout = worker_timeout
         self.stats = RunnerStats()
-        self._cache: dict[str, RunResult | SimulationTimeout] = {}
+        # store key -> (RunResult | SimulationTimeout, audit failures)
+        self._cache: dict[str, tuple] = {}
         # Test seams: a fake pool factory / worker fn can be injected to
         # exercise the timeout/crash recovery paths deterministically.
         self._executor_factory = None
@@ -171,9 +147,9 @@ class ExperimentRunner:
 
     def _cells(self, cells: dict, min_batch: int = 2) -> dict:
         """Resolve ``{store_key: _run_cell args}`` to ``{store_key:
-        RunResult | SimulationTimeout}``: memory cache -> store ->
-        executor -> serial run of the cells the executor gave up on.
-        Only ``clean``/``recovered`` results are persisted.
+        (RunResult | SimulationTimeout, audit failures)}``: memory cache
+        -> store -> executor -> serial run of the cells the executor gave
+        up on.  Only ``clean``/``recovered`` results are persisted.
 
         The misses go to the executor only when ``parallel > 1`` and
         there are at least ``min_batch`` of them; fewer run in-process,
@@ -190,7 +166,7 @@ class ExperimentRunner:
             stored = self.store.get(key) if self.store is not None else None
             if stored is not None:
                 self.stats.store_hits += 1
-                self._cache[key] = out[key] = stored
+                self._cache[key] = out[key] = (stored, [])
             else:
                 todo.append((key, args))
         if todo and self.parallel > 1 and len(todo) >= min_batch:
@@ -241,17 +217,17 @@ class ExperimentRunner:
             raise errors[0]
         return lost
 
-    def _record(self, key: str, args: tuple, value):
+    def _record(self, key: str, args: tuple, cell: tuple) -> tuple:
         self.stats.sim_runs += 1
-        self._cache[key] = value
-        if self.store is not None and _outcome(value) in ("clean",
-                                                          "recovered"):
+        self._cache[key] = cell
+        if self.store is not None and outcome_of(*cell) in ("clean",
+                                                            "recovered"):
             meta = {"scale": str(self.scale), "max_cycles": self.max_cycles}
             plan = args[6]       # the _run_cell tuple's fault plan
             if plan is not None:
                 meta["chaos"] = plan.name
-            self.store.put(key, value, meta=meta)
-        return value
+            self.store.put(key, cell[0], meta=meta)
+        return cell
 
     # -- public cell access --------------------------------------------------
 
@@ -260,16 +236,23 @@ class ExperimentRunner:
         deadlocked."""
         key = self.store_key(workload, config)
         return _completed(
-            self._cells({key: self._cell_args(workload, config)})[key])
+            self._cells({key: self._cell_args(workload, config)})[key][0])
 
-    def prefetch(self, configs, workloads=None) -> None:
-        """Simulate a grid of cells up-front, in parallel when enabled;
-        raises :class:`SimulationTimeout` if any cell deadlocked."""
-        cells = {self.store_key(w, c): self._cell_args(w, c)
-                 for w in (workloads or self.workloads) for c in configs}
-        values = self._cells(cells, min_batch=1)
-        for key in cells:
-            _completed(values[key])
+    def prefetch(self, configs, workloads=None) -> dict:
+        """Simulate a grid of cells up-front, in parallel when enabled,
+        and return ``{(workload, config): audit failures}`` (empty lists
+        for clean, unaudited and stored cells); raises
+        :class:`SimulationTimeout` if any cell deadlocked."""
+        keys = {(w, c): self.store_key(w, c)
+                for w in (workloads or self.workloads) for c in configs}
+        values = self._cells({keys[w, c]: self._cell_args(w, c)
+                              for w, c in keys}, min_batch=1)
+        verdicts = {}
+        for cell in keys:
+            result, failures = values[keys[cell]]
+            _completed(result)
+            verdicts[cell] = failures
+        return verdicts
 
     def eval_cells(self, cells) -> dict:
         """Evaluate heterogeneous cells -- ``(workload, config_name,
@@ -289,8 +272,8 @@ class ExperimentRunner:
                            self.max_cycles)
             todo.setdefault(key, self._cell_args(workload, config, base))
         values = self._cells(todo)
-        return {key: (None if _outcome(values[key]) == "fatal"
-                      else values[key]) for key in todo}
+        return {key: (None if outcome_of(*values[key]) == "fatal"
+                      else values[key][0]) for key in todo}
 
     def chaos_grid(self, plans: dict, configs, workloads=None
                    ) -> dict:
@@ -316,9 +299,9 @@ class ExperimentRunner:
         values = self._cells(cells)
         out = {}
         for cell in keys:
-            value = values[keys[cell]]
-            outcome = _outcome(value)
-            out[cell] = (outcome, None if outcome == "fatal" else value)
+            result, failures = values[keys[cell]]
+            outcome = outcome_of(result, failures)
+            out[cell] = (outcome, None if outcome == "fatal" else result)
         return out
 
     def speedup(self, workload: str, config: str) -> float:

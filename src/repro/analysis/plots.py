@@ -31,33 +31,13 @@ def bar_chart(series: dict[str, float], *, width: int = 40,
     # lint: ignore[DET002] -- bars render in the caller's series order
     for k, v in series.items():
         bar = hbar(v, vmax, width)
-        mark = ""
         if baseline is not None:
             tick = int(round(baseline / vmax * width))
             if tick >= len(bar):
                 bar = bar + " " * (tick - len(bar)) + "|"
             else:
                 bar = bar[:tick] + "|" + bar[tick + 1:]
-            mark = ""
-        lines.append(f"{k:<{label_w}} {fmt.format(v):>7} {bar}{mark}")
-    return "\n".join(lines)
-
-
-def grouped_bar_chart(data: dict[str, dict[str, float]], *,
-                      width: int = 30, title: str = "",
-                      fmt: str = "{:.2f}") -> str:
-    """Render ``group -> {label -> value}`` (e.g. workload -> config)."""
-    lines = [title] if title else []
-    vmax = max((v for row in data.values() for v in row.values()),
-               default=1.0)
-    label_w = max((len(k) for row in data.values() for k in row), default=4)
-    # lint: ignore[DET002] -- groups render in the caller's order
-    for group, row in data.items():
-        lines.append(f"{group}:")
-        # lint: ignore[DET002] -- and bars in the row's order
-        for k, v in row.items():
-            lines.append(f"  {k:<{label_w}} {fmt.format(v):>7} "
-                         f"{hbar(v, vmax, width)}")
+        lines.append(f"{k:<{label_w}} {fmt.format(v):>7} {bar}")
     return "\n".join(lines)
 
 

@@ -18,10 +18,11 @@ Everything the CLI can do is reachable from Python through four calls:
   the store-backed parallel pool.  See ``docs/design-space.md``.
 
 The low-level primitives (:func:`repro.sim.runner.build_system`,
-:func:`repro.sim.runner.run_workload`) remain supported for users who
-need the :class:`~repro.sim.system.System` object itself; this module is
-the canonical entry point for everything above that.  See
-``docs/api.md``.
+:func:`repro.sim.runner.run_workload`, and
+:func:`repro.sim.runner.run_cell`, the one build-run-audit step under
+:func:`run` and every grid) remain supported for users who need the
+:class:`~repro.sim.system.System` object itself; this module is the
+canonical entry point for everything above that.  See ``docs/api.md``.
 """
 
 from __future__ import annotations
@@ -34,10 +35,8 @@ from repro.config import SystemConfig, paper_config
 from repro.faults import (FaultPlan, RecoveryPolicy, get_scenario,
                           scenario_names)
 from repro.sim.results import RunResult
-from repro.sim.runner import build_system
+from repro.sim.runner import outcome_of, run_cell
 from repro.sim.store import ResultStore, cell_key
-from repro.sim.system import SimulationTimeout
-from repro.sim.validate import audit_system
 
 __all__ = ["ChaosCell", "ChaosReport", "RunOutcome", "RunRequest",
            "SweepOutcome", "base_config", "chaos", "explore", "fault_plan",
@@ -225,28 +224,21 @@ def run(request: RunRequest | None = None, **kwargs) -> RunOutcome:
             return RunOutcome(request=req, result=cached, from_store=True,
                               store_key=key, store_root=root)
 
-    system = build_system(req.workload, req.config, base=cfg,
-                          scale=req.scale, metrics=req.metrics, faults=plan)
     trace = None
-    if req.trace and system.ndp is not None:
+    if req.trace:
         from repro.sim.tracing import MessageTrace
         trace = MessageTrace()
-        system.ndp.trace = trace
-    try:
-        result = system.run(max_cycles=req.max_cycles)
-    except SimulationTimeout as e:
+    system, result, failures = run_cell(
+        req.workload, req.config, base=cfg, scale=req.scale,
+        max_cycles=req.max_cycles, faults=plan, audit=req.audit,
+        metrics=req.metrics, trace=trace)
+    if system.ndp is None:
+        trace = None
+    outcome = outcome_of(result, failures)
+    if outcome == "fatal":
         return RunOutcome(request=req, result=None, system=system,
-                          outcome="fatal", store_key=key, store_root=root,
-                          error=str(e), trace=trace)
-
-    failures = (audit_system(system, result)
-                if (req.audit or plan is not None) else [])
-    if failures:
-        outcome = "audit-fail"
-    elif result.extra.get("faults", {}).get("total_fired", 0):
-        outcome = "recovered"
-    else:
-        outcome = "clean"
+                          outcome=outcome, store_key=key, store_root=root,
+                          error=str(result), trace=trace)
     if store is not None and not instrumented and not failures:
         store.put(key, result, meta={"scale": str(req.scale)})
     return RunOutcome(request=req, result=result, system=system,
@@ -268,8 +260,9 @@ def make_runner(*, base: SystemConfig | None = None, sms: int | None = None,
     """The canonical :class:`ExperimentRunner` factory (figure/report
     grids, benchmarks, and the building block under :func:`sweep` and
     :func:`chaos`).  ``audit=True`` runs the invariant audit on every
-    simulated cell (failures ride ``result.extra["audit"]`` and are never
-    persisted); store hits are served as-is."""
+    simulated cell (the runner keeps its failures beside the result, and
+    a failing result is never persisted); store hits are served
+    as-is."""
     return ExperimentRunner(
         base=base_config(base=base, sms=sms, nsu_mhz=nsu_mhz,
                          ro_cache=ro_cache, target_policy=target_policy,
@@ -293,10 +286,6 @@ class SweepOutcome:
     audit_failures: dict[str, list[str]] = field(default_factory=dict)
 
 
-def _cell_audit_failures(result: RunResult) -> list[str]:
-    return list(result.extra.get("audit", {}).get("failures", []))
-
-
 def sweep(workload: str, configs=None, *, runner: ExperimentRunner = None,
           audit: bool | None = None, **runner_kwargs) -> SweepOutcome:
     """Sweep ``workload`` across ``configs`` (default: the Figure 9
@@ -313,12 +302,12 @@ def sweep(workload: str, configs=None, *, runner: ExperimentRunner = None,
         runner = make_runner(**runner_kwargs)
     elif audit is not None:
         runner.audit = audit
-    runner.prefetch(configs, workloads=[workload])
+    verdicts = runner.prefetch(configs, workloads=[workload])
     results = {c: runner.result(workload, c) for c in configs}
     speedups = ({c: runner.speedup(workload, c) for c in configs}
                 if "Baseline" in configs else {})
-    failures = {c: f for c in configs
-                if (f := _cell_audit_failures(results[c]))}
+    failures = {c: list(f) for c in configs
+                if (f := verdicts[workload, c])}
     return SweepOutcome(workload=workload, configs=configs, results=results,
                         speedups=speedups, stats=runner.stats,
                         audit_failures=failures)
@@ -414,13 +403,12 @@ def chaos(*, scenario: str = "rdf-drop", rates=(0.0, 0.01, 0.05),
     plans = {rate: get_scenario(scenario, rate=rate, seed=fault_seed,
                                 recovery=recovery) for rate in rates}
     # Fault-free references first (plain store keys), then the grid.
-    runner.prefetch(configs, workloads=workloads)
+    verdicts = runner.prefetch(configs, workloads=workloads)
     ref_results = {(w, c): runner.result(w, c)
                    for w in workloads for c in configs}
     ref = {k: r.cycles for k, r in sorted(ref_results.items())}
-    ref_failures = {f"{w}/{c}": f
-                    for (w, c), r in sorted(ref_results.items())
-                    if (f := _cell_audit_failures(r))}
+    ref_failures = {f"{w}/{c}": list(f)
+                    for (w, c), f in sorted(verdicts.items()) if f}
     from repro.energy import compute_energy
     ref_energy = {(w, c): compute_energy(r, runner.config(c)).total
                   for (w, c), r in sorted(ref_results.items())}

@@ -337,11 +337,6 @@ class SystemConfig:
             raise ValueError(f"unknown memory backend {self.backend!r}; "
                              f"choose from {', '.join(BACKEND_NAMES)}")
 
-    @property
-    def dram_cycles_per_sm_cycle(self) -> float:
-        dram_mhz = 1e3 / self.hmc.timing.tck_ns
-        return dram_mhz / self.gpu.sm_clock_mhz
-
     def with_mode(self, mode: str, *, static_ratio: float | None = None) -> "SystemConfig":
         """Return a copy of this config with a different offload policy."""
         ndp = replace(

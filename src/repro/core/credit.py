@@ -81,7 +81,6 @@ class BufferCreditManager:
         ]
         self.reservations_granted = 0
         self.reservations_queued = 0
-        self.reservations_cancelled = 0
 
     def reserve(self, hmc: int, *, num_loads: int, num_stores: int,
                 on_grant: Callable[[], None]) -> Reservation:
@@ -146,7 +145,6 @@ class BufferCreditManager:
         except ValueError:
             return False
         res.on_grant = None
-        self.reservations_cancelled += 1
         self._drain(res.hmc)
         return True
 

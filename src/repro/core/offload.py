@@ -281,16 +281,6 @@ class NDPController:
         self.rstats = RecoveryStats()
         self._instances: dict[tuple, OffloadInstance] = {}
 
-    def metrics_snapshot(self) -> dict:
-        """Counters/gauges published into the metrics registry."""
-        return {
-            "packets": self.stats.packet_counts(),
-            "pending_total": sum(self.pending),
-            "pending_peak": self.stats.pending_peak,
-            "pending_rejects": self.stats.pending_rejects,
-            "wta_inflight": sum(self.wta_inflight),
-        }
-
     def set_code_layout(self, blocks) -> None:
         """Lay the NSU code for each block out in I-cache lines.
 
@@ -383,14 +373,15 @@ class NDPController:
 
     # -- credit plumbing -------------------------------------------------------
 
-    def release_credits(self, hmc: int, inst=None, *, cmd: int = 0,
-                        read_data: int = 0, write_addr: int = 0) -> bool:
+    def release_credits(self, hmc: int, inst: OffloadInstance, *,
+                        cmd: int = 0, read_data: int = 0,
+                        write_addr: int = 0) -> bool:
         """NSU-side credit return, routed through the owning instance's
         ledger so recovery can reconcile entries whose return message an
         armed fault plan dropped."""
         ok = self.credits.release(hmc, cmd=cmd, read_data=read_data,
                                   write_addr=write_addr)
-        held = getattr(inst, "held", None)
+        held = inst.held
         if ok and held is not None:
             held[0] -= cmd
             held[1] -= read_data

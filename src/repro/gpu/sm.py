@@ -82,7 +82,6 @@ class SM:
         self.stalls = StallBreakdown()
         self.instructions = 0            # baseline-equivalent work retired
         self.block_instrs_retired = 0    # offload-block work (Algorithm 1)
-        self.issue_slots_used = 0        # raw issue slots (incl. NDP code)
         self.alu_ops = 0
         self.warps_completed = 0
         self.offloads = 0
@@ -97,7 +96,6 @@ class SM:
         while (len(self.warps) < self.warps_per_sm and self.pending_traces):
             trace = self.pending_traces.popleft()
             warp = Warp(self, self._next_wid, trace)
-            warp.launch_cycle = self.engine.now
             self._next_wid += 1
             self.warps.append(warp)
             self.ready[warp.wid] = warp
@@ -284,7 +282,6 @@ class SM:
                 warp.enter_block("offload")
                 warp.sub_pc = 1            # OFLD.BEG consumed this slot
                 self.offloads += 1
-                self.issue_slots_used += 1
                 return "issued"
             warp.enter_block("inline")
             self.inlines += 1
@@ -305,7 +302,6 @@ class SM:
             warp.mem_seq += 1
         warp.sub_pc += 1
         if warp.sub_pc >= len(instrs):
-            warp.block_instrs_retired += len(instrs)
             self.block_instrs_retired += len(instrs)
             warp.exit_block()
         return "issued"
@@ -343,12 +339,10 @@ class SM:
             self.ndp.end_block(inst)
             self.ready.pop(warp.wid, None)
             warp.state = WarpState.ACK
-            self.issue_slots_used += 1
             return "issued"
         else:  # pragma: no cover - beg handled in _issue_block
             raise AssertionError(f"unexpected GPU-side op {g.kind}")
         warp.sub_pc += 1
-        self.issue_slots_used += 1
         return "issued"
 
     def fallback_inline(self, warp: Warp) -> None:
@@ -379,7 +373,6 @@ class SM:
         for reg in item.block.ret_regs:
             warp.set_reg_ready(reg, now)
         n = len(item.block.instrs)
-        warp.block_instrs_retired += n
         self.block_instrs_retired += n
         self.instructions += n
         warp.exit_block()
@@ -432,15 +425,13 @@ class SM:
         if instr.dst is not None and lat:
             warp.set_reg_ready(instr.dst, now + lat)
         self.instructions += 1
-        warp.instrs_retired += 1
-        self.issue_slots_used += 1
         return "issued"
 
     def _exec_load(self, warp: Warp, instr, accesses) -> str:
         if not accesses:
             # Fully-masked access degenerates to a register write.
             warp.set_reg_ready(instr.dst, self.engine.now + self.alu_latency)
-            self._retire(warp)
+            self.instructions += 1
             return "issued"
         # A replay here has sent its last line (``_try_issue``).
         replay = self._replays.pop(warp.wid, None)
@@ -454,19 +445,14 @@ class SM:
                 return "mshr_full"
         # All line requests of this load are out.
         replay.commit()
-        self._retire(warp)
+        self.instructions += 1
         return "issued"
 
     def _exec_store(self, warp: Warp, instr, accesses) -> str:
         for acc in accesses:
             self.memsys.store(self, acc)
-        self._retire(warp)
-        return "issued"
-
-    def _retire(self, warp: Warp) -> None:
         self.instructions += 1
-        warp.instrs_retired += 1
-        self.issue_slots_used += 1
+        return "issued"
 
 
 class _MemReplay:

@@ -38,8 +38,7 @@ class Warp:
         "sm", "wid", "trace", "pc", "state",
         "mode", "sub_pc", "mem_seq",
         "reg_ready", "inflight_loads", "waiting_reg",
-        "offload_instance", "force_inline", "launch_cycle",
-        "instrs_retired", "block_instrs_retired",
+        "offload_instance", "force_inline",
     )
 
     def __init__(self, sm, wid: int, trace: WarpTrace) -> None:
@@ -61,9 +60,6 @@ class Warp:
         # One-shot recovery flag: the next block decision is forced inline
         # (set by SM.fallback_inline after an offload is abandoned).
         self.force_inline = False
-        self.launch_cycle = 0
-        self.instrs_retired = 0
-        self.block_instrs_retired = 0
 
     # -- trace navigation ---------------------------------------------------
 

@@ -43,12 +43,11 @@ sanitizer uses to wrap locks in owner-tracking proxies.
 from __future__ import annotations
 
 import ast
-import io
 import re
-import tokenize
 from dataclasses import dataclass, field
 
-from repro.lint.core import FileContext, Rule
+from repro.lint.core import (FileContext, Rule, dotted_name, receiver_tail,
+                             scan_comments)
 
 __all__ = ["CONCURRENCY_RULES", "ClassModel", "GuardedAttributeRule",
            "BlockingUnderLockRule", "ConditionDisciplineRule",
@@ -76,29 +75,9 @@ class GuardAnnotation:
 
 
 def parse_guard_annotations(source: str) -> list[GuardAnnotation]:
-    out: list[GuardAnnotation] = []
-    lines = source.splitlines()
-    try:
-        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
-    except (tokenize.TokenError, IndentationError):
-        return out
-    for tok in tokens:
-        if tok.type != tokenize.COMMENT:
-            continue
-        m = _GUARD_RE.search(tok.string)
-        if m is None:
-            continue
-        standalone = tok.line[:tok.start[1]].strip() == ""
-        line = tok.start[0]
-        target = line
-        if standalone:
-            target = line + 1
-            while (target <= len(lines)
-                   and lines[target - 1].lstrip().startswith("#")):
-                target += 1
-        out.append(GuardAnnotation(line=line, target=target,
-                                   lock=m.group(1), reason=m.group(2)))
-    return out
+    return [GuardAnnotation(line=line, target=target, lock=m.group(1),
+                            reason=m.group(2))
+            for line, target, m in scan_comments(source, _GUARD_RE)]
 
 
 def _self_attr(node: ast.AST) -> str | None:
@@ -108,17 +87,6 @@ def _self_attr(node: ast.AST) -> str | None:
             and node.value.id == "self"):
         return node.attr
     return None
-
-
-def _dotted(node: ast.AST) -> str:
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return ""
 
 
 def _threading_names(tree: ast.AST) -> set[str]:
@@ -136,7 +104,7 @@ def _threading_kind(node: ast.AST, bare: set[str]) -> str | None:
     recognizes ``Event`` (self-synchronizing, never a guard)."""
     if not isinstance(node, ast.Call):
         return None
-    name = _dotted(node.func)
+    name = dotted_name(node.func)
     if name.startswith("threading."):
         name = name[len("threading."):]
     elif name not in bare:
@@ -386,15 +354,6 @@ _QUEUEISH = frozenset({"q", "queue"})
 _QUEUEISH_SUFFIXES = ("_q", "_queue")
 
 
-def _receiver_tail(func: ast.Attribute) -> str:
-    v = func.value
-    if isinstance(v, ast.Attribute):
-        return v.attr
-    if isinstance(v, ast.Name):
-        return v.id
-    return ""
-
-
 class BlockingUnderLockRule(Rule):
     """CONC002: no blocking calls while holding a lock -- a lock held
     across a sleep, a worker-pool wait or a facade simulation stalls
@@ -424,7 +383,7 @@ class BlockingUnderLockRule(Rule):
         _walk_held(model, fn, check)
 
     def _blocking(self, model, node: ast.Call, held) -> str | None:
-        dotted = _dotted(node.func)
+        dotted = dotted_name(node.func)
         if dotted in _BLOCKING_EXACT:
             return f"{dotted}()"
         if dotted.startswith(_BLOCKING_PREFIXES):
@@ -435,7 +394,7 @@ class BlockingUnderLockRule(Rule):
         if not isinstance(node.func, ast.Attribute):
             return None
         attr = node.func.attr
-        recv = _receiver_tail(node.func)
+        recv = receiver_tail(node.func)
         if attr == "result":
             return f"Future {recv or '<expr>'}.result()"
         if attr == "join":
@@ -509,7 +468,7 @@ class ThreadLifecycleRule(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            name = _dotted(node.func)
+            name = dotted_name(node.func)
             if name != "threading.Thread" and not (
                     name == "Thread" and "Thread" in bare):
                 continue

@@ -31,7 +31,7 @@ import tokenize
 from dataclasses import dataclass, field
 
 __all__ = ["Finding", "FileContext", "Rule", "SEVERITIES", "attach_parents",
-           "severity_rank"]
+           "dotted_name", "receiver_tail", "scan_comments", "severity_rank"]
 
 #: Severities in decreasing order of importance.
 SEVERITIES = ("error", "warning", "info")
@@ -66,28 +66,18 @@ _SUPPRESS_RE = re.compile(
     r"#\s*lint:\s*ignore\[([A-Za-z0-9_,\s]+)\]\s*(?:--\s*(\S.*))?")
 
 
-@dataclass
-class Suppression:
-    """One ``# lint: ignore[...]`` comment."""
+def scan_comments(source: str, pattern: re.Pattern
+                  ) -> list[tuple[int, int, re.Match]]:
+    """``(line, target, match)`` for every comment ``pattern`` matches.
 
-    line: int                # line the comment sits on (1-based)
-    rules: tuple[str, ...]
-    reason: str | None
-    standalone: bool         # comment-only line: applies to the next
-    #                          statement line (skipping the rest of the
-    #                          comment block)
-    target: int = 0          # the line the suppression applies to
-    used: bool = field(default=False, compare=False)
-
-    def covers(self, rule: str, line: int) -> bool:
-        return line == self.target and rule in self.rules
-
-
-def parse_suppressions(source: str) -> list[Suppression]:
-    # Tokenize so the marker only counts inside real comments -- the same
-    # text in a docstring (e.g. documentation of this very syntax) is not
-    # a suppression.
-    out = []
+    The comment grammar shared by suppressions, ``guarded-by`` and
+    ``perf: alloc-ok``.  The source is tokenized, so a marker only counts
+    inside a real comment -- the same text in a docstring (e.g. the
+    documentation of this very syntax) is no match.  ``target`` is the
+    line the comment applies to: its own line, or for a comment on a
+    line of its own the first code line after its comment block.
+    """
+    out: list[tuple[int, int, re.Match]] = []
     lines = source.splitlines()
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
@@ -96,22 +86,63 @@ def parse_suppressions(source: str) -> list[Suppression]:
     for tok in tokens:
         if tok.type != tokenize.COMMENT:
             continue
-        m = _SUPPRESS_RE.search(tok.string)
+        m = pattern.search(tok.string)
         if m is None:
             continue
-        rules = tuple(r.strip() for r in m.group(1).split(",") if r.strip())
-        standalone = tok.line[:tok.start[1]].strip() == ""
-        line = tok.start[0]
-        target = line
-        if standalone:
-            # Applies to the first code line after the comment block.
+        line = target = tok.start[0]
+        if tok.line[:tok.start[1]].strip() == "":
             target = line + 1
             while (target <= len(lines)
                    and lines[target - 1].lstrip().startswith("#")):
                 target += 1
-        out.append(Suppression(line=line, rules=rules, reason=m.group(2),
-                               standalone=standalone, target=target))
+        out.append((line, target, m))
     return out
+
+
+@dataclass
+class Suppression:
+    """One ``# lint: ignore[...]`` comment."""
+
+    line: int                # line the comment sits on (1-based)
+    rules: tuple[str, ...]
+    reason: str | None
+    target: int = 0          # the line the suppression applies to
+    used: bool = field(default=False, compare=False)
+
+    def covers(self, rule: str, line: int) -> bool:
+        return line == self.target and rule in self.rules
+
+
+def parse_suppressions(source: str) -> list[Suppression]:
+    return [Suppression(line=line,
+                        rules=tuple(r.strip() for r in m.group(1).split(",")
+                                    if r.strip()),
+                        reason=m.group(2), target=target)
+            for line, target, m in scan_comments(source, _SUPPRESS_RE)]
+
+
+def dotted_name(node: ast.AST) -> str:
+    """Best-effort dotted name of an attribute chain ('np.random.rand');
+    ``""`` when the chain does not end in a plain name."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return ""
+
+
+def receiver_tail(func: ast.Attribute) -> str:
+    """Last identifier of a method call's receiver chain:
+    'self.faults.packet' -> 'faults'."""
+    v = func.value
+    if isinstance(v, ast.Attribute):
+        return v.attr
+    if isinstance(v, ast.Name):
+        return v.id
+    return ""
 
 
 def attach_parents(tree: ast.AST) -> None:

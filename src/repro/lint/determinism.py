@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.core import FileContext, Rule
+from repro.lint.core import FileContext, Rule, dotted_name
 
 __all__ = ["DETERMINISM_RULES", "SetIterationRule", "DictViewIterationRule",
            "UnseededRandomRule", "HashIdRule", "WallClockRule"]
@@ -123,18 +123,6 @@ class DictViewIterationRule(Rule):
                        "suppress stating why it cannot")
 
 
-def _dotted(node: ast.AST) -> str:
-    """Best-effort dotted name of an attribute chain ('np.random.rand')."""
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return ""
-
-
 class UnseededRandomRule(Rule):
     id = "DET003"
     severity = "error"
@@ -152,7 +140,7 @@ class UnseededRandomRule(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            name = _dotted(node.func)
+            name = dotted_name(node.func)
             if not name:
                 continue
             root, _, rest = name.partition(".")
@@ -211,9 +199,9 @@ class WallClockRule(Rule):
 
     def check_file(self, ctx: FileContext, project) -> None:
         for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call) and _dotted(node.func) in self._CLOCKS:
+            if isinstance(node, ast.Call) and dotted_name(node.func) in self._CLOCKS:
                 ctx.report(self.id, self.severity, node,
-                           f"{_dotted(node.func)}() reads the wall clock "
+                           f"{dotted_name(node.func)}() reads the wall clock "
                            "on the simulated path; derive from the cycle "
                            "counter, or suppress if it never enters "
                            "results")

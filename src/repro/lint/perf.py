@@ -35,12 +35,10 @@ Rule:
 from __future__ import annotations
 
 import ast
-import io
 import re
-import tokenize
 from dataclasses import dataclass
 
-from repro.lint.core import FileContext, Rule
+from repro.lint.core import FileContext, Rule, scan_comments
 
 __all__ = ["PERF_RULES", "HotPathAllocationRule", "parse_alloc_annotations"]
 
@@ -79,29 +77,8 @@ class AllocAnnotation:
 
 
 def parse_alloc_annotations(source: str) -> list[AllocAnnotation]:
-    out: list[AllocAnnotation] = []
-    lines = source.splitlines()
-    try:
-        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
-    except (tokenize.TokenError, IndentationError):
-        return out
-    for tok in tokens:
-        if tok.type != tokenize.COMMENT:
-            continue
-        m = _ALLOC_OK_RE.search(tok.string)
-        if m is None:
-            continue
-        standalone = tok.line[:tok.start[1]].strip() == ""
-        line = tok.start[0]
-        target = line
-        if standalone:
-            target = line + 1
-            while (target <= len(lines)
-                   and lines[target - 1].lstrip().startswith("#")):
-                target += 1
-        out.append(AllocAnnotation(line=line, target=target,
-                                   reason=m.group(1)))
-    return out
+    return [AllocAnnotation(line=line, target=target, reason=m.group(1))
+            for line, target, m in scan_comments(source, _ALLOC_OK_RE)]
 
 
 def _is_partial(node: ast.Call) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.lint.core import FileContext, Rule
+from repro.lint.core import FileContext, Rule, receiver_tail
 from repro.lint.project import Project
 
 __all__ = ["PROTOCOL_RULES", "PacketCoverageRule", "MetricNameRule",
@@ -86,16 +86,6 @@ def _registry_bindings(tree: ast.AST):
         elif isinstance(node, ast.Assign) and _is_registry_call(node.value):
             for t in node.targets:
                 yield _bound_name(t), node
-
-
-def _receiver_name(func: ast.Attribute) -> str:
-    """Last identifier of the receiver chain: 'self.faults.packet' -> 'faults'."""
-    v = func.value
-    if isinstance(v, ast.Attribute):
-        return v.attr
-    if isinstance(v, ast.Name):
-        return v.id
-    return ""
 
 
 def _str_arg(call: ast.Call, index: int = 0,
@@ -256,7 +246,7 @@ class MetricNameRule(Rule):
         func = node.func
         if not isinstance(func, ast.Attribute):
             return
-        recv = _receiver_name(func)
+        recv = receiver_tail(func)
         if (func.attr in ("counter", "histogram", "observe")
                 and self._is_receiver(recv) and node.args):
             self._check_name(ctx, project, node.args[0])
@@ -348,7 +338,7 @@ class FaultSiteRule(Rule):
                     arg = _str_arg(node, 0, keyword="site")
                     self._expect(ctx, arg, project.sites, "SITES")
                 continue
-            recv = _receiver_name(func)
+            recv = receiver_tail(func)
             if (func.attr == "packet"
                     and recv in self.INJECTOR_RECEIVERS):
                 self._expect(ctx, _str_arg(node, 0),

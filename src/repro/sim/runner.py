@@ -1,5 +1,9 @@
 """Run helpers: named configurations and workload execution.
 
+:func:`run_cell` is the one path that builds, runs and audits a cell:
+``api.run`` and the grid runner's worker both call it, and
+:func:`outcome_of` classifies what it returns.
+
 The configuration names follow the paper's figures:
 
 * ``Baseline``             -- 64 SMs, no NDP (Figure 7/9 reference)
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 from repro.config import OffloadMode, SystemConfig, paper_config
 from repro.sim.results import RunResult
-from repro.sim.system import System
+from repro.sim.system import SimulationTimeout, System
 from repro.workloads import WorkloadModel, get_workload
 
 
@@ -104,3 +108,49 @@ def run_workload(workload: str | WorkloadModel, config_name: str,
     system = build_system(workload, config_name, base=base, scale=scale,
                           metrics=metrics, faults=faults)
     return system.run(max_cycles=max_cycles)
+
+
+def run_cell(workload: str | WorkloadModel, config_name: str, *,
+             base: SystemConfig | None = None, scale="ci",
+             max_cycles: int = 20_000_000, faults=None, audit: bool = False,
+             metrics=None, trace=None
+             ) -> tuple[System, "RunResult | SimulationTimeout", list[str]]:
+    """Build, run and audit one cell; return ``(system, result,
+    failures)``.
+
+    A run that deadlocks returns a fresh copy of its
+    :class:`SimulationTimeout` as ``result`` instead of raising it (the
+    raised one's traceback would pin the system's frames).  ``failures``
+    is :func:`~repro.sim.validate.audit_system`'s list when ``audit`` is
+    set or a fault plan is armed, and ``[]`` otherwise: the verdict rides
+    beside the result, never inside ``result.extra``.  ``trace`` is a
+    :class:`~repro.sim.tracing.MessageTrace` to arm on the NDP controller
+    (a system without one ignores it).
+    """
+    system = build_system(workload, config_name, base=base, scale=scale,
+                          metrics=metrics, faults=faults)
+    if trace is not None and system.ndp is not None:
+        system.ndp.trace = trace
+    try:
+        result = system.run(max_cycles=max_cycles)
+    except SimulationTimeout as e:
+        return system, SimulationTimeout(*e.args), []
+    if not audit and faults is None:
+        return system, result, []
+    # Looked up at call time, so a patched audit reaches every cell path.
+    from repro.sim import validate
+    return system, result, validate.audit_system(system, result)
+
+
+def outcome_of(result: "RunResult | SimulationTimeout",
+               failures: list[str]) -> str:
+    """A cell's outcome in the chaos vocabulary: ``fatal`` (deadlocked),
+    ``audit-fail`` (completed, an invariant broke), ``recovered`` (faults
+    fired, audit clean) or ``clean``."""
+    if isinstance(result, SimulationTimeout):
+        return "fatal"
+    if failures:
+        return "audit-fail"
+    if result.extra.get("faults", {}).get("total_fired", 0):
+        return "recovered"
+    return "clean"

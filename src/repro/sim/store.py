@@ -28,10 +28,15 @@ stored cell is byte-for-byte equivalent to re-simulating it.
 Key-reuse audit (who shares keys with whom)
 -------------------------------------------
 
-Three producers write through :func:`cell_key` and must stay coherent:
+Four producers write through :func:`cell_key` and must stay coherent:
 
 * sweeps/figures (:class:`~repro.analysis.figures.ExperimentRunner`)
   use the **plain** key -- no extra salt;
+* single runs (``repro.api.run``) write the **plain** key too, for an
+  unfaulted, uninstrumented run whose audit (if any) passed.  Both
+  simulate through :func:`~repro.sim.runner.run_cell`, which keeps the
+  audit verdict beside the result, so an entry is the same result
+  whichever producer wrote it;
 * chaos grids salt the key with the fault-plan fingerprint
   (``ExperimentRunner.chaos_store_key``) because a faulted result is a
   different outcome for the same inputs;

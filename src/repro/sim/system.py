@@ -107,7 +107,6 @@ class System:
         # Fault injection (repro.faults): arming is a plain attribute write
         # on each component -- an unarmed system carries ``faults = None``
         # everywhere and its event stream is untouched.
-        self.faults_plan = faults
         self.fault_injector = None
         self.watchdog = None
         if faults is not None:

@@ -4,8 +4,9 @@
 its :class:`~repro.sim.results.RunResult` for conservation violations --
 lost packets, leaked buffer entries, unbalanced credits, impossible
 counters.  The integration tests run it after every simulated
-configuration; it is also available to users via
-``run_workload(..., audit=True)``-style wrappers in their own harnesses.
+configuration, and :func:`repro.sim.runner.run_cell` runs it for
+``api.run`` and every grid cell when asked to audit or a fault plan is
+armed.
 """
 
 from __future__ import annotations
@@ -71,9 +72,8 @@ def audit_system(system, result: RunResult) -> list[str]:
         # Under fault injection an offload may complete via inline fallback
         # (no ACK) and an NDP write's invalidation may be dropped; the
         # recovery stats account for both so conservation still holds.
-        rstats = getattr(system.ndp, "rstats", None)
-        fallbacks = rstats.fallbacks if rstats is not None else 0
-        writes_lost = rstats.writes_lost if rstats is not None else 0
+        fallbacks = system.ndp.rstats.fallbacks
+        writes_lost = system.ndp.rstats.writes_lost
         _check(s.acks + fallbacks == s.offloads,
                f"ACKs {s.acks} + fallbacks {fallbacks} != "
                f"offloads {s.offloads}", failures)

@@ -222,6 +222,34 @@ class TestAuditFacade:
         assert report.ref_audit_failures == {
             "VADD/NDP(Dyn)": ["synthetic violation"]}
 
+    def test_audited_sweep_store_serves_the_fresh_result(self, tmp_path):
+        """The audit verdict rides beside a grid cell's result, never
+        inside it: a cell an audited sweep stored is the cell a fresh
+        simulation gives, digest for digest."""
+        from repro.sim.runner import run_workload
+        from repro.sim.serialize import result_digest
+        api.sweep("VADD", configs=("NDP(Dyn)",), base=ci_config(),
+                  scale="ci", store=str(tmp_path), max_cycles=5_000_000,
+                  audit=True)
+        served = api.run(_request(tmp_path, config="NDP(Dyn)"))
+        assert served.from_store
+        fresh = run_workload("VADD", "NDP(Dyn)", base=ci_config(),
+                             scale="ci", max_cycles=5_000_000)
+        assert result_digest(served.result) == result_digest(fresh)
+
+    def test_memory_hit_keeps_audit_failures(self, monkeypatch):
+        import repro.sim.validate as validate
+        monkeypatch.setattr(validate, "audit_system",
+                            lambda system, result: ["synthetic violation"])
+        runner = api.make_runner(base=ci_config(), scale="ci",
+                                 workloads=["VADD"], use_store=False,
+                                 audit=True)
+        first = api.sweep("VADD", configs=("NDP(Dyn)",), runner=runner)
+        second = api.sweep("VADD", configs=("NDP(Dyn)",), runner=runner)
+        assert runner.stats.sim_runs == 1 and runner.stats.memory_hits
+        want = {"NDP(Dyn)": ["synthetic violation"]}
+        assert first.audit_failures == second.audit_failures == want
+
 
 class TestValidation:
     """``run()`` fails fast with *typed* errors before building any

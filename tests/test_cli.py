@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.plots import bar_chart, grouped_bar_chart, hbar, line_plot
+from repro.analysis.plots import bar_chart, hbar, line_plot
 from repro.cli import build_parser, main
 
 
@@ -24,10 +24,6 @@ class TestPlots:
     def test_bar_chart_baseline_tick(self):
         text = bar_chart({"x": 2.0}, baseline=1.0, width=10)
         assert "|" in text
-
-    def test_grouped_bar_chart(self):
-        text = grouped_bar_chart({"g": {"a": 1.0}}, title="T")
-        assert "g:" in text and "a" in text
 
     def test_line_plot_axes(self):
         text = line_plot([1, 2, 3], {"s": [1.0, 2.0, 3.0]})

@@ -61,10 +61,6 @@ class TestDerivedRates:
         cfg = paper_config()
         assert cfg.nsu.cycles_per_sm_cycle(700.0) == pytest.approx(0.5)
 
-    def test_dram_rate(self):
-        cfg = paper_config()
-        assert cfg.dram_cycles_per_sm_cycle == pytest.approx(0.952, abs=0.01)
-
 
 class TestVariants:
     def test_with_mode(self):

@@ -25,12 +25,13 @@ def mk_sm(engine):
               max_inflight_loads=4, memsys=RecordingMemSys(engine))
 
 def drive(engine, sm, record):
+    # The traces are ALU-only, so a warp's pc advances once per issue.
     while not sm.done and engine.now < 10_000:
         engine.process_due()
-        before = {w.wid: w.instrs_retired for w in sm.warps}
+        before = {w.wid: w.pc for w in sm.warps}
         sm.tick()
         for w in sm.warps:
-            if w.instrs_retired > before.get(w.wid, 0):
+            if w.pc > before.get(w.wid, 0):
                 record.append(w.wid)
         engine.now += 1
 

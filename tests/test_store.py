@@ -15,7 +15,7 @@ from repro.analysis import figures
 from repro.analysis.figures import ExperimentRunner
 from repro.config import ci_config
 from repro.executor import CellExecutor, WorkerLost
-from repro.sim.runner import run_workload
+from repro.sim.runner import run_cell, run_workload
 from repro.sim.store import (CODE_VERSION_SALT, STORE_FORMAT, ResultStore,
                              cell_key)
 from repro.sim.system import SimulationTimeout
@@ -182,7 +182,7 @@ class TestParallelPrefetchHardening:
             calls[(w, c)] = calls.get((w, c), 0) + 1
             if calls[(w, c)] == 1:
                 raise BrokenProcessPool("simulated worker crash")
-            return tiny_result
+            return tiny_result, []
 
         r._executor_factory = cf.ThreadPoolExecutor
         r._worker = worker
@@ -202,8 +202,8 @@ class TestParallelPrefetchHardening:
         def always_crash(arg):
             raise BrokenProcessPool("boom")
 
-        monkeypatch.setattr(figures, "run_workload",
-                            lambda *a, **k: tiny_result)
+        monkeypatch.setattr(figures, "run_cell",
+                            lambda *a, **k: (None, tiny_result, []))
         r._executor_factory = cf.ThreadPoolExecutor
         r._worker = always_crash
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
@@ -217,10 +217,10 @@ class TestParallelPrefetchHardening:
 
         def slow(arg):
             time.sleep(0.4)
-            return tiny_result
+            return tiny_result, []
 
-        monkeypatch.setattr(figures, "run_workload",
-                            lambda *a, **k: tiny_result)
+        monkeypatch.setattr(figures, "run_cell",
+                            lambda *a, **k: (None, tiny_result, []))
         r._executor_factory = cf.ThreadPoolExecutor
         r._worker = slow
         with pytest.warns(RuntimeWarning):
@@ -254,9 +254,9 @@ class TestParallelPrefetchHardening:
 
         def counting(workload, config, **kw):
             calls.append((workload, config))
-            return run_workload(workload, config, **kw)
+            return run_cell(workload, config, **kw)
 
-        monkeypatch.setattr(figures, "run_workload", counting)
+        monkeypatch.setattr(figures, "run_cell", counting)
         r = self._runner(max_cycles=50)
         r._executor_factory = cf.ThreadPoolExecutor
         cells = [("VADD", "Baseline", ci_config()),
